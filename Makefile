@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-check bench-smoke fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check ci
+.PHONY: all build vet test race bench bench-json bench-check fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check ci
 
 all: build
 
@@ -38,12 +38,6 @@ bench-check:
 	cp BENCH_paper.json /tmp/pdce-bench-check.json
 	$(GO) run ./cmd/benchpaper -smoke -json /tmp/pdce-bench-check.json -out '' > /dev/null
 	$(GO) run ./cmd/benchreport -history /tmp/pdce-bench-check.json -check
-
-# Solver-engine smoke: tiny-n scaling run pinning byte-identical
-# outputs across the dense/sparse/auto dataflow engines and asserting
-# the auto density heuristic tracks the dense engine's wall time.
-bench-smoke:
-	PDCE_BENCH_SMOKE=1 $(GO) test -count=1 -run TestBenchSmoke -v .
 
 # Fuzz smoke over the containment contract: SafeOptimize must never
 # panic and must always return a structurally valid program, whatever
@@ -114,8 +108,8 @@ docs-check:
 # Full local CI: static checks, build, the whole suite under the race
 # detector (includes the incremental-vs-reference equivalence property
 # tests, the batch pipeline and fault-injection tests, and the
-# allocation budget guard), a benchmark smoke pass, the solver-engine
-# smoke, the containment fuzz smoke, the telemetry, serving, tracing,
-# chaos, and store smokes, the docs drift guard, and the benchmark
-# regression gate (smoke matrix + variance-band check).
-ci: vet build race bench bench-smoke fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-check
+# allocation budget guard), a benchmark smoke pass, the containment
+# fuzz smoke, the telemetry, serving, tracing, chaos, and store smokes,
+# the docs drift guard, and the benchmark regression gate (smoke
+# matrix + variance-band check).
+ci: vet build race bench fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-check

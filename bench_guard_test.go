@@ -11,12 +11,12 @@ import (
 // incremental driver: a full pde run on the standard 1024-statement
 // generated program must stay within a fixed allocation budget.
 //
-// The budget is ~2x the measured value after the sparse-solver and
-// rewrite-hint work (about 22k allocations; the pooled-storage driver
-// before it needed ~28k, the pre-pooling one ~134k), so it trips on a
-// regression that reintroduces per-round re-allocation of analysis
-// storage or per-statement re-resolution, while leaving room for
-// routine drift. Revisit the constant deliberately if the driver's
+// The budget is ~2x the measured value of the single-engine driver
+// (about 21.5k allocations; the pooled-storage driver before the
+// rewrite-hint work needed ~28k, the pre-pooling one ~134k), so it
+// trips on a regression that reintroduces per-round re-allocation of
+// analysis storage or per-statement re-resolution, while leaving room
+// for routine drift. Revisit the constant deliberately if the driver's
 // structure changes.
 func TestTransformAllocBudget(t *testing.T) {
 	if testing.Short() {

@@ -18,8 +18,6 @@
 //	      executions; the paper's algorithm never does
 //	C9  — incremental vs. from-scratch driver cost, and batch
 //	      throughput of the concurrent optimization pipeline
-//	C9b — dense vs. sparse vs. auto dataflow engines on the scaling
-//	      corpus: wall time and solver node visits per mode
 //	C10 — serving throughput of the pdced optimization service: cold
 //	      vs. warm content-addressed cache, at several client
 //	      concurrency levels
@@ -46,7 +44,7 @@
 // Usage:
 //
 //	benchpaper                          # run everything
-//	benchpaper -exp C1,C9b              # a subset
+//	benchpaper -exp C1,C9               # a subset
 //	benchpaper -quick                   # smaller sweeps (CI-friendly)
 //	benchpaper -smoke                   # the bench-check gate matrix
 //	benchpaper -json BENCH_paper.json   # append the run to the history
@@ -74,7 +72,6 @@ import (
 	"pdce/internal/bench"
 	"pdce/internal/cfg"
 	"pdce/internal/core"
-	"pdce/internal/dataflow"
 	"pdce/internal/figures"
 	"pdce/internal/hoist"
 	"pdce/internal/obs"
@@ -85,7 +82,7 @@ import (
 )
 
 var (
-	expFlag     = flag.String("exp", "all", "comma-separated experiments to run: F, C1, C2, C3, C4, C5, C6, C7, C8, C9, C9b, C10, C11, C12, all")
+	expFlag     = flag.String("exp", "all", "comma-separated experiments to run: F, C1, C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, C12, all")
 	quick       = flag.Bool("quick", false, "smaller sweeps")
 	smoke       = flag.Bool("smoke", false, "run the smoke matrix from experiments.json (the bench-check gate's scale; implies -quick)")
 	seedsFlag   = flag.Int("seeds", 0, "random seeds per configuration (0 = experiments.json)")
@@ -132,7 +129,6 @@ func registry() []experiment {
 		{"C7", expHoist},
 		{"C8", expPressure},
 		{"C9", expBatch},
-		{"C9b", expSolverModes},
 		{"C10", expServing},
 		{"C11", expCluster},
 		{"C12", expStore},
@@ -881,57 +877,6 @@ func expBatch() error {
 	fmt.Println()
 	fmt.Println("speedup tracks available cores; on a single-core host the pool")
 	fmt.Println("degenerates gracefully to sequential cost.")
-	fmt.Println()
-	return nil
-}
-
-// --- C9b: solver engine comparison ---------------------------------------
-
-// expSolverModes compares the three dataflow execution engines of the
-// incremental driver on the scaling corpus. All three are pinned to
-// byte-identical outputs by the equivalence property tests, so the
-// comparison is pure cost: wall time plus the solvers' node-visit
-// counts (elimination + sinking analyses), which attribute the gap to
-// work actually avoided rather than constant factors.
-func expSolverModes() error {
-	fmt.Println("## C9b — dataflow engines: dense vs. sparse vs. auto (identical outputs)")
-	fmt.Println()
-	fmt.Println("Node visits = block relaxations of the dead-variable solver plus the")
-	fmt.Println("delayability solver across all rounds (Stats.ElimSolverWork +")
-	fmt.Println("Stats.SinkSolverWork); the sparse engine counts per-bit node visits.")
-	fmt.Println()
-	fmt.Println("| n (stmts) | dense | sparse | auto | dense visits | sparse visits | auto visits |")
-	fmt.Println("|----------:|------:|-------:|-----:|-------------:|--------------:|------------:|")
-	modes := []struct {
-		name string
-		m    dataflow.SolverMode
-	}{
-		{"dense", dataflow.SolveDense},
-		{"sparse", dataflow.SolveSparse},
-		{"auto", dataflow.SolveAuto},
-	}
-	for _, n := range sizes() {
-		g := progen.Generate(progen.Params{Seed: 1, Stmts: n})
-		durs := make([]time.Duration, len(modes))
-		visits := make([]int, len(modes))
-		for i, mode := range modes {
-			d, st, err := timeTransformOpt(g, core.Options{Mode: core.ModeDead, Solver: mode.m})
-			if err != nil {
-				return fmt.Errorf("%s n=%d: %w", mode.name, n, err)
-			}
-			durs[i] = d
-			visits[i] = st.ElimSolverWork + st.SinkSolverWork
-			record("C9b", "solver-"+mode.name, n, d, map[string]float64{
-				"node_visits": float64(visits[i]),
-			})
-		}
-		fmt.Printf("| %d | %v | %v | %v | %d | %d | %d |\n",
-			n, durs[0].Round(time.Microsecond), durs[1].Round(time.Microsecond),
-			durs[2].Round(time.Microsecond), visits[0], visits[1], visits[2])
-	}
-	fmt.Println()
-	fmt.Println("auto should track the better engine per size: sparse node visits stay")
-	fmt.Println("near the def/use frontier while dense visits scale with blocks x passes.")
 	fmt.Println()
 	return nil
 }

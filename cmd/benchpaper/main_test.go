@@ -145,12 +145,12 @@ func TestSmokeSelection(t *testing.T) {
 	}
 
 	*smoke = false
-	*expFlag = "c1, C9B"
+	*expFlag = "c1, c9"
 	want, err = selected()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !want["C1"] || !want["C9b"] || len(want) != 2 {
+	if !want["C1"] || !want["C9"] || len(want) != 2 {
 		t.Errorf("case-insensitive list selection = %v", want)
 	}
 

@@ -22,7 +22,7 @@ import (
 // cacheKeyVersion is bumped whenever the canonical rendering or the
 // option fingerprint changes meaning, so stale disk-spill entries from
 // older builds can never be served.
-const cacheKeyVersion = "pdce-cache-v1"
+const cacheKeyVersion = "pdce-cache-v2"
 
 // CacheKeyVersion exposes the cache-key format version. Fleet-shared
 // stores (internal/store) prefix their keys with it so replicas built
@@ -43,8 +43,8 @@ func CacheKeyVersion() string { return cacheKeyVersion }
 // (Stats.Telemetry), not the program.
 func (o Options) Fingerprint() string {
 	telemetry := o.Telemetry || o.Trace
-	return fmt.Sprintf("mode=%s;max-rounds=%d;keep-synthetic=%v;no-incremental=%v;telemetry=%v;trace=%v",
-		o.Mode, o.MaxRounds, o.KeepSynthetic, o.NoIncremental, telemetry, o.Trace)
+	return fmt.Sprintf("mode=%s;max-rounds=%d;keep-synthetic=%v;telemetry=%v;trace=%v",
+		o.Mode, o.MaxRounds, o.KeepSynthetic, telemetry, o.Trace)
 }
 
 // Cacheable reports whether results computed under o are

@@ -257,20 +257,6 @@ func (p *deadProblem) updateBlock(n *cfg.Node) {
 	}
 }
 
-// updateBlockDelta is updateBlock with a change account: it ORs every
-// variable bit differing between n's previous and new gen/kill masks
-// into changed (oldGen/oldKill are caller scratch) and reports whether
-// anything differed — the incremental solver drops rewritten blocks
-// whose masks came out bit-identical.
-func (p *deadProblem) updateBlockDelta(n *cfg.Node, oldGen, oldKill, changed *bitvec.Vector) bool {
-	oldGen.CopyFrom(p.gen[n.ID])
-	oldKill.CopyFrom(p.kill[n.ID])
-	p.updateBlock(n)
-	c1 := changed.OrXor(oldGen, p.gen[n.ID])
-	c2 := changed.OrXor(oldKill, p.kill[n.ID])
-	return c1 || c2
-}
-
 func (p *deadProblem) Bits() int                     { return p.bits }
 func (p *deadProblem) Direction() dataflow.Direction { return dataflow.Backward }
 func (p *deadProblem) Meet() dataflow.Meet           { return dataflow.Intersect }
@@ -310,28 +296,16 @@ type DeadSolver struct {
 	prob   *deadProblem
 	solver *dataflow.Solver
 	res    DeadResult
-	solved bool
 
-	// Delta-solve state, mirroring DelaySolver's: the changed-bits
-	// mask of one Solve, the before-image scratch backing it, and
-	// the equation-changed subset of the dirty blocks.
-	changed         *bitvec.Vector
-	oldGen, oldKill *bitvec.Vector
-	eqDirty         []cfg.NodeID
-	scanStamp       []uint32
-	scanEpoch       uint32
+	// scanStamp/scanEpoch back DeadResult.NeedsScan's restriction.
+	scanStamp []uint32
+	scanEpoch uint32
 }
 
 // NewDeadSolver creates a solver for g over the given universe.
 func NewDeadSolver(g *cfg.Graph, vars *ir.VarTable) *DeadSolver {
 	prob := newDeadProblem(g, vars)
-	bits := vars.Len()
-	s := &DeadSolver{
-		g: g, prob: prob, solver: dataflow.NewSolver(g, prob),
-		changed: bitvec.New(bits),
-		oldGen:  bitvec.New(bits),
-		oldKill: bitvec.New(bits),
-	}
+	s := &DeadSolver{g: g, prob: prob, solver: dataflow.NewSolver(g, prob)}
 	sol := s.solver.Result()
 	s.res = DeadResult{Vars: vars, NDead: sol.In, XDead: sol.Out, memo: prob.memo}
 	return s
@@ -346,10 +320,6 @@ func (s *DeadSolver) SetCancel(cancel func() bool) { s.solver.SetCancel(cancel) 
 // SetMetrics installs a telemetry sink recording every solve this
 // solver performs. A nil sink (the default) collects nothing.
 func (s *DeadSolver) SetMetrics(m *obs.SolverMetrics) { s.solver.SetMetrics(m) }
-
-// SetMode selects the underlying solver's execution engine (see
-// dataflow.SolverMode). The default Auto picks per solve.
-func (s *DeadSolver) SetMode(m dataflow.SolverMode) { s.solver.SetMode(m) }
 
 // ArenaStats reports the slab state of the solver's vector arenas (the
 // fixpoint storage plus the gen/kill masks).
@@ -370,30 +340,12 @@ func (s *DeadSolver) ArenaStats() bitvec.ArenaStats {
 // first call always solves in full. The returned result aliases the
 // solver's storage and is invalidated by the next Solve.
 func (s *DeadSolver) Solve(dirty []cfg.NodeID) *DeadResult {
-	wasSolved := s.solved
-	var sol *dataflow.Result
-	if wasSolved {
-		// Blocks whose rewrite left their gen/kill masks
-		// bit-identical changed no equation and drop out of the
-		// re-solve.
-		s.changed.ClearAll()
-		eq := s.eqDirty[:0]
-		for _, id := range dirty {
-			if s.prob.updateBlockDelta(s.g.Node(id), s.oldGen, s.oldKill, s.changed) {
-				eq = append(eq, id)
-			}
-		}
-		s.eqDirty = eq
-		sol = s.solver.ResolveDelta(eq, s.changed)
-	} else {
-		for _, id := range dirty {
-			s.prob.updateBlock(s.g.Node(id))
-		}
-		sol = s.solver.Resolve(dirty)
+	for _, id := range dirty {
+		s.prob.updateBlock(s.g.Node(id))
 	}
+	sol := s.solver.Resolve(dirty)
 	s.res.Stats = sol.Stats
-	s.solved = !sol.Stats.Cancelled
-	s.setScan(sol.Touched, dirty)
+	s.setScan(sol.Touched)
 	return &s.res
 }
 
@@ -406,11 +358,11 @@ func (s *DeadSolver) SyncRewrite(n *cfg.Node, old []ir.Stmt, ops []int32) {
 }
 
 // setScan installs the elimination walk's restriction for this round:
-// the union of the solver's touched set (solution values that may have
-// moved) and the dirty set (statements that changed since the last
-// elimination). With no touched-set guarantee the restriction is
-// lifted and every node is scanned.
-func (s *DeadSolver) setScan(touched, dirty []cfg.NodeID) {
+// the solver's touched set, which covers both the solution values that
+// may have moved and the dirty blocks (statements that changed since
+// the last elimination). With no touched-set guarantee the restriction
+// is lifted and every node is scanned.
+func (s *DeadSolver) setScan(touched []cfg.NodeID) {
 	if touched == nil {
 		s.res.scanStamp = nil
 		return
@@ -426,9 +378,6 @@ func (s *DeadSolver) setScan(touched, dirty []cfg.NodeID) {
 		s.scanEpoch = 1
 	}
 	for _, id := range touched {
-		s.scanStamp[id] = s.scanEpoch
-	}
-	for _, id := range dirty {
 		s.scanStamp[id] = s.scanEpoch
 	}
 	s.res.scanStamp = s.scanStamp

@@ -54,8 +54,8 @@ func (p *delayProblem) Transfer(n *cfg.Node, in, out *bitvec.Vector) {
 
 // GenKill exposes the transfer in canonical gen/kill form — Table 2's
 // X-DELAYED equation already is one, with the candidate occurrences as
-// gen and the blockades as kill — unlocking the solver's fused dense
-// transfer and the per-pattern sparse engine.
+// gen and the blockades as kill — unlocking the solver's fused
+// transfer.
 func (p *delayProblem) GenKill(n *cfg.Node) (gen, kill *bitvec.Vector) {
 	return p.locals.LocDelayed[n.ID], p.locals.LocBlocked[n.ID]
 }
@@ -148,28 +148,19 @@ func computeInsertsNode(r *DelayResult, n *cfg.Node) {
 // set and every node is reachable from it, the greatest solution
 // assigns it X-DELAYED = false everywhere — no spurious insertions.
 type DelaySolver struct {
-	g       *cfg.Graph
-	Index   *PatternIndex
-	locals  *Locals
-	solver  *dataflow.Solver
-	res     DelayResult
-	solved  bool
-	arena   bitvec.Arena // backs the insertion-predicate vectors
-	metrics *obs.SolverMetrics
+	g      *cfg.Graph
+	Index  *PatternIndex
+	locals *Locals
+	solver *dataflow.Solver
+	res    DelayResult
+	arena  bitvec.Arena // backs the insertion-predicate vectors
 
 	scratch *bitvec.Vector // locals sweep scratch
 
-	// Delta-solve state: changed accumulates the pattern bits whose
-	// local predicates moved across the dirty blocks of one Solve
-	// (oldLD/oldLB are the before-images backing the comparison);
-	// eqDirty is the dirty set filtered down to blocks whose
-	// equations actually changed. insStamp/insEpoch dedupe the
-	// restricted insertion-predicate refresh.
-	changed      *bitvec.Vector
-	oldLD, oldLB *bitvec.Vector
-	eqDirty      []cfg.NodeID
-	insStamp     []uint32
-	insEpoch     uint32
+	// insStamp/insEpoch dedupe the touched-restricted refresh of the
+	// insertion predicates.
+	insStamp []uint32
+	insEpoch uint32
 }
 
 // NewDelaySolver creates a solver for g over pattern universe pt.
@@ -181,9 +172,6 @@ func NewDelaySolver(g *cfg.Graph, pt *ir.PatternTable) *DelaySolver {
 		Index:    ix,
 		locals:   ix.Locals(g),
 		scratch:  bitvec.New(bits),
-		changed:  bitvec.New(bits),
-		oldLD:    bitvec.New(bits),
-		oldLB:    bitvec.New(bits),
 		insStamp: make([]uint32, g.NumNodes()),
 	}
 	s.solver = dataflow.NewSolver(g, &delayProblem{locals: s.locals, bits: bits})
@@ -214,14 +202,7 @@ func (s *DelaySolver) SetCancel(cancel func() bool) { s.solver.SetCancel(cancel)
 // SetMetrics installs a telemetry sink recording every solve this
 // solver performs, including the cached-solution fast path. A nil sink
 // (the default) collects nothing.
-func (s *DelaySolver) SetMetrics(m *obs.SolverMetrics) {
-	s.metrics = m
-	s.solver.SetMetrics(m)
-}
-
-// SetMode selects the underlying solver's execution engine (see
-// dataflow.SolverMode). The default Auto picks per solve.
-func (s *DelaySolver) SetMode(m dataflow.SolverMode) { s.solver.SetMode(m) }
+func (s *DelaySolver) SetMetrics(m *obs.SolverMetrics) { s.solver.SetMetrics(m) }
 
 // ArenaStats reports the combined slab state of the solver's vector
 // arenas (the fixpoint solution storage plus the insertion predicates).
@@ -236,50 +217,23 @@ func (s *DelaySolver) ArenaStats() bitvec.ArenaStats {
 
 // Solve re-solves after the given blocks changed: their local
 // predicates are recomputed, the fixpoint is re-seeded over the
-// affected region, and the insertion predicates are refreshed. A nil
-// dirty set on a solved instance returns the cached solution; the
-// first call always solves in full. The returned result aliases the
-// solver's storage and is invalidated by the next Solve.
+// affected region, and the insertion predicates are refreshed where
+// the solution moved (Result.Touched). A nil dirty set on a solved
+// instance returns the cached solution; the first call, and the first
+// after a cancelled one, solves in full. The returned result aliases
+// the solver's storage and is invalidated by the next Solve.
 func (s *DelaySolver) Solve(dirty []cfg.NodeID) *DelayResult {
-	if s.solved && len(dirty) == 0 {
-		s.metrics.RecordCacheHit()
-		s.res.Stats = dataflow.SolverStats{}
-		return &s.res
+	for _, id := range dirty {
+		s.Index.UpdateBlock(s.locals, s.g.Node(id), s.scratch)
 	}
-	wasSolved := s.solved
-	s.solved = true
-	var sol *dataflow.Result
-	if wasSolved {
-		// Recompute the dirty blocks' local predicates with an
-		// exact account of which pattern bits moved. Blocks whose
-		// rewrite left their predicates bit-identical contribute no
-		// equation change and drop out of the re-solve; the solver
-		// uses the accumulated mask to re-solve only the moved bits
-		// when its sparse delta path is eligible.
-		s.changed.ClearAll()
-		eq := s.eqDirty[:0]
-		for _, id := range dirty {
-			if s.Index.UpdateBlockDelta(s.locals, s.g.Node(id), s.scratch, s.oldLD, s.oldLB, s.changed) {
-				eq = append(eq, id)
-			}
-		}
-		s.eqDirty = eq
-		sol = s.solver.ResolveDelta(eq, s.changed)
-	} else {
-		for _, id := range dirty {
-			s.Index.UpdateBlock(s.locals, s.g.Node(id), s.scratch)
-		}
-		sol = s.solver.Resolve(dirty)
-	}
+	sol := s.solver.Resolve(dirty)
 	s.res.Stats = sol.Stats
-	if sol.Stats.Cancelled {
-		// The partial solution justifies nothing: leave the
-		// insertion predicates stale and force the next solve to
-		// start from scratch.
-		s.solved = false
-		return &s.res
+	// A cancelled solve's partial solution justifies nothing: the
+	// insertion predicates stay stale, and the next solve starts
+	// from scratch.
+	if !sol.Stats.Cancelled {
+		s.refreshInserts(sol.Touched)
 	}
-	s.refreshInserts(sol.Touched)
 	return &s.res
 }
 
@@ -287,8 +241,8 @@ func (s *DelaySolver) Solve(dirty []cfg.NodeID) *DelayResult {
 // With no touched-set guarantee every block is refreshed; otherwise
 // only the blocks whose inputs could have moved are: a block's
 // N-INSERT/X-INSERT read its own solution and local predicates (the
-// touched set and the equation-changed dirty blocks) and its
-// successors' N-DELAYED (the predecessors of touched blocks).
+// touched set, which includes every dirty block) and its successors'
+// N-DELAYED (the predecessors of touched blocks).
 func (s *DelaySolver) refreshInserts(touched []cfg.NodeID) {
 	if touched == nil {
 		computeInserts(s.g, &s.res)
@@ -313,9 +267,6 @@ func (s *DelaySolver) refreshInserts(touched []cfg.NodeID) {
 		for _, p := range n.Preds() {
 			refresh(p)
 		}
-	}
-	for _, id := range s.eqDirty {
-		refresh(s.g.Node(id))
 	}
 }
 

@@ -289,22 +289,6 @@ func (ix *PatternIndex) UpdateBlock(l *Locals, n *cfg.Node, scratch *bitvec.Vect
 	l.LocBlocked[n.ID].CopyFrom(scratch)
 }
 
-// UpdateBlockDelta is UpdateBlock with an exact change account: it
-// ORs every pattern bit that differs between n's previous and new
-// LocDelayed/LocBlocked into changed, and reports whether anything
-// differed at all. oldLD and oldLB are caller scratch (Patterns.Len()
-// bits; clobbered). The incremental delay solver uses the report to
-// drop blocks whose rewrite left their equations bit-identical, and
-// the accumulated mask to re-solve only the moved bits.
-func (ix *PatternIndex) UpdateBlockDelta(l *Locals, n *cfg.Node, scratch, oldLD, oldLB, changed *bitvec.Vector) bool {
-	oldLD.CopyFrom(l.LocDelayed[n.ID])
-	oldLB.CopyFrom(l.LocBlocked[n.ID])
-	ix.UpdateBlock(l, n, scratch)
-	c1 := changed.OrXor(oldLD, l.LocDelayed[n.ID])
-	c2 := changed.OrXor(oldLB, l.LocBlocked[n.ID])
-	return c1 || c2
-}
-
 // Locals computes the local predicates of every block of g over the
 // index's pattern universe.
 func (ix *PatternIndex) Locals(g *cfg.Graph) *Locals {

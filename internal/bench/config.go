@@ -100,7 +100,7 @@ func DefaultMatrix() *Matrix {
 			QuickSizes: []int{64, 128, 256, 512},
 		},
 		Smoke: Smoke{
-			Exps:    []string{"C1", "C4", "C9b"},
+			Exps:    []string{"C1", "C4"},
 			Seeds:   3,
 			Repeats: 2,
 			Sizes:   []int{64, 128},

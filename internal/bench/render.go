@@ -13,7 +13,9 @@ import (
 var expOrder = []string{"F", "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C9b", "C10", "C11", "C12"}
 
 // expTitles are the built-in section titles; an experiment's Title in
-// experiments.json overrides them.
+// experiments.json overrides them. Retired experiments (C9b, the
+// dense/sparse/auto engine comparison) keep their titles so their
+// recorded runs still render as history.
 var expTitles = map[string]string{
 	"F":   "Figures 1–13: paper transformation vs. implementation",
 	"C1":  "pde wall-clock scaling on structured programs",

@@ -75,30 +75,6 @@ func (v *Vector) Clear(i int) {
 	v.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
-// SetChanged sets bit i to one and reports whether it was zero — the
-// sparse engine's delta write-back uses the report to track which
-// nodes' values actually moved.
-func (v *Vector) SetChanged(i int) bool {
-	v.check(i)
-	w, bit := i/wordBits, uint64(1)<<(uint(i)%wordBits)
-	if v.words[w]&bit != 0 {
-		return false
-	}
-	v.words[w] |= bit
-	return true
-}
-
-// ClearChanged sets bit i to zero and reports whether it was one.
-func (v *Vector) ClearChanged(i int) bool {
-	v.check(i)
-	w, bit := i/wordBits, uint64(1)<<(uint(i)%wordBits)
-	if v.words[w]&bit == 0 {
-		return false
-	}
-	v.words[w] &^= bit
-	return true
-}
-
 // Assign sets bit i to b.
 func (v *Vector) Assign(i int, b bool) {
 	if b {
@@ -305,69 +281,6 @@ func (v *Vector) Count() int {
 // ForEach calls f for every set bit, in increasing index order.
 func (v *Vector) ForEach(f func(i int)) {
 	for wi, x := range v.words {
-		for x != 0 {
-			b := bits.TrailingZeros64(x)
-			f(wi*wordBits + b)
-			x &= x - 1
-		}
-	}
-}
-
-// OrXor sets v = v OR (a XOR b) in a single pass and reports whether
-// a and b differ anywhere. It accumulates a changed-bits mask across a
-// sequence of before/after vector pairs — the incremental solvers feed
-// the mask to the sparse engine's delta path, which then re-solves
-// only the bits whose equations actually moved.
-func (v *Vector) OrXor(a, b *Vector) bool {
-	countOp()
-	v.checkSame(a)
-	v.checkSame(b)
-	diff := uint64(0)
-	for i, x := range a.words {
-		d := x ^ b.words[i]
-		v.words[i] |= d
-		diff |= d
-	}
-	return diff != 0
-}
-
-// ForEachAnd calls f for every bit set in v AND mask, in increasing
-// index order, skipping whole words where mask is zero — the sparse
-// delta solve's seed enumeration restricted to changed bits.
-func (v *Vector) ForEachAnd(mask *Vector, f func(i int)) {
-	v.checkSame(mask)
-	for wi, m := range mask.words {
-		x := v.words[wi] & m
-		for x != 0 {
-			b := bits.TrailingZeros64(x)
-			f(wi*wordBits + b)
-			x &= x - 1
-		}
-	}
-}
-
-// ForEachAndNotAnd calls f for every bit set in v AND NOT w AND mask,
-// in increasing index order, skipping whole words where mask is zero.
-func (v *Vector) ForEachAndNotAnd(w, mask *Vector, f func(i int)) {
-	v.checkSame(w)
-	v.checkSame(mask)
-	for wi, m := range mask.words {
-		x := v.words[wi] &^ w.words[wi] & m
-		for x != 0 {
-			b := bits.TrailingZeros64(x)
-			f(wi*wordBits + b)
-			x &= x - 1
-		}
-	}
-}
-
-// ForEachAndNot calls f for every bit set in v AND NOT w, in
-// increasing index order, without materializing the difference — the
-// sparse solver's seed enumeration (kill·¬gen sites) runs on this.
-func (v *Vector) ForEachAndNot(w *Vector, f func(i int)) {
-	v.checkSame(w)
-	for wi, x := range v.words {
-		x &^= w.words[wi]
 		for x != 0 {
 			b := bits.TrailingZeros64(x)
 			f(wi*wordBits + b)

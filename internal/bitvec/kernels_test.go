@@ -47,7 +47,7 @@ func TestAndNotOrIntoMatchesComposition(t *testing.T) {
 }
 
 // TestAndNotOrIntoAliasing: v may alias src (the in-place transfer the
-// dense solver uses when meet and transfer share storage).
+// solver uses when meet and transfer share storage).
 func TestAndNotOrIntoAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
@@ -120,30 +120,5 @@ func TestAndNotOrIntoTrailingWord(t *testing.T) {
 	}
 	if dst.Count() != n {
 		t.Fatalf("count = %d, want %d (stray trailing-word bits?)", dst.Count(), n)
-	}
-}
-
-// TestForEachAndNot checks the difference iterator against the
-// materialized difference.
-func TestForEachAndNot(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{0, 64, 100, 256} {
-		for trial := 0; trial < 10; trial++ {
-			a := randomVec(rng, n, 0.5)
-			b := randomVec(rng, n, 0.5)
-			want := a.Copy()
-			want.AndNot(b)
-
-			var got []int
-			a.ForEachAndNot(b, func(i int) { got = append(got, i) })
-			if len(got) != want.Count() {
-				t.Fatalf("n=%d: %d indices, want %d", n, len(got), want.Count())
-			}
-			for _, i := range got {
-				if !want.Get(i) {
-					t.Fatalf("n=%d: spurious index %d", n, i)
-				}
-			}
-		}
 	}
 }

@@ -111,29 +111,6 @@ func (t *DomTree) Dominates(a, b *Node) bool {
 	}
 }
 
-// Reducible reports whether the subgraph reachable from Start is
-// reducible: every retreating edge (an edge u→v with v at or before u
-// in reverse postorder) is a true back edge, i.e. its target dominates
-// its source. On a reducible graph a round-robin pass order in reverse
-// postorder converges in O(loop-nesting-depth) sweeps (Hecht/Ullman);
-// the sparse/dense solver selection uses this as its structural gate,
-// since the bound — and the priority worklist's pass guarantee — does
-// not hold for irreducible regions like the paper's Figure 5.
-func Reducible(g *Graph) bool {
-	t := BuildDomTree(g)
-	for _, u := range g.nodes {
-		if t.rpoIndex[u.ID] < 0 {
-			continue // unreachable
-		}
-		for _, v := range u.succs {
-			if t.rpoIndex[v.ID] <= t.rpoIndex[u.ID] && !t.Dominates(v, u) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // DominanceFrontiers computes DF(n) for every reachable node, per
 // Cooper-Harvey-Kennedy: for each join node j and predecessor p, every
 // node on the idom-chain from p up to (but excluding) idom(j) has j in

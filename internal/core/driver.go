@@ -8,7 +8,6 @@ import (
 	"pdce/internal/analysis"
 	"pdce/internal/bitvec"
 	"pdce/internal/cfg"
-	"pdce/internal/dataflow"
 	"pdce/internal/faultinject"
 	"pdce/internal/ir"
 	"pdce/internal/obs"
@@ -58,16 +57,6 @@ type Options struct {
 	// of, into, or through them (arriving code stops at their
 	// entry), and nothing inside them is eliminated.
 	Hot HotPredicate
-
-	// Solver selects the dataflow execution engine for the
-	// incremental driver's block-level analyses (delayability and
-	// dead variables): dense priority-worklist iteration, per-pattern
-	// sparse propagation, or the default automatic choice by seed
-	// density and graph reducibility. All three produce byte-identical
-	// programs — the equivalence property tests pin this — so the
-	// switch trades time, not results. The reference driver and the
-	// slotwise faint analysis ignore it.
-	Solver dataflow.SolverMode
 
 	// NoIncremental forces the reference driver, which rebuilds the
 	// variable and pattern universes and re-solves every analysis
@@ -315,26 +304,6 @@ func Transform(g *cfg.Graph, opt Options) (*cfg.Graph, Stats, error) {
 	return out, st, err
 }
 
-// recordSolve folds one throwaway block-level solve's stats into a
-// metrics sink — the reference driver's coarse accounting (its solvers
-// live for a single phase, so there is nothing incremental to report).
-func recordSolve(m *obs.SolverMetrics, kind obs.SolveKind, st dataflow.SolverStats, seedable int) {
-	if st.Sparse {
-		seedable = 0 // sparse solves have no dense seeding to reuse
-	}
-	m.RecordSolve(kind, obs.SolveCost{
-		Visits:           st.NodeVisits,
-		Pushes:           st.Pushes,
-		Passes:           st.Passes,
-		MaxWorklistDepth: st.MaxWorklistDepth,
-		Seeded:           st.Seeded,
-		Seedable:         seedable,
-		VecOps:           st.VecOps,
-		Sparse:           st.Sparse,
-		Cancelled:        st.Cancelled,
-	})
-}
-
 // runReference is the from-scratch driver loop: each phase rebuilds its
 // universes and re-solves its analysis on the current program. It is
 // the semantic reference for runIncremental and the only driver that
@@ -363,7 +332,9 @@ func runReference(out *cfg.Graph, opt Options, st *Stats) (*cfg.Graph, error) {
 			return eliminateFaintSolved(out, fr, nil, tr)
 		default:
 			dr := analysis.DeadVars(out)
-			recordSolve(col.DeadMetrics(), obs.SolveFull, dr.Stats, out.NumNodes())
+			// The reference driver's solvers live for one phase, so
+			// every solve is a full one.
+			col.DeadMetrics().RecordSolve(obs.SolveFull, dr.Stats.Cost(out.NumNodes()))
 			return eliminateDeadSolved(out, dr, nil, tr)
 		}
 	}
@@ -497,14 +468,12 @@ func runIncremental(out *cfg.Graph, opt Options, st *Stats) (*cfg.Graph, error) 
 	delay := analysis.NewDelaySolver(out, pt)
 	delay.SetCancel(cancel)
 	delay.SetMetrics(col.DelayMetrics())
-	delay.SetMode(opt.Solver)
 	var deadSolver *analysis.DeadSolver
 	var faintRes *analysis.FaintResult
 	if opt.Mode == ModeDead {
 		deadSolver = analysis.NewDeadSolver(out, vars)
 		deadSolver.SetCancel(cancel)
 		deadSolver.SetMetrics(col.DeadMetrics())
-		deadSolver.SetMode(opt.Solver)
 	}
 	if col != nil {
 		// The solvers live for the whole run; fold their arena slab

@@ -65,7 +65,7 @@ func sinkObserved(g *cfg.Graph, tr *obs.Trace, m *obs.SolverMetrics) SinkStats {
 	ix := analysis.NewPatternIndex(pt)
 	locals := ix.Locals(g)
 	delay := analysis.DelayabilityWithLocals(g, locals)
-	recordSolve(m, obs.SolveFull, delay.Stats, g.NumNodes())
+	m.RecordSolve(obs.SolveFull, delay.Stats.Cost(g.NumNodes()))
 	return applySink(g, ix, locals, delay, nil, tr)
 }
 

@@ -2,11 +2,13 @@ package dataflow
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"pdce/internal/bitvec"
 	"pdce/internal/cfg"
 	"pdce/internal/parser"
+	"pdce/internal/progen"
 )
 
 // mutProblem is an intersect problem whose transfer is driven by
@@ -83,10 +85,60 @@ func requireSameSolution(t *testing.T, g *cfg.Graph, got, want *Result, ctx stri
 	}
 }
 
+// snapshotSolution copies a solution's In/Out vectors, so that the
+// nodes a later solve moved can be told apart from the ones it kept.
+func snapshotSolution(g *cfg.Graph, r *Result) (in, out []*bitvec.Vector) {
+	in = make([]*bitvec.Vector, g.NumNodes())
+	out = make([]*bitvec.Vector, g.NumNodes())
+	for _, n := range g.Nodes() {
+		in[n.ID] = r.In[n.ID].Copy()
+		out[n.ID] = r.Out[n.ID].Copy()
+	}
+	return in, out
+}
+
+// requireTouchedCovers checks the Result.Touched contract of an
+// incremental Resolve, which callers rely on to skip every node outside
+// it: the set is present, lists every dirty node, and lists every node
+// whose In or Out differs from the pre-solve snapshot. It returns how
+// many nodes outside the dirty set moved, so callers can check that
+// the mutations really exercised the second half of the contract.
+func requireTouchedCovers(t *testing.T, g *cfg.Graph, got *Result, beforeIn, beforeOut []*bitvec.Vector, dirty []cfg.NodeID, ctx string) int {
+	t.Helper()
+	if got.Touched == nil {
+		t.Fatalf("%s: incremental Resolve gave no Touched guarantee", ctx)
+	}
+	listed := make(map[cfg.NodeID]bool, len(got.Touched))
+	for _, id := range got.Touched {
+		listed[id] = true
+	}
+	isDirty := make(map[cfg.NodeID]bool, len(dirty))
+	for _, id := range dirty {
+		isDirty[id] = true
+		if !listed[id] {
+			t.Fatalf("%s: dirty node %s missing from Touched %v", ctx, g.Node(id).Label, got.Touched)
+		}
+	}
+	movedElsewhere := 0
+	for _, n := range g.Nodes() {
+		if got.In[n.ID].Equal(beforeIn[n.ID]) && got.Out[n.ID].Equal(beforeOut[n.ID]) {
+			continue
+		}
+		if !listed[n.ID] {
+			t.Fatalf("%s: value of %s moved but it is missing from Touched %v", ctx, n.Label, got.Touched)
+		}
+		if !isDirty[n.ID] {
+			movedElsewhere++
+		}
+	}
+	return movedElsewhere
+}
+
 // TestResolveMatchesFullSolve mutates every node's transfer rules in
 // turn and checks that re-seeding only the dirty node's affected region
 // reproduces the from-scratch greatest fixpoint exactly, in both
-// directions.
+// directions, and that Result.Touched covers every dirty node and
+// every node whose value moved.
 func TestResolveMatchesFullSolve(t *testing.T) {
 	for _, dir := range []Direction{Backward, Forward} {
 		name := "backward"
@@ -103,6 +155,7 @@ func TestResolveMatchesFullSolve(t *testing.T) {
 			}
 			inc := NewSolver(g, prob)
 			inc.Full()
+			movedElsewhere := 0
 
 			mutations := []struct {
 				label    string
@@ -125,9 +178,15 @@ func TestResolveMatchesFullSolve(t *testing.T) {
 				}
 				dirty = append(dirty, n.ID)
 
+				ctx := fmt.Sprintf("after mutating %s", m.label)
+				beforeIn, beforeOut := snapshotSolution(g, inc.Result())
 				got := inc.Resolve(dirty)
 				want := Solve(g, prob)
-				requireSameSolution(t, g, got, want, fmt.Sprintf("after mutating %s", m.label))
+				requireSameSolution(t, g, got, want, ctx)
+				movedElsewhere += requireTouchedCovers(t, g, got, beforeIn, beforeOut, dirty, ctx)
+			}
+			if movedElsewhere == 0 {
+				t.Error("no mutation moved a value outside its dirty node; the Touched check is vacuous")
 			}
 		})
 	}
@@ -145,6 +204,9 @@ func TestResolveEmptyDirtyIsCached(t *testing.T) {
 	again := s.Resolve(nil)
 	if again.Stats.NodeVisits != 0 || again.Stats.Seeded != 0 {
 		t.Errorf("empty resolve did work: %+v", again.Stats)
+	}
+	if again.Touched == nil || len(again.Touched) != 0 {
+		t.Errorf("empty resolve Touched = %v, want empty and non-nil", again.Touched)
 	}
 	want := Solve(g, prob)
 	requireSameSolution(t, g, again, want, "cached resolve")
@@ -190,8 +252,76 @@ func TestResolveRepeatedMutationsConverge(t *testing.T) {
 			n, _ := g.NodeByLabel(label)
 			dirty = append(dirty, n.ID)
 		}
+		ctx := fmt.Sprintf("step %d", step)
+		beforeIn, beforeOut := snapshotSolution(g, s.Result())
 		got := s.Resolve(dirty)
 		want := Solve(g, prob)
-		requireSameSolution(t, g, got, want, fmt.Sprintf("step %d", step))
+		requireSameSolution(t, g, got, want, ctx)
+		requireTouchedCovers(t, g, got, beforeIn, beforeOut, dirty, ctx)
 	}
+}
+
+// TestCancellationDiscards interrupts a full solve and then an
+// incremental one in the middle of their worklist runs. Each cancelled
+// solve must be marked partial, give no Touched guarantee, and never
+// serve as a reuse baseline: the next solve runs in full and lands on
+// the exact fixpoint.
+func TestCancellationDiscards(t *testing.T) {
+	g := progen.Generate(progen.Params{Seed: 3, Stmts: 240})
+	rng := rand.New(rand.NewSource(3))
+	p := randomGK(g, rng, Forward, 128, 0.1, 0.2)
+	fullVisits := Solve(g, p).Stats.NodeVisits
+	if fullVisits <= cancelCheckStride {
+		t.Fatalf("a full solve takes %d visits; too few to cancel mid-solve", fullVisits)
+	}
+
+	// An armed hook fires on its second check, cancelCheckStride
+	// visits into the solve.
+	checks, armed := 0, false
+	s := NewSolver(g, p)
+	s.SetCancel(func() bool {
+		checks++
+		return armed && checks >= 2
+	})
+	arm := func() { checks, armed = 0, true }
+
+	arm()
+	res := s.Full()
+	if !res.Stats.Cancelled {
+		t.Fatal("cancel hook ignored by a full solve")
+	}
+	if v := res.Stats.NodeVisits; v == 0 || v >= fullVisits {
+		t.Fatalf("cancelled full solve made %d of %d visits; not mid-solve", v, fullVisits)
+	}
+	if res.Touched != nil {
+		t.Error("cancelled full solve claims a Touched guarantee")
+	}
+	armed = false
+	res = s.Resolve(nil)
+	if res.Stats.Cancelled || res.Touched != nil {
+		t.Fatalf("re-solve after a cancelled full solve reused it (cancelled=%v, touched=%v)", res.Stats.Cancelled, res.Touched)
+	}
+	requireSameSolution(t, g, res, Solve(g, p), "after cancelled full solve")
+
+	// Dirtying the start block puts the whole graph in the affected
+	// region of a forward problem.
+	start := g.Start.ID
+	p.gen[start].Set(5)
+	p.gen[start].Set(77)
+	arm()
+	res = s.Resolve([]cfg.NodeID{start})
+	if !res.Stats.Cancelled {
+		t.Fatal("cancel hook ignored by an incremental solve")
+	}
+	if res.Touched != nil {
+		t.Error("cancelled incremental solve claims a Touched guarantee")
+	}
+	armed = false
+	end := g.End.ID
+	p.kill[end].Set(9)
+	res = s.Resolve([]cfg.NodeID{end})
+	if res.Stats.Cancelled || res.Touched != nil {
+		t.Fatalf("re-solve after a cancelled incremental solve reused it (cancelled=%v, touched=%v)", res.Stats.Cancelled, res.Touched)
+	}
+	requireSameSolution(t, g, res, Solve(g, p), "after cancelled incremental solve")
 }

@@ -42,7 +42,7 @@ func TestSolverMetricsAccounting(t *testing.T) {
 	// One full solve over 10 nodes, then an incremental one seeding 2
 	// of 10, then a cache hit.
 	m.RecordSolve(SolveFull, SolveCost{Visits: 10, Pushes: 12, Passes: 2, MaxWorklistDepth: 10, Seeded: 10, Seedable: 10, VecOps: 30})
-	m.RecordSolve(SolveIncremental, SolveCost{Visits: 3, Pushes: 3, Passes: 1, MaxWorklistDepth: 3, Seeded: 2, Seedable: 10, VecOps: 9, Sparse: true})
+	m.RecordSolve(SolveIncremental, SolveCost{Visits: 3, Pushes: 3, Passes: 1, MaxWorklistDepth: 3, Seeded: 2, Seedable: 10, VecOps: 9})
 	m.RecordCacheHit()
 
 	s := m.Snapshot()
@@ -51,9 +51,6 @@ func TestSolverMetricsAccounting(t *testing.T) {
 	}
 	if s.NodeVisits != 13 || s.WorklistPushes != 15 || s.VectorOps != 39 {
 		t.Errorf("work counters wrong: %+v", s)
-	}
-	if s.SparseSolves != 1 || s.DenseSolves != 1 {
-		t.Errorf("sparse/dense split wrong: %+v", s)
 	}
 	if s.Passes != 3 || s.MaxWorklistDepth != 10 {
 		t.Errorf("pass/depth counters wrong: %+v", s)

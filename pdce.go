@@ -151,11 +151,6 @@ type Options struct {
 	// KeepSynthetic retains empty synthetic nodes inserted by
 	// critical-edge splitting.
 	KeepSynthetic bool
-	// NoIncremental forces the from-scratch reference driver instead
-	// of the default incremental one (which reuses analysis results
-	// round to round). Both produce identical programs; the switch
-	// exists for cross-checking and performance comparison.
-	NoIncremental bool
 	// Hot, when non-nil, localizes the optimization to the blocks
 	// whose labels it accepts — the paper's Section 7 "hot areas"
 	// heuristic. Cold blocks are left untouched except for code
@@ -291,7 +286,6 @@ func (o Options) coreOptions() core.Options {
 		Mode:          o.Mode,
 		MaxRounds:     o.MaxRounds,
 		KeepSynthetic: o.KeepSynthetic,
-		NoIncremental: o.NoIncremental,
 		Ctx:           o.Context,
 		RoundBudget:   o.RoundBudget,
 		Span:          o.Span,

@@ -108,8 +108,8 @@ func writeReproBundle(dir string, p *Program, o Options, v any, stack []byte) (s
 	var b strings.Builder
 	b.WriteString("# pdce repro bundle — replay with: pdce -lang cfg <this file>\n")
 	fmt.Fprintf(&b, "# program: %s\n", p.Name())
-	fmt.Fprintf(&b, "# options: mode=%v max-rounds=%d keep-synthetic=%v no-incremental=%v verify=%v round-budget=%v hot=%v\n",
-		o.Mode, o.MaxRounds, o.KeepSynthetic, o.NoIncremental, o.Verify, o.RoundBudget, o.Hot != nil)
+	fmt.Fprintf(&b, "# options: mode=%v max-rounds=%d keep-synthetic=%v verify=%v round-budget=%v hot=%v\n",
+		o.Mode, o.MaxRounds, o.KeepSynthetic, o.Verify, o.RoundBudget, o.Hot != nil)
 	fmt.Fprintf(&b, "# panic: %v\n#\n", v)
 	for _, line := range strings.Split(strings.TrimRight(string(stack), "\n"), "\n") {
 		b.WriteString("# ")

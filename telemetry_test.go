@@ -25,8 +25,8 @@ func mustParseFile(t *testing.T, path string) *pdce.Program {
 }
 
 // TestTelemetryOptIn pins the opt-in contract: no collection without
-// the option, populated solver metrics with it, for both modes and
-// both drivers.
+// the option, populated solver metrics with it, for both modes. (The
+// reference driver's telemetry is pinned in internal/core.)
 func TestTelemetryOptIn(t *testing.T) {
 	p := mustParseFile(t, "testdata/corpus/stats.while")
 
@@ -43,9 +43,7 @@ func TestTelemetryOptIn(t *testing.T) {
 		opts pdce.Options
 	}{
 		{"pde-incremental", pdce.Options{Mode: pdce.Dead, Telemetry: true}},
-		{"pde-reference", pdce.Options{Mode: pdce.Dead, Telemetry: true, NoIncremental: true}},
 		{"pfe-incremental", pdce.Options{Mode: pdce.Faint, Telemetry: true}},
-		{"pfe-reference", pdce.Options{Mode: pdce.Faint, Telemetry: true, NoIncremental: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, st, err := p.Optimize(tc.opts)
@@ -74,7 +72,7 @@ func TestTelemetryOptIn(t *testing.T) {
 			if r := tel.Delay.ReuseRate; r < 0 || r > 1 {
 				t.Errorf("reuse rate %v out of [0,1]", r)
 			}
-			if !tc.opts.NoIncremental && tel.Arena.UsedWords == 0 {
+			if tel.Arena.UsedWords == 0 {
 				t.Errorf("incremental run reports no arena usage: %+v", tel.Arena)
 			}
 			if len(tel.Events) != 0 {
@@ -86,16 +84,12 @@ func TestTelemetryOptIn(t *testing.T) {
 
 // TestTelemetryIncrementalReuse pins the headline metric: on a
 // multi-round program the incremental driver's later delay solves seed
-// only the affected region, so the accumulated reuse rate is positive,
-// while the reference driver reports zero reuse (every solve is full).
+// only the affected region, so the accumulated reuse rate is positive.
+// (The reference driver's zero reuse is pinned in internal/core.)
 func TestTelemetryIncrementalReuse(t *testing.T) {
 	p := mustParseFile(t, "testdata/corpus/stats.while")
 
 	_, inc, err := p.Optimize(pdce.Options{Mode: pdce.Dead, Telemetry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ref, err := p.Optimize(pdce.Options{Mode: pdce.Dead, Telemetry: true, NoIncremental: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +101,6 @@ func TestTelemetryIncrementalReuse(t *testing.T) {
 	}
 	if got := inc.Telemetry.Delay.IncrementalSolves; got == 0 {
 		t.Error("incremental driver reports no incremental solves")
-	}
-	if r := ref.Telemetry.Delay.ReuseRate; r != 0 {
-		t.Errorf("reference delay reuse rate = %v, want 0", r)
-	}
-	if got := ref.Telemetry.Delay.IncrementalSolves; got != 0 {
-		t.Errorf("reference driver reports %d incremental solves", got)
 	}
 }
 
@@ -185,54 +173,49 @@ func TestProvenanceSinkThenEliminate(t *testing.T) {
 	}
 }
 
-// TestObserveOncePerPhase pins the Observe contract for both drivers:
-// every round fires exactly one eliminate and one sink event, in that
-// order, with contiguous 1-based round numbers.
+// TestObserveOncePerPhase pins the Observe contract: every round fires
+// exactly one eliminate and one sink event, in that order, with
+// contiguous 1-based round numbers. (The reference driver's Observe
+// contract is pinned in internal/core.)
 func TestObserveOncePerPhase(t *testing.T) {
 	p := mustParseFile(t, "testdata/corpus/stats.while")
-	for _, tc := range []struct {
-		name string
-		ref  bool
-	}{{"incremental", false}, {"reference", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			type key struct {
-				round int
-				phase string
-			}
-			var order []key
-			seen := map[key]int{}
-			_, st, err := p.Optimize(pdce.Options{
-				Mode:          pdce.Dead,
-				NoIncremental: tc.ref,
-				Observe: func(round int, phase string, changed bool, snapshot string) {
-					k := key{round, phase}
-					seen[k]++
-					order = append(order, k)
-					if snapshot == "" {
-						t.Error("empty snapshot")
-					}
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Rounds == 0 {
-				t.Fatal("no rounds")
-			}
-			if len(order) != 2*st.Rounds {
-				t.Fatalf("%d events for %d rounds, want %d", len(order), st.Rounds, 2*st.Rounds)
-			}
-			for r := 1; r <= st.Rounds; r++ {
-				e, s := key{r, "eliminate"}, key{r, "sink"}
-				if seen[e] != 1 || seen[s] != 1 {
-					t.Errorf("round %d: eliminate seen %d times, sink %d times", r, seen[e], seen[s])
+	t.Run("incremental", func(t *testing.T) {
+		type key struct {
+			round int
+			phase string
+		}
+		var order []key
+		seen := map[key]int{}
+		_, st, err := p.Optimize(pdce.Options{
+			Mode: pdce.Dead,
+			Observe: func(round int, phase string, changed bool, snapshot string) {
+				k := key{round, phase}
+				seen[k]++
+				order = append(order, k)
+				if snapshot == "" {
+					t.Error("empty snapshot")
 				}
-				if order[2*(r-1)] != e || order[2*(r-1)+1] != s {
-					t.Errorf("round %d out of order: %v then %v", r, order[2*(r-1)], order[2*(r-1)+1])
-				}
-			}
+			},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Rounds == 0 {
+			t.Fatal("no rounds")
+		}
+		if len(order) != 2*st.Rounds {
+			t.Fatalf("%d events for %d rounds, want %d", len(order), st.Rounds, 2*st.Rounds)
+		}
+		for r := 1; r <= st.Rounds; r++ {
+			e, s := key{r, "eliminate"}, key{r, "sink"}
+			if seen[e] != 1 || seen[s] != 1 {
+				t.Errorf("round %d: eliminate seen %d times, sink %d times", r, seen[e], seen[s])
+			}
+			if order[2*(r-1)] != e || order[2*(r-1)+1] != s {
+				t.Errorf("round %d out of order: %v then %v", r, order[2*(r-1)], order[2*(r-1)+1])
+			}
+		}
+	})
 }
 
 // batchMarkerProgram builds a partially dead program whose every
