@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-check fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check ci
+.PHONY: all build fmt vet test race bench bench-json bench-check fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: every tracked Go file must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 vet:
 	$(GO) vet ./...
@@ -66,12 +70,13 @@ smoke-server:
 # pdce.Pool, and assert the daemon ends up holding the single merged
 # span tree (client root, attempt, server subtree down to the solver
 # rounds) plus the Prometheus text exposition of the trace-store
-# counters. The pool-retry, queue-span, and WAL-replay-link end-to-end
-# tests ride along, as does the -debug-addr pprof listener drill.
+# counters. The pool-retry, queue-span, WAL-replay-link, and
+# request-id-to-solver-rounds end-to-end tests ride along, as does the
+# -debug-addr pprof listener drill.
 smoke-trace:
 	$(GO) test -race -count=1 -run 'TestSmokeTrace|TestDebugListenerShutdown' ./cmd/pdced
 	$(GO) test -race -count=1 -run 'TestPoolTraceEndToEnd' .
-	$(GO) test -race -count=1 -run 'TestQueueTraceSpans|TestQueueReplayTraceLink|TestTraceJoinAndSpanTree' ./internal/server
+	$(GO) test -race -count=1 -run 'TestQueueTraceSpans|TestQueueReplayTraceLink|TestTraceJoinAndSpanTree|TestTraceRecoversSolverRounds' ./internal/server
 
 # Chaos smoke: one fixed-seed schedule of the cluster chaos harness
 # under the race detector — replica crashes with torn WAL tails,
@@ -105,11 +110,11 @@ docs-check:
 	$(GO) test -run 'TestDocsCover' ./internal/server
 	$(GO) test -run 'TestCommittedDocs' ./internal/bench
 
-# Full local CI: static checks, build, the whole suite under the race
-# detector (includes the incremental-vs-reference equivalence property
-# tests, the batch pipeline and fault-injection tests, and the
-# allocation budget guard), a benchmark smoke pass, the containment
-# fuzz smoke, the telemetry, serving, tracing, chaos, and store smokes,
-# the docs drift guard, and the benchmark regression gate (smoke
-# matrix + variance-band check).
-ci: vet build race bench fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-check
+# Full local CI: static checks (gofmt, vet), build, the whole suite
+# under the race detector (includes the incremental-vs-reference
+# equivalence property tests, the batch pipeline and fault-injection
+# tests, and the allocation budget guard), a benchmark smoke pass, the
+# containment fuzz smoke, the telemetry, serving, tracing, chaos, and
+# store smokes, the docs drift guard, and the benchmark regression gate
+# (smoke matrix + variance-band check).
+ci: fmt vet build race bench fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-check

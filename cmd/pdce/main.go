@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"pdce"
-	"pdce/internal/bitvec"
 )
 
 var (
@@ -128,12 +127,6 @@ func run() error {
 	}
 	if observing && *passes != "" {
 		return fmt.Errorf("-passes does not support -explain, -trace-json, or -metrics-json")
-	}
-	if (*mode == "pde" || *mode == "pfe") && (*stats || *metricsJSON != "") {
-		// The bit-vector op meter is process-global; a single-program
-		// run owns it outright, so the delta is exact. Batch mode
-		// leaves it off — concurrent runs would cross-attribute.
-		bitvec.EnableOpCount(true)
 	}
 
 	src, progName, err := readInput(paths)
@@ -275,9 +268,6 @@ func printTelemetrySummary(t *pdce.Telemetry) {
 	if t.Arena.Slabs > 0 {
 		fmt.Fprintf(os.Stderr, "arena: %d slabs, %d of %d words used\n",
 			t.Arena.Slabs, t.Arena.UsedWords, t.Arena.CapWords)
-	}
-	if t.BitvecOps > 0 {
-		fmt.Fprintf(os.Stderr, "bit-vector ops: %d\n", t.BitvecOps)
 	}
 	if n := len(t.Events); n > 0 {
 		fmt.Fprintf(os.Stderr, "trace: %d provenance events\n", n)

@@ -3,11 +3,12 @@ package batch
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"pdce/internal/core"
+	"pdce/internal/obs"
 )
 
 // Tracker publishes live progress of one batch run. All methods are
@@ -169,23 +170,8 @@ func ComputeMetrics(results []Result) Metrics {
 		w.Jobs++
 		w.BusyNS += int64(r.Duration)
 	}
-	if len(durs) > 0 {
-		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-		m.P50NS = int64(durs[nearestRank(len(durs), 50)])
-		m.P95NS = int64(durs[nearestRank(len(durs), 95)])
-	}
+	slices.Sort(durs)
+	m.P50NS = int64(obs.NearestRank(durs, 50))
+	m.P95NS = int64(obs.NearestRank(durs, 95))
 	return m
-}
-
-// nearestRank returns the 0-based index of the p-th percentile under
-// the nearest-rank definition for a sorted sample of size n.
-func nearestRank(n, p int) int {
-	r := (p*n + 99) / 100 // ceil(p/100 * n)
-	if r < 1 {
-		r = 1
-	}
-	if r > n {
-		r = n
-	}
-	return r - 1
 }

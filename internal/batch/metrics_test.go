@@ -8,6 +8,7 @@ import (
 
 	"pdce/internal/core"
 	"pdce/internal/faultinject"
+	"pdce/internal/obs"
 )
 
 func TestComputeMetricsAggregation(t *testing.T) {
@@ -45,6 +46,8 @@ func TestComputeMetricsAggregation(t *testing.T) {
 	}
 }
 
+// TestNearestRank checks the rank ComputeMetrics reads p50/p95 at:
+// expected 0-based indexes into a sample of size n.
 func TestNearestRank(t *testing.T) {
 	cases := []struct{ n, p, want int }{
 		{1, 50, 0}, {1, 95, 0},
@@ -52,8 +55,12 @@ func TestNearestRank(t *testing.T) {
 		{100, 50, 49}, {100, 95, 94},
 	}
 	for _, c := range cases {
-		if got := nearestRank(c.n, c.p); got != c.want {
-			t.Errorf("nearestRank(%d, %d) = %d, want %d", c.n, c.p, got, c.want)
+		idx := make([]int, c.n)
+		for i := range idx {
+			idx[i] = i
+		}
+		if got := obs.NearestRank(idx, c.p); got != c.want {
+			t.Errorf("obs.NearestRank(n=%d, %d) = index %d, want %d", c.n, c.p, got, c.want)
 		}
 	}
 }

@@ -116,14 +116,12 @@ func (v *Vector) Copy() *Vector {
 
 // CopyFrom overwrites v with the contents of w. Lengths must match.
 func (v *Vector) CopyFrom(w *Vector) {
-	countOp()
 	v.checkSame(w)
 	copy(v.words, w.words)
 }
 
 // And sets v = v AND w and reports whether v changed.
 func (v *Vector) And(w *Vector) bool {
-	countOp()
 	v.checkSame(w)
 	changed := false
 	for i, x := range w.words {
@@ -138,7 +136,6 @@ func (v *Vector) And(w *Vector) bool {
 
 // Or sets v = v OR w and reports whether v changed.
 func (v *Vector) Or(w *Vector) bool {
-	countOp()
 	v.checkSame(w)
 	changed := false
 	for i, x := range w.words {
@@ -153,7 +150,6 @@ func (v *Vector) Or(w *Vector) bool {
 
 // AndNot sets v = v AND NOT w and reports whether v changed.
 func (v *Vector) AndNot(w *Vector) bool {
-	countOp()
 	v.checkSame(w)
 	changed := false
 	for i, x := range w.words {
@@ -173,7 +169,6 @@ func (v *Vector) AndNot(w *Vector) bool {
 // into a temporary, Equal, CopyFrom). All four vectors must have the
 // same length; v may alias src.
 func (v *Vector) AndNotOrInto(src, kill, gen *Vector) bool {
-	countOp()
 	v.checkSame(src)
 	v.checkSame(kill)
 	v.checkSame(gen)
@@ -191,7 +186,6 @@ func (v *Vector) AndNotOrInto(src, kill, gen *Vector) bool {
 // AndInto sets v = a AND b in a single pass — the two-predecessor meet
 // fused with the copy that would otherwise seed it. v may alias a or b.
 func (v *Vector) AndInto(a, b *Vector) {
-	countOp()
 	v.checkSame(a)
 	v.checkSame(b)
 	for i, x := range a.words {
@@ -201,7 +195,6 @@ func (v *Vector) AndInto(a, b *Vector) {
 
 // OrInto sets v = a OR b in a single pass. v may alias a or b.
 func (v *Vector) OrInto(a, b *Vector) {
-	countOp()
 	v.checkSame(a)
 	v.checkSame(b)
 	for i, x := range a.words {
@@ -214,7 +207,6 @@ func (v *Vector) OrInto(a, b *Vector) {
 // X-DELAYED · ¬N-DELAYED_succ, which would otherwise cost a clear, an
 // OrNot and an And.
 func (v *Vector) AndNotInto(a, b *Vector) {
-	countOp()
 	v.checkSame(a)
 	v.checkSame(b)
 	for i, x := range a.words {
@@ -227,7 +219,6 @@ func (v *Vector) AndNotInto(a, b *Vector) {
 // insertion predicate Σ ¬N-DELAYED, which would otherwise need a
 // temporary copy per successor.
 func (v *Vector) OrNot(w *Vector) {
-	countOp()
 	v.checkSame(w)
 	for i, x := range w.words {
 		v.words[i] |= ^x
@@ -237,7 +228,6 @@ func (v *Vector) OrNot(w *Vector) {
 
 // Not sets v to its bitwise complement.
 func (v *Vector) Not() {
-	countOp()
 	for i := range v.words {
 		v.words[i] = ^v.words[i]
 	}
@@ -247,7 +237,6 @@ func (v *Vector) Not() {
 // Equal reports whether v and w hold identical bits. Vectors of
 // different lengths are never equal.
 func (v *Vector) Equal(w *Vector) bool {
-	countOp()
 	if v.n != w.n {
 		return false
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pdce/internal/analysis"
-	"pdce/internal/bitvec"
 	"pdce/internal/cfg"
 	"pdce/internal/faultinject"
 	"pdce/internal/ir"
@@ -245,10 +244,6 @@ func Transform(g *cfg.Graph, opt Options) (*cfg.Graph, Stats, error) {
 	if errs := cfg.Validate(g); len(errs) > 0 {
 		return nil, Stats{}, fmt.Errorf("core: invalid input graph: %s", errs[0])
 	}
-	var ops0 int64
-	if opt.Collector != nil && bitvec.OpCountEnabled() {
-		ops0 = bitvec.OpCount()
-	}
 	out := g.Clone()
 	var st Stats
 	st.OriginalStmts = out.NumStmts()
@@ -287,11 +282,7 @@ func Transform(g *cfg.Graph, opt Options) (*cfg.Graph, Stats, error) {
 		return nil, st, fmt.Errorf("core: %s produced invalid graph: %s", opt.Mode, errs[0])
 	}
 	if opt.Collector != nil {
-		var opsDelta int64
-		if bitvec.OpCountEnabled() {
-			opsDelta = bitvec.OpCount() - ops0
-		}
-		st.Telemetry = opt.Collector.Snapshot(opsDelta)
+		st.Telemetry = opt.Collector.Snapshot()
 	}
 	if opt.Span != nil {
 		opt.Span.SetAttr("mode", opt.Mode.String())

@@ -17,11 +17,8 @@ import (
 	"sort"
 )
 
-// BenchSchemaVersion is the current BENCH_paper.json history format.
-// Version 1 was the implicit pre-history format: a single flat report
-// ({quick, seeds, gomaxprocs, records}) overwritten on every run;
-// LoadBenchHistory still reads it by wrapping the report into a
-// single-run history.
+// BenchSchemaVersion is the BENCH_paper.json history format; a
+// document of any other version is rejected.
 const BenchSchemaVersion = 2
 
 // BenchPoint is one raw measured data point of one experiment repeat.
@@ -63,10 +60,11 @@ type BenchStat struct {
 type BenchRun struct {
 	RunID string `json:"run_id"`
 	// Kind classifies the run for baseline selection and rendering:
-	// "full", "quick", "smoke" (the CI gate's matrix), "legacy" (a
-	// migrated version-1 report), or "milestone" (a hand-recorded
-	// historical data point for the perf-trajectory docs; never used
-	// as a gate baseline or doc table source).
+	// "full", "quick", "smoke" (the CI gate's matrix), "legacy" (the
+	// version-1 report the committed history began from), or
+	// "milestone" (a hand-recorded historical data point for the
+	// perf-trajectory docs; never used as a gate baseline or doc table
+	// source).
 	Kind       string       `json:"kind"`
 	Time       string       `json:"time,omitempty"`
 	Quick      bool         `json:"quick"`
@@ -142,8 +140,8 @@ func AggregateBench(points []BenchPoint) []BenchStat {
 func benchStats(vals []float64) (median, p95, mad, min, max float64) {
 	s := append([]float64(nil), vals...)
 	sort.Float64s(s)
-	median = quantileNearest(s, 0.5)
-	p95 = quantileNearest(s, 0.95)
+	median = NearestRank(s, 50)
+	p95 = NearestRank(s, 95)
 	min, max = s[0], s[len(s)-1]
 	dev := make([]float64, len(s))
 	for i, v := range s {
@@ -154,23 +152,8 @@ func benchStats(vals []float64) (median, p95, mad, min, max float64) {
 		dev[i] = d
 	}
 	sort.Float64s(dev)
-	mad = quantileNearest(dev, 0.5)
+	mad = NearestRank(dev, 50)
 	return median, p95, mad, min, max
-}
-
-// quantileNearest returns the nearest-rank q-quantile of sorted s.
-func quantileNearest(s []float64, q float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	rank := int(q*float64(len(s)) + 0.9999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(s) {
-		rank = len(s)
-	}
-	return s[rank-1]
 }
 
 // Stat returns the aggregate of one metric of one series, computing it
@@ -199,25 +182,8 @@ func (r *BenchRun) HasExp(exp string) bool {
 	return false
 }
 
-// legacyBenchReport is the version-1 BENCH_paper.json shape: one flat
-// single-shot report, overwritten per run.
-type legacyBenchReport struct {
-	Quick      bool `json:"quick"`
-	Seeds      int  `json:"seeds"`
-	GOMAXPROCS int  `json:"gomaxprocs"`
-	Records    []struct {
-		Exp     string             `json:"exp"`
-		Name    string             `json:"name"`
-		N       int                `json:"n,omitempty"`
-		NSPerOp int64              `json:"ns_per_op,omitempty"`
-		Metrics map[string]float64 `json:"metrics,omitempty"`
-	} `json:"records"`
-}
-
 // LoadBenchHistory reads a BENCH_paper.json history. A missing file is
-// an empty history. A version-1 flat report is migrated in memory into
-// a single-run history (run id "legacy", repeat 0 for every record),
-// so appending the next run upgrades the file in place.
+// an empty history.
 func LoadBenchHistory(path string) (*BenchHistory, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -229,38 +195,8 @@ func LoadBenchHistory(path string) (*BenchHistory, error) {
 	return ParseBenchHistory(data)
 }
 
-// ParseBenchHistory decodes a history document, migrating the
-// version-1 flat-report shape when encountered.
+// ParseBenchHistory decodes a history document.
 func ParseBenchHistory(data []byte) (*BenchHistory, error) {
-	var probe struct {
-		Schema int             `json:"schema"`
-		Runs   json.RawMessage `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("bench history: %w", err)
-	}
-	if probe.Runs == nil && probe.Schema == 0 {
-		var legacy legacyBenchReport
-		if err := json.Unmarshal(data, &legacy); err != nil {
-			return nil, fmt.Errorf("bench history (legacy): %w", err)
-		}
-		run := BenchRun{
-			RunID:      "legacy",
-			Kind:       "legacy",
-			Quick:      legacy.Quick,
-			Seeds:      legacy.Seeds,
-			Repeats:    1,
-			GOMAXPROCS: legacy.GOMAXPROCS,
-		}
-		for _, rec := range legacy.Records {
-			run.Records = append(run.Records, BenchPoint{
-				Exp: rec.Exp, Name: rec.Name, N: rec.N,
-				NSPerOp: rec.NSPerOp, Metrics: rec.Metrics,
-			})
-		}
-		run.Aggregates = AggregateBench(run.Records)
-		return &BenchHistory{Schema: BenchSchemaVersion, Runs: []BenchRun{run}}, nil
-	}
 	var h BenchHistory
 	if err := json.Unmarshal(data, &h); err != nil {
 		return nil, fmt.Errorf("bench history: %w", err)
@@ -281,14 +217,13 @@ func SaveBenchHistory(path string, h *BenchHistory) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// AppendBenchRun loads the history at path (migrating a legacy file),
-// appends the run, and writes the upgraded history back.
+// AppendBenchRun loads the history at path, appends the run, and
+// writes the history back.
 func AppendBenchRun(path string, run BenchRun) error {
 	h, err := LoadBenchHistory(path)
 	if err != nil {
 		return err
 	}
-	h.Schema = BenchSchemaVersion
 	h.Runs = append(h.Runs, run)
 	return SaveBenchHistory(path, h)
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -62,76 +61,34 @@ func TestAggregateBenchOrder(t *testing.T) {
 	}
 }
 
-func TestQuantileNearest(t *testing.T) {
-	s := []float64{1, 2, 3, 4}
-	if q := quantileNearest(s, 0.5); q != 2 {
-		t.Errorf("median of 4 = %v, want 2 (nearest rank)", q)
-	}
-	if q := quantileNearest(s, 0.95); q != 4 {
-		t.Errorf("p95 of 4 = %v, want 4", q)
-	}
-	if q := quantileNearest(nil, 0.5); q != 0 {
-		t.Errorf("empty = %v", q)
-	}
-}
-
-// TestLegacyMigration reads a version-1 flat report as a single-run
-// history, so pre-harness BENCH_paper.json files keep loading.
-func TestLegacyMigration(t *testing.T) {
-	legacy := []byte(`{
-  "quick": true,
-  "seeds": 3,
-  "gomaxprocs": 2,
-  "records": [
-    {"exp": "C1", "name": "pde", "n": 64, "ns_per_op": 123, "metrics": {"exponent": 1.5}},
-    {"exp": "F", "name": "fig1", "metrics": {"ok": 1}}
-  ]
-}`)
-	h, err := ParseBenchHistory(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Schema != BenchSchemaVersion || len(h.Runs) != 1 {
-		t.Fatalf("schema=%d runs=%d", h.Schema, len(h.Runs))
-	}
-	run := h.Runs[0]
-	if run.RunID != "legacy" || run.Kind != "legacy" || !run.Quick || run.Seeds != 3 || run.Repeats != 1 {
-		t.Fatalf("migrated header %+v", run)
-	}
-	if len(run.Records) != 2 || len(run.Aggregates) == 0 {
-		t.Fatalf("migrated %d records, %d aggregates", len(run.Records), len(run.Aggregates))
-	}
-	if st, ok := run.Stat("C1", "pde", 64, BenchTimeMetric); !ok || st.Median != 123 {
-		t.Errorf("Stat = %+v, %v", st, ok)
-	}
-}
-
-func TestAppendBenchRunUpgradesLegacy(t *testing.T) {
+func TestAppendBenchRunGrowsHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, []byte(`{"quick":false,"seeds":5,"gomaxprocs":1,"records":[{"exp":"C1","name":"pde","n":64,"ns_per_op":7}]}`), 0o644); err != nil {
-		t.Fatal(err)
+	for i, id := range []string{"r1", "r2"} {
+		run := BenchRun{RunID: id, Kind: "quick", Records: []BenchPoint{{Exp: "C1", Name: "pde", N: 64, NSPerOp: 7}}}
+		if err := AppendBenchRun(path, run); err != nil {
+			t.Fatal(err)
+		}
+		h, err := LoadBenchHistory(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Schema != BenchSchemaVersion || len(h.Runs) != i+1 || h.Runs[i].RunID != id {
+			t.Fatalf("after appending %s: schema=%d runs=%+v", id, h.Schema, h.Runs)
+		}
 	}
-	run := BenchRun{RunID: "r2", Kind: "quick", Records: []BenchPoint{{Exp: "C1", Name: "pde", N: 64, NSPerOp: 9}}}
-	if err := AppendBenchRun(path, run); err != nil {
-		t.Fatal(err)
-	}
-	h, err := LoadBenchHistory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Runs) != 2 || h.Runs[0].Kind != "legacy" || h.Runs[1].RunID != "r2" {
-		t.Fatalf("upgraded history %+v", h.Runs)
-	}
-	// Appending again keeps growing; the file is now schema 2.
-	if err := AppendBenchRun(path, BenchRun{RunID: "r3", Kind: "quick"}); err != nil {
-		t.Fatal(err)
-	}
-	h, err = LoadBenchHistory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Runs) != 3 {
-		t.Fatalf("runs = %d, want 3", len(h.Runs))
+}
+
+// TestParseBenchHistoryRejectsOtherSchemas: only the current schema
+// loads; a schema-less version-1 flat report is an error, not a
+// migration.
+func TestParseBenchHistoryRejectsOtherSchemas(t *testing.T) {
+	for _, doc := range []string{
+		`{"quick":false,"seeds":5,"gomaxprocs":1,"records":[{"exp":"C1","name":"pde","n":64,"ns_per_op":7}]}`,
+		`{"schema":1,"runs":[]}`,
+	} {
+		if h, err := ParseBenchHistory([]byte(doc)); err == nil {
+			t.Errorf("ParseBenchHistory(%s) = %+v, want an error", doc, h)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,10 +29,7 @@ type ClientStats struct {
 	affinityMiss  atomic.Int64
 	parseFallback atomic.Int64
 
-	latMu   sync.Mutex
-	lat     []int64 // ring buffer of successful request latencies, ns
-	next    int
-	samples int64
+	lat window // successful request latencies, ns
 }
 
 // ReplicaCounters is one replica's view of the pool's traffic.
@@ -146,23 +142,11 @@ func (s *ClientStats) AddParseFallback() {
 }
 
 // RecordLatency feeds one successful request's end-to-end duration
-// (including retries and hedging) into the percentile reservoir.
+// (including retries and hedging) into the latency window.
 func (s *ClientStats) RecordLatency(d time.Duration) {
-	if s == nil {
-		return
+	if s != nil {
+		s.lat.record(int64(d))
 	}
-	s.latMu.Lock()
-	if s.lat == nil {
-		s.lat = make([]int64, 0, latencyWindow)
-	}
-	if len(s.lat) < latencyWindow {
-		s.lat = append(s.lat, int64(d))
-	} else {
-		s.lat[s.next] = int64(d)
-	}
-	s.next = (s.next + 1) % latencyWindow
-	s.samples++
-	s.latMu.Unlock()
 }
 
 // P95 returns the 95th-percentile successful-request latency over the
@@ -173,15 +157,7 @@ func (s *ClientStats) P95() time.Duration {
 	if s == nil {
 		return 0
 	}
-	s.latMu.Lock()
-	lat := make([]int64, len(s.lat))
-	copy(lat, s.lat)
-	s.latMu.Unlock()
-	if len(lat) == 0 {
-		return 0
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return time.Duration(lat[nearestRank(len(lat), 95)])
+	return time.Duration(s.lat.stats().p95)
 }
 
 // ClientSnapshot is the frozen, JSON-taggable view of ClientStats.
@@ -236,16 +212,7 @@ func (s *ClientStats) Snapshot() ClientSnapshot {
 	}
 	s.mu.Unlock()
 
-	s.latMu.Lock()
-	lat := make([]int64, len(s.lat))
-	copy(lat, s.lat)
-	snap.Samples = s.samples
-	s.latMu.Unlock()
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		snap.P50NS = lat[nearestRank(len(lat), 50)]
-		snap.P95NS = lat[nearestRank(len(lat), 95)]
-		snap.MaxNS = lat[len(lat)-1]
-	}
+	lat := s.lat.stats()
+	snap.P50NS, snap.P95NS, snap.MaxNS, snap.Samples = lat.p50, lat.p95, lat.max, lat.count
 	return snap
 }

@@ -242,12 +242,6 @@ type Telemetry struct {
 	// bit-vector storage.
 	Arena ArenaSnapshot `json:"arena"`
 
-	// BitvecOps is the process-global bit-vector op meter's delta
-	// across the run (see bitvec.EnableOpCount); 0 unless the meter
-	// was enabled. Concurrent runs share the meter, so in batch mode
-	// the per-run delta attributes overlapping work.
-	BitvecOps int64 `json:"bitvec_ops"`
-
 	// Events is the provenance trace, present when tracing was on.
 	Events []Event `json:"events,omitempty"`
 }
@@ -326,9 +320,8 @@ func (c *Collector) AddArena(slabs, capWords, usedWords int) {
 }
 
 // Snapshot freezes the collector into the serializable Telemetry
-// section. bitvecOps is the caller-measured delta of the global
-// bit-vector op meter (0 when not metered).
-func (c *Collector) Snapshot(bitvecOps int64) *Telemetry {
+// section.
+func (c *Collector) Snapshot() *Telemetry {
 	if c == nil {
 		return nil
 	}
@@ -341,7 +334,6 @@ func (c *Collector) Snapshot(bitvecOps int64) *Telemetry {
 			CapWords:  c.arenaCap.Load(),
 			UsedWords: c.arenaUsed.Load(),
 		},
-		BitvecOps: bitvecOps,
-		Events:    c.Trace.Events(),
+		Events: c.Trace.Events(),
 	}
 }

@@ -13,7 +13,7 @@ import (
 func TestNilSafety(t *testing.T) {
 	var c *Collector
 	c.AddArena(1, 2, 3)
-	if c.Snapshot(0) != nil {
+	if c.Snapshot() != nil {
 		t.Error("nil collector snapshot should be nil")
 	}
 	if c.DelayMetrics() != nil || c.DeadMetrics() != nil || c.FaintMetrics() != nil || c.Tracer() != nil {
@@ -167,12 +167,12 @@ func TestCollectorConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	tel := c.Snapshot(77)
+	tel := c.Snapshot()
 	if tel.Delay.Solves != 400 || tel.Dead.CacheHits != 400 || tel.Faint.SlotUpdates != 1200 {
 		t.Errorf("lost counter updates: %+v", tel)
 	}
-	if tel.Arena.UsedWords != 1600 || tel.BitvecOps != 77 {
-		t.Errorf("arena/bitvec wrong: %+v", tel)
+	if tel.Arena.UsedWords != 1600 {
+		t.Errorf("arena wrong: %+v", tel)
 	}
 	if len(tel.Events) != 400 {
 		t.Errorf("lost trace events: %d", len(tel.Events))
@@ -190,7 +190,7 @@ func TestTelemetryJSONRoundTrip(t *testing.T) {
 	c.AddArena(2, 16384, 900)
 	c.Tracer().BeginPhase(1, "eliminate", "dead")
 	c.Tracer().Record(KindEliminate, "3", "x", "x := a+b")
-	tel := c.Snapshot(123)
+	tel := c.Snapshot()
 
 	data, err := json.Marshal(tel)
 	if err != nil {

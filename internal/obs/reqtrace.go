@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -296,22 +295,13 @@ type traceEntry struct {
 	durationNS  int64
 }
 
-// stageAgg aggregates one stage name's latency for /metrics.
-type stageAgg struct {
-	count int64
-	lat   []int64
-	next  int
-	max   int64
-}
-
 // Store sizing that is policy, not configuration: bounds chosen so the
 // store's worst case stays a few megabytes regardless of traffic.
 const (
 	spansPerTraceCap = 256  // spans retained per trace
 	droppedIDsCap    = 4096 // remembered sampled-out trace IDs
 	stageNamesCap    = 128  // distinct stage names aggregated
-	stageWindow      = 256  // latency ring per stage
-	rootLatWindow    = 1024 // root-duration ring for the slow threshold
+	stageWindow      = 256  // latency window per stage
 	slowMinSamples   = 64   // roots seen before the p99 gate activates
 )
 
@@ -332,10 +322,8 @@ type TraceStore struct {
 	dropped      map[string]bool // sampled-out IDs: late spans are discarded
 	droppedOrder []string
 
-	rootLat  []int64 // ring of root durations backing the p99-slow gate
-	rootNext int
-
-	stages map[string]*stageAgg
+	roots  window // root durations backing the p99-slow gate
+	stages map[string]*window
 
 	started    int64
 	keptCount  int64
@@ -370,7 +358,7 @@ func NewTraceStore(capacity int, sample float64, seed int64) *TraceStore {
 		pending:  make(map[string][]SpanRecord),
 		kept:     make(map[string]*traceEntry),
 		dropped:  make(map[string]bool),
-		stages:   make(map[string]*stageAgg),
+		stages:   make(map[string]*window),
 	}
 }
 
@@ -449,14 +437,9 @@ func (ts *TraceStore) decide(root SpanRecord, spans []SpanRecord) {
 	default:
 		keep = ts.sample > 0 && ts.rng() < ts.sample
 	}
-	// The threshold must not see the deciding duration: feed the ring
-	// after the comparison.
-	if len(ts.rootLat) < rootLatWindow {
-		ts.rootLat = append(ts.rootLat, root.DurationNS)
-	} else {
-		ts.rootLat[ts.rootNext] = root.DurationNS
-		ts.rootNext = (ts.rootNext + 1) % rootLatWindow
-	}
+	// The threshold must not see the deciding duration: feed the
+	// window after the comparison.
+	ts.roots.record(root.DurationNS)
 	if !keep {
 		ts.sampledOut++
 		if len(ts.droppedOrder) >= droppedIDsCap {
@@ -486,23 +469,18 @@ func (ts *TraceStore) decide(root SpanRecord, spans []SpanRecord) {
 	}
 }
 
-// isSlowLocked reports whether a root duration clears the p99 of the
-// recent-root ring. Inactive until enough roots have been seen.
+// isSlowLocked reports whether a root duration clears the p99-slow
+// gate.
 func (ts *TraceStore) isSlowLocked(d int64) bool {
-	if len(ts.rootLat) < slowMinSamples {
-		return false
-	}
-	return d >= ts.slowThresholdLocked()
+	threshold, active := ts.slowThresholdLocked()
+	return active && d >= threshold
 }
 
-func (ts *TraceStore) slowThresholdLocked() int64 {
-	if len(ts.rootLat) < slowMinSamples {
-		return math.MaxInt64
-	}
-	lat := make([]int64, len(ts.rootLat))
-	copy(lat, ts.rootLat)
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return lat[nearestRank(len(lat), 99)]
+// slowThresholdLocked returns the p99 of the recent root durations;
+// the gate is inactive until slowMinSamples roots have been seen.
+func (ts *TraceStore) slowThresholdLocked() (threshold int64, active bool) {
+	st := ts.roots.stats()
+	return st.p99, st.count >= slowMinSamples
 }
 
 func appendSpan(e *traceEntry, rec SpanRecord) {
@@ -511,27 +489,18 @@ func appendSpan(e *traceEntry, rec SpanRecord) {
 	}
 }
 
-// recordStage folds one span into the per-stage latency aggregates.
-// Caller holds ts.mu.
+// recordStage folds one span into its stage's latency window. Caller
+// holds ts.mu.
 func (ts *TraceStore) recordStage(name string, d int64) {
-	agg, ok := ts.stages[name]
+	w, ok := ts.stages[name]
 	if !ok {
 		if len(ts.stages) >= stageNamesCap {
 			return
 		}
-		agg = &stageAgg{}
-		ts.stages[name] = agg
+		w = &window{size: stageWindow}
+		ts.stages[name] = w
 	}
-	agg.count++
-	if len(agg.lat) < stageWindow {
-		agg.lat = append(agg.lat, d)
-	} else {
-		agg.lat[agg.next] = d
-		agg.next = (agg.next + 1) % stageWindow
-	}
-	if d > agg.max {
-		agg.max = d
-	}
+	w.record(d)
 }
 
 // Ingest merges externally-recorded spans — the pool client POSTs its
@@ -539,7 +508,8 @@ func (ts *TraceStore) recordStage(name string, d int64) {
 // spanning both processes. Spans of a kept trace are appended; spans
 // of a sampled-out trace are discarded; spans of an unknown trace are
 // buffered, and a root among them finalizes the trace exactly like a
-// local root ending.
+// local root ending. Malformed records (bad IDs, no name, a negative
+// duration) are skipped; the count of accepted records is returned.
 func (ts *TraceStore) Ingest(recs []SpanRecord) int {
 	if ts == nil || len(recs) == 0 {
 		return 0
@@ -548,7 +518,7 @@ func (ts *TraceStore) Ingest(recs []SpanRecord) int {
 	defer ts.mu.Unlock()
 	n := 0
 	for _, rec := range recs {
-		if !isHex(rec.TraceID, 32) || !isHex(rec.SpanID, 16) || rec.Name == "" {
+		if !isHex(rec.TraceID, 32) || !isHex(rec.SpanID, 16) || rec.Name == "" || rec.DurationNS < 0 {
 			continue
 		}
 		n++
@@ -657,7 +627,9 @@ func (ts *TraceStore) Export(id string) []SpanRecord {
 	return dump.Spans
 }
 
-// StageStats is one stage name's latency aggregate in the snapshot.
+// StageStats is one stage name's latency aggregate in the snapshot:
+// Count is the lifetime span count; the percentiles and MaxNS cover
+// the stage's recent window (the last stageWindow spans).
 type StageStats struct {
 	Count int64 `json:"count"`
 	P50NS int64 `json:"p50_ns"`
@@ -688,7 +660,7 @@ type TraceStoreSnapshot struct {
 	SampleRate      float64 `json:"sample_rate"`
 	SlowThresholdNS int64   `json:"slow_threshold_ns"`
 	// Stages maps stage names to latency aggregates over each stage's
-	// recent spans (per-stage p50/p95: queue-wait, cache lookups,
+	// recent spans (per-stage p50/p95/max: queue-wait, cache lookups,
 	// solve time, ...).
 	Stages map[string]StageStats `json:"stages,omitempty"`
 }
@@ -713,21 +685,14 @@ func (ts *TraceStore) Snapshot() TraceStoreSnapshot {
 		IngestedSpans: ts.ingested,
 		SampleRate:    ts.sample,
 	}
-	if len(ts.rootLat) >= slowMinSamples {
-		snap.SlowThresholdNS = ts.slowThresholdLocked()
+	if threshold, active := ts.slowThresholdLocked(); active {
+		snap.SlowThresholdNS = threshold
 	}
 	if len(ts.stages) > 0 {
 		snap.Stages = make(map[string]StageStats, len(ts.stages))
-		for name, agg := range ts.stages {
-			lat := make([]int64, len(agg.lat))
-			copy(lat, agg.lat)
-			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-			st := StageStats{Count: agg.count, MaxNS: agg.max}
-			if len(lat) > 0 {
-				st.P50NS = lat[nearestRank(len(lat), 50)]
-				st.P95NS = lat[nearestRank(len(lat), 95)]
-			}
-			snap.Stages[name] = st
+		for name, w := range ts.stages {
+			st := w.stats()
+			snap.Stages[name] = StageStats{Count: st.count, P50NS: st.p50, P95NS: st.p95, MaxNS: st.max}
 		}
 	}
 	return snap

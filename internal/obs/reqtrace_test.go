@@ -52,10 +52,10 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		"",
 		"00-" + tid(7) + "-" + sid(9),         // truncated
 		"ff-" + tid(7) + "-" + sid(9) + "-01", // forbidden version
-		"00-" + zeroTraceID + "-" + sid(9) + "-01",             // zero trace
-		"00-" + tid(7) + "-" + zeroSpanID + "-01",              // zero span
+		"00-" + zeroTraceID + "-" + sid(9) + "-01",              // zero trace
+		"00-" + tid(7) + "-" + zeroSpanID + "-01",               // zero span
 		"00-ABCDEF00000000000000000000000007-" + sid(9) + "-01", // uppercase hex
-		"00_" + tid(7) + "-" + sid(9) + "-01",                  // wrong separator
+		"00_" + tid(7) + "-" + sid(9) + "-01",                   // wrong separator
 	}
 	for _, s := range bad {
 		if _, ok := ParseTraceparent(s); ok {
@@ -259,10 +259,16 @@ func TestIngestValidatesAndBuffers(t *testing.T) {
 		mkRec("short", sid(1), "", "r", 1, ""),        // bad trace ID
 		mkRec(tid(1), "short", "", "r", 1, ""),        // bad span ID
 		mkRec(tid(1), sid(1), "", "", 1, ""),          // missing name
+		mkRec(tid(2), sid(3), "", "solve", -5, ""),    // negative duration
 		mkRec(tid(1), sid(2), sid(9), "child", 1, ""), // valid, rootless
 	})
 	if n != 1 {
 		t.Fatalf("ingested %d, want 1", n)
+	}
+	// The negative-duration root decided nothing and reached no stage
+	// aggregate.
+	if snap := ts.Snapshot(); snap.Decided != 0 || snap.Stages["solve"].Count != 0 {
+		t.Fatalf("negative-duration record leaked into the store: %+v", snap)
 	}
 	// Rootless batches stay pending: not queryable yet.
 	if _, ok := ts.Get(tid(1)); ok {

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -10,8 +8,8 @@ import (
 // ServerStats accumulates the request-level counters of the serving
 // layer (internal/server, cmd/pdced). Like the rest of this package it
 // is nil-safe — every method does nothing on a nil receiver — and safe
-// for concurrent use: counters are atomic, the latency reservoir takes
-// a short mutex per sample.
+// for concurrent use: counters are atomic, the latency window takes a
+// short mutex per sample.
 //
 // The counters classify each request's path through the server:
 // a request is answered from the in-memory or spilled cache (CacheHits),
@@ -33,16 +31,8 @@ type ServerStats struct {
 	degraded      atomic.Int64
 	parseFailures atomic.Int64
 
-	mu      sync.Mutex
-	lat     []int64 // ring buffer of request latencies, ns
-	next    int
-	samples int64
+	lat window // request latencies, ns
 }
-
-// latencyWindow is the reservoir size backing the latency percentiles:
-// large enough for stable p95 figures, small enough that a snapshot
-// copy is cheap.
-const latencyWindow = 1024
 
 // Nil-safe counter increments, one per request classification.
 
@@ -113,23 +103,11 @@ func (s *ServerStats) AddParseFailure() {
 }
 
 // RecordLatency feeds one served request's wall-clock duration into
-// the percentile reservoir (a fixed ring of the most recent samples).
+// the latency window.
 func (s *ServerStats) RecordLatency(d time.Duration) {
-	if s == nil {
-		return
+	if s != nil {
+		s.lat.record(int64(d))
 	}
-	s.mu.Lock()
-	if s.lat == nil {
-		s.lat = make([]int64, 0, latencyWindow)
-	}
-	if len(s.lat) < latencyWindow {
-		s.lat = append(s.lat, int64(d))
-	} else {
-		s.lat[s.next] = int64(d)
-	}
-	s.next = (s.next + 1) % latencyWindow
-	s.samples++
-	s.mu.Unlock()
 }
 
 // Optimizes returns the number of actual optimizer runs so far — the
@@ -196,30 +174,7 @@ func (s *ServerStats) Snapshot() ServerSnapshot {
 	if lookups := snap.CacheHits + snap.CacheMisses; lookups > 0 {
 		snap.CacheHitRate = float64(snap.CacheHits) / float64(lookups)
 	}
-
-	s.mu.Lock()
-	lat := make([]int64, len(s.lat))
-	copy(lat, s.lat)
-	snap.Samples = s.samples
-	s.mu.Unlock()
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		snap.P50NS = lat[nearestRank(len(lat), 50)]
-		snap.P95NS = lat[nearestRank(len(lat), 95)]
-		snap.MaxNS = lat[len(lat)-1]
-	}
+	lat := s.lat.stats()
+	snap.P50NS, snap.P95NS, snap.MaxNS, snap.Samples = lat.p50, lat.p95, lat.max, lat.count
 	return snap
-}
-
-// nearestRank returns the 0-based index of the p-th percentile under
-// the nearest-rank definition for a sorted sample of size n.
-func nearestRank(n, p int) int {
-	r := (p*n + 99) / 100
-	if r < 1 {
-		r = 1
-	}
-	if r > n {
-		r = n
-	}
-	return r - 1
 }

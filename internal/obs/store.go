@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -35,10 +33,7 @@ type StoreStats struct {
 	leaseFetches  atomic.Int64
 	leaseErrors   atomic.Int64
 
-	mu      sync.Mutex
-	lat     []int64 // ring buffer of L2 get latencies, ns
-	next    int
-	samples int64
+	lat window // L2 get latencies, ns
 }
 
 // Nil-safe counter increments, one per store event.
@@ -121,23 +116,11 @@ func (s *StoreStats) LeaseExpiries() int64 {
 }
 
 // RecordGetLatency feeds one L2 get's wall-clock duration into the
-// percentile reservoir (the same fixed-ring scheme as ServerStats).
+// latency window.
 func (s *StoreStats) RecordGetLatency(d time.Duration) {
-	if s == nil {
-		return
+	if s != nil {
+		s.lat.record(int64(d))
 	}
-	s.mu.Lock()
-	if s.lat == nil {
-		s.lat = make([]int64, 0, latencyWindow)
-	}
-	if len(s.lat) < latencyWindow {
-		s.lat = append(s.lat, int64(d))
-	} else {
-		s.lat[s.next] = int64(d)
-	}
-	s.next = (s.next + 1) % latencyWindow
-	s.samples++
-	s.mu.Unlock()
 }
 
 // StoreGauges is the instantaneous backend state passed into Snapshot
@@ -206,17 +189,7 @@ func (s *StoreStats) Snapshot(g StoreGauges) StoreSnapshot {
 	if lookups := snap.L2Hits + snap.L2Misses; lookups > 0 {
 		snap.L2HitRate = float64(snap.L2Hits) / float64(lookups)
 	}
-
-	s.mu.Lock()
-	lat := make([]int64, len(s.lat))
-	copy(lat, s.lat)
-	snap.Samples = s.samples
-	s.mu.Unlock()
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		snap.GetP50NS = lat[nearestRank(len(lat), 50)]
-		snap.GetP95NS = lat[nearestRank(len(lat), 95)]
-		snap.GetMaxNS = lat[len(lat)-1]
-	}
+	lat := s.lat.stats()
+	snap.GetP50NS, snap.GetP95NS, snap.GetMaxNS, snap.Samples = lat.p50, lat.p95, lat.max, lat.count
 	return snap
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -193,6 +194,77 @@ func TestTraceJoinAndSpanTree(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("cache-hit trace lacks a hit-outcome cache span: %+v", dump2.Spans)
+	}
+}
+
+// TestTraceRecoversSolverRounds: starting from nothing but the
+// caller's Pdce-Request-Id, the trace store alone yields the request's
+// solver round count — on the solve span and as its solve.round
+// children — and it matches the library's Stats.Rounds.
+func TestTraceRecoversSolverRounds(t *testing.T) {
+	_, ts, _ := startServer(t, server.Config{})
+
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/optimize", strings.NewReader(demoSource))
+	req.Header.Set("Pdce-Request-Id", "rounds-e2e")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("optimize: status %d", resp.StatusCode)
+	}
+
+	lresp, err := http.Get(ts.URL + "/debug/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list pdce.TraceList
+	err = json.NewDecoder(lresp.Body).Decode(&list)
+	lresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump pdce.TraceDump
+	found := false
+	for _, sum := range list.Traces {
+		d := getTrace(t, ts.URL, sum.TraceID)
+		for _, sp := range d.Spans {
+			if sp.Name == "server.optimize" && sp.Attrs["request_id"] == "rounds-e2e" {
+				dump, found = d, true
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("no retained trace has a server.optimize root with request_id rounds-e2e (%d traces listed)", len(list.Traces))
+	}
+	rounds, roundSpans := "", 0
+	for _, sp := range dump.Spans {
+		switch sp.Name {
+		case "solve":
+			rounds = sp.Attrs["rounds"]
+		case "solve.round":
+			roundSpans++
+		}
+	}
+
+	prog, err := pdce.ParseSource("request", demoSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := prog.Optimize(pdce.Options{Mode: pdce.Dead})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rounds < 2 {
+		t.Fatalf("library converged in %d rounds; the check needs a multi-round program", st.Rounds)
+	}
+	if rounds != strconv.Itoa(st.Rounds) {
+		t.Errorf("solve span rounds = %q, library Stats.Rounds = %d", rounds, st.Rounds)
+	}
+	if roundSpans != st.Rounds {
+		t.Errorf("trace holds %d solve.round spans, library Stats.Rounds = %d", roundSpans, st.Rounds)
 	}
 }
 
