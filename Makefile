@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race bench bench-json bench-check fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check ci
+.PHONY: all build fmt vet test race bench bench-json bench-check fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-module ci
 
 all: build
 
@@ -110,11 +110,18 @@ docs-check:
 	$(GO) test -run 'TestDocsCover' ./internal/server
 	$(GO) test -run 'TestCommittedDocs' ./internal/bench
 
+# Benchmark module: cmd/pdcebench is a nested module, so `go build ./...`
+# and `go test ./...` skip it. Vet and test it on its own, so a change
+# to pdce or internal/server that breaks the benchmark fails here.
+bench-module:
+	cd cmd/pdcebench && $(GO) vet . && $(GO) test .
+
 # Full local CI: static checks (gofmt, vet), build, the whole suite
 # under the race detector (includes the incremental-vs-reference
 # equivalence property tests, the batch pipeline and fault-injection
 # tests, and the allocation budget guard), a benchmark smoke pass, the
 # containment fuzz smoke, the telemetry, serving, tracing, chaos, and
-# store smokes, the docs drift guard, and the benchmark regression gate
-# (smoke matrix + variance-band check).
-ci: fmt vet build race bench fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-check
+# store smokes, the docs drift guard, the benchmark module's vet and
+# tests, and the benchmark regression gate (smoke matrix +
+# variance-band check).
+ci: fmt vet build race bench fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-module bench-check

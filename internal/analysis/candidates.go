@@ -58,6 +58,15 @@ func (l *Locals) Candidate(id cfg.NodeID, pi int) int {
 	return -1
 }
 
+// Freeze applies the hot-region restriction to block id: it gets no
+// sinking candidates and blocks every pattern, so nothing inside it
+// moves and code arriving at it stops at its entry.
+func (l *Locals) Freeze(id cfg.NodeID) {
+	l.LocDelayed[id].ClearAll()
+	l.LocBlocked[id].SetAll()
+	l.Cands[id] = l.Cands[id][:0]
+}
+
 // ComputeLocals computes the local predicates of every block of g over
 // the pattern universe pt. It builds a PatternIndex internally; callers
 // that recompute locals repeatedly over the same universe should build

@@ -274,12 +274,7 @@ func (p *deadProblem) GenKill(n *cfg.Node) (gen, kill *bitvec.Vector) {
 // DeadVars solves the dead-variable analysis on g over its full
 // variable universe.
 func DeadVars(g *cfg.Graph) *DeadResult {
-	return DeadVarsWith(g, g.CollectVars())
-}
-
-// DeadVarsWith solves the dead-variable analysis over a caller-chosen
-// variable universe (which must cover every variable in g).
-func DeadVarsWith(g *cfg.Graph, vars *ir.VarTable) *DeadResult {
+	vars := g.CollectVars()
 	prob := newDeadProblem(g, vars)
 	sol := dataflow.Solve(g, prob)
 	return &DeadResult{Vars: vars, NDead: sol.In, XDead: sol.Out, Stats: sol.Stats, memo: prob.memo}
@@ -450,14 +445,4 @@ func (r *DeadResult) DeadAfter(n *cfg.Node, idx int, v ir.Var) bool {
 		mm.step(n.Stmts[si], cur)
 	}
 	return cur.Get(vi)
-}
-
-// LiveAtEntry reports whether v is live (not dead) at the entry of n —
-// convenience for baselines and diagnostics.
-func (r *DeadResult) LiveAtEntry(n *cfg.Node, v ir.Var) bool {
-	vi, ok := r.Vars.Index(v)
-	if !ok {
-		return false
-	}
-	return !r.NDead[n.ID].Get(vi)
 }

@@ -69,7 +69,8 @@ func Delayability(g *cfg.Graph, pt *ir.PatternTable) *DelayResult {
 }
 
 // DelayabilityWithLocals is Delayability with precomputed local
-// predicates (the regional driver restricts them before solving).
+// predicates, which the caller may restrict first (a hot-region sink
+// freezes the cold blocks).
 func DelayabilityWithLocals(g *cfg.Graph, locals *Locals) *DelayResult {
 	bits := locals.Patterns.Len()
 	prob := &delayProblem{locals: locals, bits: bits}
@@ -157,6 +158,10 @@ type DelaySolver struct {
 
 	scratch *bitvec.Vector // locals sweep scratch
 
+	// hot, when non-nil, is the region sinking is confined to; the
+	// locals of every other block stay frozen (Locals.Freeze).
+	hot func(*cfg.Node) bool
+
 	// insStamp/insEpoch dedupe the touched-restricted refresh of the
 	// insertion predicates.
 	insStamp []uint32
@@ -193,6 +198,26 @@ func NewDelaySolver(g *cfg.Graph, pt *ir.PatternTable) *DelaySolver {
 // Locals exposes the solver's local predicates (kept current by Solve).
 func (s *DelaySolver) Locals() *Locals { return s.locals }
 
+// SetRegion confines sinking to the blocks hot accepts — the paper's
+// Section 7 hot areas. It freezes every other block's locals now, and
+// Solve freezes them again whenever it recomputes them: a cold block
+// can be dirty, because code arriving from a hot neighbour lands at its
+// entry. A nil hot leaves the whole program in the region. Call it
+// before the first Solve.
+func (s *DelaySolver) SetRegion(hot func(*cfg.Node) bool) {
+	s.hot = hot
+	for _, n := range s.g.Nodes() {
+		s.restrict(n)
+	}
+}
+
+// restrict freezes n's locals when n lies outside the region.
+func (s *DelaySolver) restrict(n *cfg.Node) {
+	if s.hot != nil && !s.hot(n) {
+		s.locals.Freeze(n.ID)
+	}
+}
+
 // SetCancel installs a cancellation check on the underlying worklist
 // solver (see dataflow.Solver.SetCancel). A cancelled Solve returns a
 // partial result flagged Stats.Cancelled that must not justify any
@@ -216,15 +241,18 @@ func (s *DelaySolver) ArenaStats() bitvec.ArenaStats {
 }
 
 // Solve re-solves after the given blocks changed: their local
-// predicates are recomputed, the fixpoint is re-seeded over the
-// affected region, and the insertion predicates are refreshed where
-// the solution moved (Result.Touched). A nil dirty set on a solved
-// instance returns the cached solution; the first call, and the first
-// after a cancelled one, solves in full. The returned result aliases
-// the solver's storage and is invalidated by the next Solve.
+// predicates are recomputed (and frozen again outside the region), the
+// fixpoint is re-seeded over the affected region, and the insertion
+// predicates are refreshed where the solution moved (Result.Touched).
+// A nil dirty set on a solved instance returns the cached solution; the
+// first call, and the first after a cancelled one, solves in full. The
+// returned result aliases the solver's storage and is invalidated by
+// the next Solve.
 func (s *DelaySolver) Solve(dirty []cfg.NodeID) *DelayResult {
 	for _, id := range dirty {
-		s.Index.UpdateBlock(s.locals, s.g.Node(id), s.scratch)
+		n := s.g.Node(id)
+		s.Index.UpdateBlock(s.locals, n, s.scratch)
+		s.restrict(n)
 	}
 	sol := s.solver.Resolve(dirty)
 	s.res.Stats = sol.Stats

@@ -47,26 +47,16 @@ type FaintResult struct {
 // FaintVars solves the faint-variable analysis on g with the slotwise
 // worklist algorithm.
 func FaintVars(g *cfg.Graph) *FaintResult {
-	return FaintVarsWith(g, g.CollectVars())
+	return FaintVarsObserve(g, g.CollectVars(), nil, nil)
 }
 
-// FaintVarsWith is FaintVars over a caller-chosen variable universe.
-func FaintVarsWith(g *cfg.Graph, vars *ir.VarTable) *FaintResult {
-	return FaintVarsCancel(g, vars, nil)
-}
-
-// FaintVarsCancel is FaintVarsWith with a cancellation check consulted
-// periodically while the slot worklist drains; when it returns true
-// the solve stops early and the result comes back flagged Cancelled.
-// A nil cancel solves to the fixpoint unconditionally.
-func FaintVarsCancel(g *cfg.Graph, vars *ir.VarTable, cancel func() bool) *FaintResult {
-	return FaintVarsObserve(g, vars, cancel, nil)
-}
-
-// FaintVarsObserve is FaintVarsCancel with a telemetry sink that
-// receives the solve's slot-update and worklist-push counts (including
-// the initial seeding) when it finishes or is cancelled. A nil sink
-// collects nothing.
+// FaintVarsObserve is FaintVars over a caller-chosen variable universe
+// (which must cover every variable in g). cancel, when non-nil, is
+// consulted periodically while the slot worklist drains; when it
+// returns true the solve stops early and the result comes back flagged
+// Cancelled. metrics, when non-nil, receives the solve's slot-update
+// and worklist-push counts (including the initial seeding) when it
+// finishes or is cancelled.
 func FaintVarsObserve(g *cfg.Graph, vars *ir.VarTable, cancel func() bool, metrics *obs.SolverMetrics) *FaintResult {
 	fp := dataflow.Flatten(g)
 	nv := vars.Len()

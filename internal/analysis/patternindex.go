@@ -224,29 +224,6 @@ func NewPatternIndex(pt *ir.PatternTable) *PatternIndex {
 	return ix
 }
 
-// OrStmtBlocks ORs into dst the set of patterns whose sinking
-// statement s blocks. dst must have Patterns.Len() bits.
-func (ix *PatternIndex) OrStmtBlocks(s ir.Stmt, dst *bitvec.Vector) {
-	or := func(bv *bitvec.Vector) {
-		if bv != nil {
-			dst.Or(bv)
-		}
-	}
-	if d, ok := ir.Def(s); ok {
-		or(ix.defBlocks[d])
-	}
-	ir.Uses(s, func(u ir.Var) { or(ix.useBlocks[u]) })
-}
-
-// StmtPattern returns the pattern index of statement s, or -1 if s is
-// not an assignment of a tabled pattern.
-func (ix *PatternIndex) StmtPattern(s ir.Stmt) int {
-	if pi, ok := ix.Patterns.IndexOfStmt(s); ok {
-		return pi
-	}
-	return -1
-}
-
 // ForEachPatternStmt calls f(si, pi) for every statement of n that is
 // an occurrence of a tabled pattern, in statement order, using the
 // per-block cache (no per-statement resolution for unchanged blocks).

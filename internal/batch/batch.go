@@ -9,13 +9,12 @@
 // throughput experiment of cmd/benchpaper.
 //
 // The pool is fault-isolated per job: a panic inside one optimization
-// is recovered in the worker (core.SafeTransform) and reported as that
-// job's *core.PanicError without taking down the pool or any other
-// job. Cancelling the context stops dispatch — jobs not yet started
-// report the context's error, in-flight jobs are interrupted through
-// the driver's watchdog and report their best phase-boundary graph —
-// and RunContext still returns a fully-populated, in-order result
-// slice.
+// is recovered in the worker (runJob) and reported as that job's
+// *core.PanicError without taking down the pool or any other job.
+// Cancelling the context stops dispatch — jobs not yet started report
+// the context's error, in-flight jobs are interrupted through the
+// driver's watchdog and report their best phase-boundary graph — and
+// RunContext still returns a fully-populated, in-order result slice.
 package batch
 
 import (
@@ -121,6 +120,14 @@ func RunGated(ctx context.Context, jobs []Job, workers int, tk *Tracker, gate Ga
 		go func(worker int) {
 			defer wg.Done()
 			for i := range idx {
+				// The dispatcher's select may hand out a job after
+				// cancellation (both of its cases are ready when a
+				// worker is free); such a job was never started.
+				if ctx.Err() != nil {
+					results[i] = Result{Name: jobs[i].Name, Err: ctx.Err(), Worker: -1}
+					tk.jobSkipped()
+					continue
+				}
 				if gate != nil {
 					if err := gate.Acquire(ctx); err != nil {
 						results[i] = Result{Name: jobs[i].Name, Err: err, Worker: -1}

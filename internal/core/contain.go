@@ -4,15 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"pdce/internal/cfg"
 )
 
-// This file is the driver's fault-containment layer: panic recovery
-// (SafeTransform), the fixpoint watchdog (wall-clock deadline via
-// Options.Ctx plus a per-round budget via Options.RoundBudget), and
+// This file is the driver's fault-containment layer: the panic error
+// its callers recover into, the fixpoint watchdog (wall-clock deadline
+// via Options.Ctx plus a per-round budget via Options.RoundBudget), and
 // round-boundary verification rollback (Options.RoundCheck). The
 // guiding invariant is that the working graph is a semantically valid,
 // correctly transformed program at every phase boundary — each
@@ -20,9 +19,9 @@ import (
 // stopping between phases and returning the current graph degrades
 // the result's optimality, never its correctness.
 
-// PanicError is a panic recovered from inside the optimizer by
-// SafeTransform, carrying the panic value and the stack at the panic
-// site.
+// PanicError is a panic recovered from inside an optimizer run
+// (internal/batch's workers recover into it), carrying the panic value
+// and the stack at the panic site.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -105,20 +104,6 @@ func ErrorClass(err error) string {
 		return "round-check"
 	}
 	return "error"
-}
-
-// SafeTransform is Transform with panic containment: a panic anywhere
-// inside the run — the driver, an analysis, a callback — is recovered
-// and returned as a *PanicError instead of unwinding into the caller.
-// The input graph is never mutated (Transform works on a clone), so
-// the caller can safely fall back to it.
-func SafeTransform(g *cfg.Graph, opt Options) (res *cfg.Graph, st Stats, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			res, err = nil, &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	return Transform(g, opt)
 }
 
 // watchdog tracks the two expiry conditions of a run: the caller's

@@ -54,7 +54,9 @@ type Options struct {
 	// it accepts — the paper's Section 7 "hot areas" heuristic.
 	// Cold blocks are left textually untouched: no code moves out
 	// of, into, or through them (arriving code stops at their
-	// entry), and nothing inside them is eliminated.
+	// entry), and nothing inside them is eliminated. The end node
+	// is never cold, so code sinking off the end of the program is
+	// dropped as in an unrestricted run.
 	Hot HotPredicate
 
 	// NoIncremental forces the reference driver, which rebuilds the
@@ -64,8 +66,7 @@ type Options struct {
 	// previous solution plus the blocks that changed; the two
 	// produce identical programs (the equivalence property tests
 	// pin this down), so this switch exists for cross-checking and
-	// for measuring the incremental speedup. Hot-region runs always
-	// use the reference driver.
+	// for measuring the incremental speedup.
 	NoIncremental bool
 
 	// Observe, when non-nil, is called after every elimination and
@@ -106,8 +107,7 @@ type Options struct {
 	// (one event per split edge, elimination, candidate removal,
 	// insertion, and fusion). Transform attaches the frozen snapshot
 	// to Stats.Telemetry. A nil collector makes every collection
-	// point a no-op; hot-region runs collect solver metrics only
-	// coarsely and record no provenance.
+	// point a no-op.
 	Collector *obs.Collector
 
 	// Span, when non-nil, is the request-tracing span covering this
@@ -264,11 +264,12 @@ func Transform(g *cfg.Graph, opt Options) (*cfg.Graph, Stats, error) {
 		}
 	}
 
+	hot := effectiveHot(out, opt.Hot)
 	var err error
-	if opt.Hot != nil || opt.NoIncremental {
-		out, err = runReference(out, opt, &st)
+	if opt.NoIncremental {
+		out, err = runReference(out, opt, hot, &st)
 	} else {
-		out, err = runIncremental(out, opt, &st)
+		out, err = runIncremental(out, opt, hot, &st)
 	}
 	if err != nil && !Partial(err) {
 		return nil, st, err
@@ -295,48 +296,22 @@ func Transform(g *cfg.Graph, opt Options) (*cfg.Graph, Stats, error) {
 	return out, st, err
 }
 
-// runReference is the from-scratch driver loop: each phase rebuilds its
-// universes and re-solves its analysis on the current program. It is
-// the semantic reference for runIncremental and the only driver that
-// supports hot-region localization. The returned graph is out itself,
-// except after a verification rollback (the last accepted snapshot) or
-// a watchdog interrupt under verification (ditto).
-func runReference(out *cfg.Graph, opt Options, st *Stats) (*cfg.Graph, error) {
-	col := opt.Collector
-	tr := col.Tracer()
+// iterate is the fixpoint loop of Section 5.1, shared by both drivers:
+// eliminate, then sink, until a round changes nothing or MaxRounds cuts
+// the run short. A driver supplies only its two steps; everything
+// around them lives here — the watchdog and the round cap, the round
+// and phase spans and trace phases, the fault-injection points, the
+// Observe events, peak-size tracking and RoundCheck rollback. A step
+// returns false when the watchdog abandoned its solve, leaving the
+// program untouched. The returned graph is out itself, except after a
+// verification rollback (the last accepted snapshot) or a watchdog
+// interrupt under verification (ditto).
+func iterate(out *cfg.Graph, opt Options, st *Stats, wd *watchdog, eliminate func() (ElimStats, bool), sink func() (SinkStats, bool)) (*cfg.Graph, error) {
+	tr := opt.Collector.Tracer()
 	elimAnalysis := "dead"
 	if opt.Mode == ModeFaint {
 		elimAnalysis = "faint"
 	}
-	var hot HotPredicate
-	if opt.Hot != nil {
-		hot = effectiveHot(opt.Hot)
-	}
-	eliminate := func() ElimStats {
-		switch {
-		case hot != nil && opt.Mode == ModeFaint:
-			return eliminateFaintHot(out, hot)
-		case hot != nil:
-			return eliminateDeadHot(out, hot)
-		case opt.Mode == ModeFaint:
-			fr := analysis.FaintVarsObserve(out, out.CollectVars(), nil, col.FaintMetrics())
-			return eliminateFaintSolved(out, fr, nil, tr)
-		default:
-			dr := analysis.DeadVars(out)
-			// The reference driver's solvers live for one phase, so
-			// every solve is a full one.
-			col.DeadMetrics().RecordSolve(obs.SolveFull, dr.Stats.Cost(out.NumNodes()))
-			return eliminateDeadSolved(out, dr, nil, tr)
-		}
-	}
-	sink := func() SinkStats {
-		if hot != nil {
-			return sinkHot(out, hot)
-		}
-		return sinkObserved(out, tr, col.DelayMetrics())
-	}
-
-	wd := newWatchdog(opt)
 	rv := newRoundVerifier(opt, out)
 	rs := roundSpans{parent: opt.Span}
 	defer rs.endRound()
@@ -355,7 +330,10 @@ func runReference(out *cfg.Graph, opt Options, st *Stats) (*cfg.Graph, error) {
 		faultinject.Fire(faultinject.EliminatePhase, out)
 		rs.beginPhase("solve.eliminate")
 		tr.BeginPhase(st.Rounds, "eliminate", elimAnalysis)
-		e := eliminate()
+		e, ok := eliminate()
+		if !ok {
+			return rv.best(out), wd.interrupt(st.Rounds, "eliminate")
+		}
 		st.Eliminated += e.Removed
 		st.ElimSolverWork += e.SolverWork
 		if opt.Observe != nil {
@@ -371,7 +349,10 @@ func runReference(out *cfg.Graph, opt Options, st *Stats) (*cfg.Graph, error) {
 
 		rs.beginPhase("solve.sink")
 		tr.BeginPhase(st.Rounds, "sink", "delay")
-		s := sink()
+		s, ok := sink()
+		if !ok {
+			return rv.best(out), wd.interrupt(st.Rounds, "sink")
+		}
 		st.Inserted += s.InsertedEntry + s.InsertedExit
 		st.SinkRemoved += s.RemovedCandidates
 		st.SinkSolverWork += s.SolverVisits
@@ -400,6 +381,30 @@ func runReference(out *cfg.Graph, opt Options, st *Stats) (*cfg.Graph, error) {
 			return out, nil
 		}
 	}
+}
+
+// runReference runs the fixpoint loop on the from-scratch steps: each
+// phase rebuilds its universes and re-solves its analysis on the
+// current program. It is the semantic reference runIncremental is
+// tested against, reached only through Options.NoIncremental.
+func runReference(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*cfg.Graph, error) {
+	col := opt.Collector
+	tr := col.Tracer()
+	eliminate := func() (ElimStats, bool) {
+		if opt.Mode == ModeFaint {
+			fr := analysis.FaintVarsObserve(out, out.CollectVars(), nil, col.FaintMetrics())
+			return eliminateFaintSolved(out, fr, hot, nil, tr), true
+		}
+		dr := analysis.DeadVars(out)
+		// The reference driver's solvers live for one phase, so every
+		// solve is a full one.
+		col.DeadMetrics().RecordSolve(obs.SolveFull, dr.Stats.Cost(out.NumNodes()))
+		return eliminateDeadSolved(out, dr, hot, nil, tr), true
+	}
+	sink := func() (SinkStats, bool) {
+		return sinkObserved(out, hot, tr, col.DelayMetrics()), true
+	}
+	return iterate(out, opt, st, newWatchdog(opt), eliminate, sink)
 }
 
 // dirtySet accumulates the blocks mutated since an analysis last saw
@@ -421,8 +426,6 @@ func (d *dirtySet) add(id cfg.NodeID) {
 	}
 }
 
-func (d *dirtySet) empty() bool { return len(d.ids) == 0 }
-
 func (d *dirtySet) take() []cfg.NodeID {
 	ids := d.ids
 	for _, id := range ids {
@@ -433,34 +436,31 @@ func (d *dirtySet) take() []cfg.NodeID {
 	return ids
 }
 
-// runIncremental is the round-to-round reuse driver. The variable and
-// pattern universes are collected once, after critical-edge splitting,
-// and kept for the whole run; both are supersets of every later
-// round's universe, which is exact (see DeadSolver and DelaySolver for
-// the arguments). Each phase records the blocks it mutates; the next
-// solve of each analysis re-seeds from the previous solution and the
+// runIncremental runs the fixpoint loop on the round-to-round reuse
+// steps. The variable and pattern universes are collected once, after
+// critical-edge splitting, and kept for the whole run; both are
+// supersets of every later round's universe, which is exact (see
+// DeadSolver and DelaySolver for the arguments). Each phase records
+// the blocks it mutates; the next solve of the dead-variable and
+// delayability analyses re-seeds from the previous solution and the
 // accumulated dirty set instead of restarting from Top.
 //
 // The faint analysis is slotwise over a flat instruction numbering
-// that shifts with every mutation, so it is not re-seeded — but its
-// solution is cached and reused whenever a round begins with no
-// pending mutations (the common tail of long runs, where sinking has
-// stabilized and elimination finds nothing).
-func runIncremental(out *cfg.Graph, opt Options, st *Stats) (*cfg.Graph, error) {
+// that shifts with every mutation, so it is solved afresh each round.
+func runIncremental(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*cfg.Graph, error) {
 	vars := out.CollectVars()
 	pt := out.CollectPatterns()
 	col := opt.Collector
 	tr := col.Tracer()
 
 	wd := newWatchdog(opt)
-	rv := newRoundVerifier(opt, out)
 	cancel := wd.checkFunc()
 
 	delay := analysis.NewDelaySolver(out, pt)
 	delay.SetCancel(cancel)
 	delay.SetMetrics(col.DelayMetrics())
+	delay.SetRegion(hot)
 	var deadSolver *analysis.DeadSolver
-	var faintRes *analysis.FaintResult
 	if opt.Mode == ModeDead {
 		deadSolver = analysis.NewDeadSolver(out, vars)
 		deadSolver.SetCancel(cancel)
@@ -479,11 +479,11 @@ func runIncremental(out *cfg.Graph, opt Options, st *Stats) (*cfg.Graph, error) 
 		}()
 	}
 
-	// pendElim holds blocks changed since the elimination analysis
-	// last saw the program; pendSink since the delayability solver
-	// did. An elimination in round r dirties the same round's sink
-	// and the next round's elimination; a sink dirties both of the
-	// next round's phases.
+	// pendElim holds blocks changed since the dead-variable solver last
+	// saw the program; pendSink since the delayability solver did. An
+	// elimination in round r dirties the same round's sink and the
+	// next round's elimination; a sink dirties both of the next
+	// round's phases.
 	pendElim := newDirtySet(out.NumNodes())
 	pendSink := newDirtySet(out.NumNodes())
 	onChange := func(n *cfg.Node, old []ir.Stmt, ops []int32) {
@@ -494,106 +494,33 @@ func runIncremental(out *cfg.Graph, opt Options, st *Stats) (*cfg.Graph, error) 
 		delay.Index.SyncRewrite(n, old, ops)
 		if deadSolver != nil {
 			deadSolver.SyncRewrite(n, old, ops)
+			pendElim.add(n.ID)
 		}
-		pendElim.add(n.ID)
 		pendSink.add(n.ID)
 	}
 
-	rs := roundSpans{parent: opt.Span}
-	defer rs.endRound()
-	limit := roundCap(out)
-	for {
-		if wd.expired() {
-			return rv.best(out), wd.interrupt(st.Rounds, "round")
-		}
-		st.Rounds++
-		wd.startRound()
-		rs.beginRound(st.Rounds)
-		if st.Rounds > limit {
-			return nil, errNoFixpoint(opt.Mode, limit)
-		}
-
-		faultinject.Fire(faultinject.EliminatePhase, out)
-		rs.beginPhase("solve.eliminate")
-		var e ElimStats
+	eliminate := func() (ElimStats, bool) {
 		if opt.Mode == ModeFaint {
-			tr.BeginPhase(st.Rounds, "eliminate", "faint")
-			if faintRes == nil || !pendElim.empty() {
-				faintRes = analysis.FaintVarsObserve(out, vars, cancel, col.FaintMetrics())
-				if faintRes.Cancelled {
-					faintRes = nil
-					return rv.best(out), wd.interrupt(st.Rounds, "eliminate")
-				}
-				pendElim.take()
-				e = eliminateFaintSolved(out, faintRes, onChange, tr)
-			} else {
-				col.FaintMetrics().RecordCacheHit()
-				e = eliminateFaintSolved(out, faintRes, onChange, tr)
-				e.SolverWork = 0 // cached solution, no new work
+			fr := analysis.FaintVarsObserve(out, vars, cancel, col.FaintMetrics())
+			if fr.Cancelled {
+				return ElimStats{}, false
 			}
-		} else {
-			tr.BeginPhase(st.Rounds, "eliminate", "dead")
-			res := deadSolver.Solve(pendElim.take())
-			if res.Stats.Cancelled {
-				return rv.best(out), wd.interrupt(st.Rounds, "eliminate")
-			}
-			e = eliminateDeadSolved(out, res, onChange, tr)
+			return eliminateFaintSolved(out, fr, hot, onChange, tr), true
 		}
-		st.Eliminated += e.Removed
-		st.ElimSolverWork += e.SolverWork
-		if opt.Observe != nil {
-			opt.Observe(PhaseEvent{
-				Round: st.Rounds, Phase: "eliminate",
-				Changed: e.Changed(), Removed: e.Removed,
-				Graph: out.Clone(),
-			})
+		res := deadSolver.Solve(pendElim.take())
+		if res.Stats.Cancelled {
+			return ElimStats{}, false
 		}
-		if e.Changed() && opt.Mode == ModeFaint {
-			// The cached flat numbering is stale now.
-			faintRes = nil
-		}
-
-		if wd.expired() {
-			return rv.best(out), wd.interrupt(st.Rounds, "sink")
-		}
-		rs.beginPhase("solve.sink")
-		tr.BeginPhase(st.Rounds, "sink", "delay")
+		return eliminateDeadSolved(out, res, hot, onChange, tr), true
+	}
+	sink := func() (SinkStats, bool) {
 		dres := delay.Solve(pendSink.take())
 		if dres.Stats.Cancelled {
-			return rv.best(out), wd.interrupt(st.Rounds, "sink")
+			return SinkStats{}, false
 		}
-		s := applySink(out, delay.Index, delay.Locals(), dres, onChange, tr)
-		st.Inserted += s.InsertedEntry + s.InsertedExit
-		st.SinkRemoved += s.RemovedCandidates
-		st.SinkSolverWork += s.SolverVisits
-		faultinject.Fire(faultinject.SinkPhase, out)
-		if opt.Observe != nil {
-			opt.Observe(PhaseEvent{
-				Round: st.Rounds, Phase: "sink",
-				Changed:  s.Changed(),
-				Removed:  s.RemovedCandidates,
-				Inserted: s.InsertedEntry + s.InsertedExit,
-				Graph:    out.Clone(),
-			})
-		}
-		if s.Changed() {
-			faintRes = nil
-		}
-		if n := out.NumStmts(); n > st.PeakStmts {
-			st.PeakStmts = n
-		}
-
-		changed := e.Changed() || s.Changed()
-		if good, err := rv.verifyRound(out, st.Rounds, changed); err != nil {
-			return good, err
-		}
-		if !changed {
-			return out, nil
-		}
-		if opt.MaxRounds > 0 && st.Rounds >= opt.MaxRounds {
-			return out, nil
-		}
+		return applySink(out, delay.Index, delay.Locals(), dres, onChange, tr), true
 	}
+	return iterate(out, opt, st, wd, eliminate, sink)
 }
 
 // PDE runs partial dead code elimination (sinking + dead code

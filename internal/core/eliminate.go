@@ -29,15 +29,17 @@ func (s ElimStats) Changed() bool { return s.Removed > 0 }
 // up front; cascading effects (elimination-elimination, Section 4.4)
 // are second-order and handled by the driver's re-iteration.
 func EliminateDead(g *cfg.Graph) ElimStats {
-	return eliminateDeadSolved(g, analysis.DeadVars(g), nil, nil)
+	return eliminateDeadSolved(g, analysis.DeadVars(g), nil, nil, nil)
 }
 
 // eliminateDeadSolved applies the elimination step justified by an
-// already-solved dead-variable analysis. changed, when non-nil, is
-// called once for every block whose statement list was altered — the
-// dirty-set feed of the incremental driver. tr, when non-nil, receives
-// one provenance event per removed assignment.
-func eliminateDeadSolved(g *cfg.Graph, dead *analysis.DeadResult, changed blockEdit, tr *obs.Trace) ElimStats {
+// already-solved dead-variable analysis. hot, when non-nil, confines
+// the removals to the blocks it accepts; the analysis itself stays
+// global, because deadness must see the uses in cold blocks. changed,
+// when non-nil, is called once for every block whose statement list
+// was altered — the dirty-set feed of the incremental driver. tr, when
+// non-nil, receives one provenance event per removed assignment.
+func eliminateDeadSolved(g *cfg.Graph, dead *analysis.DeadResult, hot HotPredicate, changed blockEdit, tr *obs.Trace) ElimStats {
 	var st ElimStats
 	st.SolverWork = dead.Stats.NodeVisits
 	var idx []int
@@ -47,7 +49,7 @@ func eliminateDeadSolved(g *cfg.Graph, dead *analysis.DeadResult, changed blockE
 		// statements and solution values both held still since the
 		// previous elimination pass was emptied of dead assignments
 		// by that pass and needs no rescan.
-		if len(n.Stmts) == 0 || !dead.NeedsScan(n.ID) {
+		if len(n.Stmts) == 0 || !dead.NeedsScan(n.ID) || (hot != nil && !hot(n)) {
 			continue
 		}
 		idx = dead.DeadAssignIndices(n, idx[:0])
@@ -91,18 +93,19 @@ func eliminateDeadSolved(g *cfg.Graph, dead *analysis.DeadResult, changed blockE
 // dce removal is also an fce removal; fce additionally removes
 // mutually-sustaining useless assignments (Figure 9, Figure 12).
 func EliminateFaint(g *cfg.Graph) ElimStats {
-	return eliminateFaintSolved(g, analysis.FaintVars(g), nil, nil)
+	return eliminateFaintSolved(g, analysis.FaintVars(g), nil, nil, nil)
 }
 
 // eliminateFaintSolved applies the elimination step justified by an
-// already-solved faint-variable analysis. The solution must describe
-// g's current statement layout (the flat program indexes into it).
-func eliminateFaintSolved(g *cfg.Graph, faint *analysis.FaintResult, changed blockEdit, tr *obs.Trace) ElimStats {
+// already-solved faint-variable analysis, confined to hot blocks like
+// eliminateDeadSolved. The solution must describe g's current
+// statement layout (the flat program indexes into it).
+func eliminateFaintSolved(g *cfg.Graph, faint *analysis.FaintResult, hot HotPredicate, changed blockEdit, tr *obs.Trace) ElimStats {
 	var st ElimStats
 	st.SolverWork = faint.SlotUpdates
 	var ops []int32
 	for _, n := range g.Nodes() {
-		if len(n.Stmts) == 0 {
+		if len(n.Stmts) == 0 || (hot != nil && !hot(n)) {
 			continue
 		}
 		removed := 0

@@ -3,40 +3,52 @@ package core_test
 import (
 	"testing"
 
+	"pdce/internal/cfg"
 	"pdce/internal/core"
 	"pdce/internal/progen"
 )
 
 // TestIncrementalMatchesReference pins down the incremental driver's
 // exactness: across a spread of random programs (structured, loopy,
-// dense, irreducible) and both modes, the round-to-round reuse driver
-// must produce byte-identical output text and identical run statistics
-// to the from-scratch reference driver. 50 seeds x 4 shapes = 200
-// programs per mode.
+// dense, irreducible), both modes and three hot regions (none, and two
+// arbitrary disconnected ones), the round-to-round reuse driver must
+// produce byte-identical output text and identical run statistics to
+// the from-scratch reference driver. 50 seeds x 4 shapes = 200
+// programs per mode and region.
 func TestIncrementalMatchesReference(t *testing.T) {
 	graphs := randomPrograms(t, 50)
-	for _, mode := range []core.Mode{core.ModeDead, core.ModeFaint} {
-		for _, g := range graphs {
-			inc, incSt, err := core.Transform(g, core.Options{Mode: mode})
-			if err != nil {
-				t.Fatalf("%s/%v incremental: %v", g.Name, mode, err)
-			}
-			ref, refSt, err := core.Transform(g, core.Options{Mode: mode, NoIncremental: true})
-			if err != nil {
-				t.Fatalf("%s/%v reference: %v", g.Name, mode, err)
-			}
-			if got, want := inc.Format(), ref.Format(); got != want {
-				t.Errorf("%s/%v: incremental and reference outputs differ\nincremental:\n%s\nreference:\n%s",
-					g.Name, mode, got, want)
-				continue
-			}
-			if incSt.Rounds != refSt.Rounds ||
-				incSt.Eliminated != refSt.Eliminated ||
-				incSt.Inserted != refSt.Inserted ||
-				incSt.SinkRemoved != refSt.SinkRemoved ||
-				incSt.PeakStmts != refSt.PeakStmts {
-				t.Errorf("%s/%v: stats diverge: incremental %+v, reference %+v",
-					g.Name, mode, incSt, refSt)
+	regions := []struct {
+		name string
+		hot  core.HotPredicate
+	}{
+		{"all", nil},
+		{"id%2", func(n *cfg.Node) bool { return n.ID%2 == 0 }},
+		{"id%3", func(n *cfg.Node) bool { return n.ID%3 == 0 }},
+	}
+	for _, region := range regions {
+		for _, mode := range []core.Mode{core.ModeDead, core.ModeFaint} {
+			for _, g := range graphs {
+				inc, incSt, err := core.Transform(g, core.Options{Mode: mode, Hot: region.hot})
+				if err != nil {
+					t.Fatalf("%s/%v/%s incremental: %v", g.Name, mode, region.name, err)
+				}
+				ref, refSt, err := core.Transform(g, core.Options{Mode: mode, Hot: region.hot, NoIncremental: true})
+				if err != nil {
+					t.Fatalf("%s/%v/%s reference: %v", g.Name, mode, region.name, err)
+				}
+				if got, want := inc.Format(), ref.Format(); got != want {
+					t.Errorf("%s/%v/%s: incremental and reference outputs differ\nincremental:\n%s\nreference:\n%s",
+						g.Name, mode, region.name, got, want)
+					continue
+				}
+				if incSt.Rounds != refSt.Rounds ||
+					incSt.Eliminated != refSt.Eliminated ||
+					incSt.Inserted != refSt.Inserted ||
+					incSt.SinkRemoved != refSt.SinkRemoved ||
+					incSt.PeakStmts != refSt.PeakStmts {
+					t.Errorf("%s/%v/%s: stats diverge: incremental %+v, reference %+v",
+						g.Name, mode, region.name, incSt, refSt)
+				}
 			}
 		}
 	}

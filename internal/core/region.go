@@ -1,9 +1,6 @@
 package core
 
-import (
-	"pdce/internal/analysis"
-	"pdce/internal/cfg"
-)
+import "pdce/internal/cfg"
 
 // HotPredicate selects the blocks the optimizer may rearrange — the
 // "hot areas" localization the paper proposes in Section 7 for
@@ -15,12 +12,21 @@ import (
 // correctness is inherited from the unrestricted algorithm.
 type HotPredicate func(n *cfg.Node) bool
 
-// effectiveHot extends the user predicate to synthetic nodes, which
-// did not exist when the predicate was written: a synthetic node is
+// effectiveHot extends the user predicate of a run on g to the nodes
+// it cannot judge; it is nil when hot is. The end node is always hot:
+// it holds no code, and code sinking off the end of the program is
+// dropped as in the unrestricted run rather than landing in it. A
+// synthetic node did not exist when the predicate was written; it is
 // hot when any neighbour is (it sits on an edge between them and must
 // not cut a hot path).
-func effectiveHot(hot HotPredicate) HotPredicate {
+func effectiveHot(g *cfg.Graph, hot HotPredicate) HotPredicate {
+	if hot == nil {
+		return nil
+	}
 	return func(n *cfg.Node) bool {
+		if n == g.End {
+			return true
+		}
 		if !n.Synthetic {
 			return hot(n)
 		}
@@ -36,64 +42,4 @@ func effectiveHot(hot HotPredicate) HotPredicate {
 		}
 		return false
 	}
-}
-
-// restrictLocals strengthens the sinking-local predicates for cold
-// blocks: no candidates, everything blocked.
-func restrictLocals(g *cfg.Graph, l *analysis.Locals, hot HotPredicate) {
-	for _, n := range g.Nodes() {
-		if hot(n) {
-			continue
-		}
-		l.LocDelayed[n.ID].ClearAll()
-		l.LocBlocked[n.ID].SetAll()
-		l.Cands[n.ID] = l.Cands[n.ID][:0]
-	}
-}
-
-// sinkHot is Sink restricted to a hot region.
-func sinkHot(g *cfg.Graph, hot HotPredicate) SinkStats {
-	pt := g.CollectPatterns()
-	ix := analysis.NewPatternIndex(pt)
-	locals := ix.Locals(g)
-	restrictLocals(g, locals, hot)
-	delay := analysis.DelayabilityWithLocals(g, locals)
-	return applySink(g, ix, locals, delay, nil, nil)
-}
-
-// eliminateDeadHot is EliminateDead restricted to hot blocks. The
-// analysis stays global (deadness must account for cold uses); only
-// the removals are filtered.
-func eliminateDeadHot(g *cfg.Graph, hot HotPredicate) ElimStats {
-	return filterElim(g, hot, EliminateDead)
-}
-
-// eliminateFaintHot is EliminateFaint restricted to hot blocks.
-func eliminateFaintHot(g *cfg.Graph, hot HotPredicate) ElimStats {
-	return filterElim(g, hot, EliminateFaint)
-}
-
-// filterElim runs the full elimination on a scratch copy and applies
-// only the removals in hot blocks back to g. Running the analysis on g
-// and filtering directly would be equally correct; the scratch copy
-// keeps the hot/cold split out of the elimination kernels.
-func filterElim(g *cfg.Graph, hot HotPredicate, elim func(*cfg.Graph) ElimStats) ElimStats {
-	scratch := g.Clone()
-	full := elim(scratch)
-	if full.Removed == 0 {
-		return full
-	}
-	var st ElimStats
-	st.SolverWork = full.SolverWork
-	for _, n := range g.Nodes() {
-		if !hot(n) {
-			continue
-		}
-		sn, _ := scratch.NodeByLabel(n.Label)
-		if len(sn.Stmts) != len(n.Stmts) {
-			st.Removed += len(n.Stmts) - len(sn.Stmts)
-			n.Stmts = append(n.Stmts[:0], sn.Stmts...)
-		}
-	}
-	return st
 }

@@ -169,6 +169,29 @@ edge 9 e
 	}
 }
 
+// TestHotRegionSinksOffTheEnd: code that sinks off the end of the
+// program is dropped even when the user's region leaves the end node
+// out, as it always does for a region given by block labels.
+func TestHotRegionSinksOffTheEnd(t *testing.T) {
+	g := parse(t, `
+node 1 {
+  x := a+b
+  y := x
+}
+edge s 1
+edge 1 e
+`)
+	for _, mode := range []core.Mode{core.ModeDead, core.ModeFaint} {
+		out, _, err := core.Transform(g, core.Options{Mode: mode, Hot: hotSet("1")})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if n := out.NumStmts(); n != 0 {
+			t.Errorf("%v: %d statements left, want 0:\n%s", mode, n, out)
+		}
+	}
+}
+
 // TestPressureMeasurement exercises the liveness-pressure metric on a
 // pde run. Sinking is two-sided for pressure (the moved target's range
 // shrinks, its operands' ranges stretch), so the robust claims are:

@@ -54,16 +54,24 @@ func (s SinkStats) Changed() bool {
 // insertions — which the placement below relies on for blocks ending
 // in a Branch — holds only then.
 func Sink(g *cfg.Graph) SinkStats {
-	return sinkObserved(g, nil, nil)
+	return sinkObserved(g, nil, nil, nil)
 }
 
-// sinkObserved is Sink with telemetry: tr receives the provenance
-// events of the rewrite, m the delayability solve's cost counters.
-// Both may be nil.
-func sinkObserved(g *cfg.Graph, tr *obs.Trace, m *obs.SolverMetrics) SinkStats {
+// sinkObserved is Sink confined to a hot region, with telemetry: hot,
+// when non-nil, freezes the locals of the blocks it rejects; tr
+// receives the provenance events of the rewrite, m the delayability
+// solve's cost counters. All three may be nil.
+func sinkObserved(g *cfg.Graph, hot HotPredicate, tr *obs.Trace, m *obs.SolverMetrics) SinkStats {
 	pt := g.CollectPatterns()
 	ix := analysis.NewPatternIndex(pt)
 	locals := ix.Locals(g)
+	if hot != nil {
+		for _, n := range g.Nodes() {
+			if !hot(n) {
+				locals.Freeze(n.ID)
+			}
+		}
+	}
 	delay := analysis.DelayabilityWithLocals(g, locals)
 	m.RecordSolve(obs.SolveFull, delay.Stats.Cost(g.NumNodes()))
 	return applySink(g, ix, locals, delay, nil, tr)

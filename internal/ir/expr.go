@@ -6,10 +6,7 @@
 // operands to stay alive.
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Var is a program variable. Variables are compared by name.
 type Var string
@@ -212,26 +209,4 @@ func SubstVars(e Expr, subst map[Var]Var) Expr {
 		return Binary{Op: x.Op, L: SubstVars(x.L, subst), R: SubstVars(x.R, subst)}
 	}
 	return e
-}
-
-// RenderVarList formats a set of variables deterministically, for
-// diagnostics.
-func RenderVarList(vars map[Var]bool) string {
-	names := make([]string, 0, len(vars))
-	for v := range vars {
-		names = append(names, string(v))
-	}
-	sortStrings(names)
-	return strings.Join(names, ",")
-}
-
-// sortStrings is a tiny insertion sort; the lists formatted here are
-// diagnostic-sized, and keeping ir free of non-essential imports keeps
-// the dependency graph flat.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

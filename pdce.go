@@ -154,7 +154,7 @@ type Options struct {
 	// Hot, when non-nil, localizes the optimization to the blocks
 	// whose labels it accepts — the paper's Section 7 "hot areas"
 	// heuristic. Cold blocks are left untouched except for code
-	// arriving at their entry boundary.
+	// arriving at their entry boundary. The end node is never cold.
 	Hot func(blockLabel string) bool
 	// Observe, when non-nil, receives a notification after every
 	// eliminate/sink phase with a rendered snapshot of the

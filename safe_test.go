@@ -373,8 +373,8 @@ func FuzzSafeOptimize(f *testing.F) {
 			o.VerifyRuns = 4
 		}
 		if knobs&16 != 0 {
-			// An all-accepting hot region drives the reference
-			// driver loop over the whole program.
+			// An all-accepting hot region drives the
+			// region-restricted steps over the whole program.
 			o.Hot = func(string) bool { return true }
 		}
 		res, _, err := p.SafeOptimize(o)
