@@ -45,9 +45,12 @@ bench-check:
 
 # Fuzz smoke over the containment contract: SafeOptimize must never
 # panic and must always return a structurally valid program, whatever
-# the input and option combination.
+# the input and option combination. Then two decoders of untrusted
+# bytes: the traceparent header parser and WAL recovery.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSafeOptimize -fuzztime 20s .
+	$(GO) test -run '^$$' -fuzz FuzzTraceparent -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzWALRecover -fuzztime 10s ./internal/server
 
 # Telemetry smoke: optimize the corpus with all collectors on and
 # validate every report against the golden schema (in-process via the
@@ -89,10 +92,11 @@ chaos-smoke:
 
 # Store smoke: the shared L2 persistence tier under the race detector —
 # the blobd daemon's serve loop, the server wiring (L2 backfill, lease
-# loser fetch, expiry takeover, outage degradation, peer serving, spill
-# orphan sweep), the mixed-version key-space isolation property, and
-# one fixed-seed chaos schedule with store outages, slow backends, and
-# lease owners crashing mid-solve in the fault deck.
+# loser fetch, expiry takeover, outage degradation, the fleet restart
+# drill, peer serving, spill orphan sweep), the mixed-version key-space
+# isolation property, and one fixed-seed chaos schedule with store
+# outages, slow backends, and lease owners crashing mid-solve in the
+# fault deck.
 # (The full randomized sweep is TestChaosStoreRandomized in ./internal/chaos.)
 smoke-store:
 	$(GO) test -race -count=1 ./internal/store

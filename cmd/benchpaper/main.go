@@ -16,19 +16,16 @@
 //	C6  — safety ablation: replacing the delayability product with a
 //	      sum (eager, Briggs/Cooper-style sinking) impairs or breaks
 //	      executions; the paper's algorithm never does
+//	C7  — assignment hoisting cannot eliminate partial deadness
+//	C8  — liveness pressure before/after pde
 //	C9  — incremental vs. from-scratch driver cost, and batch
 //	      throughput of the concurrent optimization pipeline
-//	C10 — serving throughput of the pdced optimization service: cold
-//	      vs. warm content-addressed cache, at several client
-//	      concurrency levels
-//	C11 — cluster serving through pdce.Pool: warm/cold throughput at
-//	      1, 2, and 4 replicas under a fixed per-replica service cost,
-//	      affinity hit rate, and a mid-run replica kill that must stay
-//	      invisible to callers
-//	C12 — shared persistence: a 4-replica fleet is killed and
-//	      rescheduled, and the shared L2 store (dir: and http:// vs.
-//	      the -store=off control) must serve the first post-restart
-//	      pass warm and byte-identical to the cold solve
+//
+// Serving is not measured here. cmd/pdcebench's serve-warm and
+// serve-cold workloads measure its speed; TestPoolFleetDrill,
+// TestAffinityStabilityUnderChurn and internal/server's
+// TestStoreFleetRestart check its guarantees. The recorded runs of the
+// retired serving experiments C10–C12 still render as history.
 //
 // The experiment matrix — sweeps, seeds, repeats, workload knobs per
 // experiment — is declared in experiments.json (see
@@ -51,21 +48,17 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"pdce"
 	"pdce/internal/analysis"
 	"pdce/internal/baseline"
 	"pdce/internal/batch"
@@ -76,13 +69,12 @@ import (
 	"pdce/internal/hoist"
 	"pdce/internal/obs"
 	"pdce/internal/progen"
-	"pdce/internal/server"
 	"pdce/internal/ssa"
 	"pdce/internal/verify"
 )
 
 var (
-	expFlag     = flag.String("exp", "all", "comma-separated experiments to run: F, C1, C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, C12, all")
+	expFlag     = flag.String("exp", "all", "comma-separated experiments to run: F, C1, C2, C3, C4, C5, C6, C7, C8, C9, all")
 	quick       = flag.Bool("quick", false, "smaller sweeps")
 	smoke       = flag.Bool("smoke", false, "run the smoke matrix from experiments.json (the bench-check gate's scale; implies -quick)")
 	seedsFlag   = flag.Int("seeds", 0, "random seeds per configuration (0 = experiments.json)")
@@ -129,9 +121,6 @@ func registry() []experiment {
 		{"C7", expHoist},
 		{"C8", expPressure},
 		{"C9", expBatch},
-		{"C10", expServing},
-		{"C11", expCluster},
-		{"C12", expStore},
 	}
 }
 
@@ -879,113 +868,6 @@ func expBatch() error {
 	fmt.Println("degenerates gracefully to sequential cost.")
 	fmt.Println()
 	return nil
-}
-
-// --- C10: serving throughput (pdced, cold vs. warm cache) ----------------
-
-// expServing measures the optimization service end to end: real HTTP
-// requests through pdce.Client against internal/server. The cold pass
-// sends every program once against an empty cache (each request runs
-// the optimizer); the warm passes repeat the same programs, which by
-// Theorem 3.7's determinism are pure cache hits. The gap is the
-// paper's fixpoint cost as seen by a service consumer.
-func expServing() error {
-	fmt.Println("## C10 — serving throughput: cold vs. warm content-addressed cache")
-	fmt.Println()
-	nProgs := cfgInt("programs", 16, 8)
-	stmts := cfgInt("stmts", 192, 96)
-	warmReps := cfgInt("warm_reps", 5, 3)
-	sources := make([]string, nProgs)
-	for i := range sources {
-		sources[i] = progen.Generate(progen.Params{Seed: int64(i), Stmts: stmts}).Format()
-	}
-	fmt.Printf("%d programs x %d statements, warm pass repeated %dx, GOMAXPROCS=%d\n\n",
-		nProgs, stmts, warmReps, runtime.GOMAXPROCS(0))
-	fmt.Println("| clients | cold reqs/s | warm reqs/s | warm/cold |")
-	fmt.Println("|--------:|------------:|------------:|----------:|")
-	for _, conc := range cur.ClientsOr([]int{1, 4, 16}) {
-		// A fresh server per concurrency level keeps every cold pass
-		// genuinely cold.
-		// Default cache capacity: the LRU is sharded, so a capacity
-		// near the working-set size can evict within a hot shard.
-		s, err := server.New(server.Config{
-			MaxInFlight: runtime.GOMAXPROCS(0),
-			MaxQueue:    4 * nProgs,
-		})
-		if err != nil {
-			return err
-		}
-		ts := httptest.NewServer(s.Handler())
-		client := pdce.NewClient(ts.URL)
-
-		cold, err := driveServing(client, sources, conc, 1)
-		if err != nil {
-			ts.Close()
-			return fmt.Errorf("cold pass, %d clients: %w", conc, err)
-		}
-		warm, err := driveServing(client, sources, conc, warmReps)
-		if err != nil {
-			ts.Close()
-			return fmt.Errorf("warm pass, %d clients: %w", conc, err)
-		}
-		ts.Close()
-		if got := s.Stats().Optimizes(); got != int64(nProgs) {
-			return fmt.Errorf("%d clients: optimizer ran %d times for %d distinct programs — warm requests were not served from cache", conc, got, nProgs)
-		}
-		coldRate := float64(nProgs) / cold.Seconds()
-		warmRate := float64(nProgs*warmReps) / warm.Seconds()
-		fmt.Printf("| %d | %.1f | %.1f | %.1fx |\n", conc, coldRate, warmRate, warmRate/coldRate)
-		record("C10", "serving-cold", conc, cold, map[string]float64{"reqs_per_s": coldRate})
-		record("C10", "serving-warm", conc, warm, map[string]float64{
-			"reqs_per_s": warmRate, "speedup_vs_cold": warmRate / coldRate,
-		})
-	}
-	fmt.Println()
-	fmt.Println("warm throughput is bounded by HTTP and hashing, not by the solver:")
-	fmt.Println("the transformation's determinism makes its results content-addressable,")
-	fmt.Println("so repeated inputs cost one SHA-256 instead of a fixpoint iteration.")
-	fmt.Println()
-	return nil
-}
-
-// driveServing pushes reps full passes over sources through conc
-// concurrent clients and returns the wall time.
-func driveServing(client *pdce.Client, sources []string, conc, reps int) (time.Duration, error) {
-	jobs := make(chan int, len(sources)*reps)
-	for r := 0; r < reps; r++ {
-		for i := range sources {
-			jobs <- i
-		}
-	}
-	close(jobs)
-	errc := make(chan error, conc)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				_, _, err := client.Optimize(context.Background(),
-					fmt.Sprintf("c10-%02d", i), sources[i], pdce.RequestOptions{})
-				if err != nil {
-					select {
-					case errc <- err:
-					default:
-					}
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	d := time.Since(start)
-	select {
-	case err := <-errc:
-		return 0, err
-	default:
-	}
-	return d, nil
 }
 
 // timeTransformOpt is timeTransform with explicit driver options.

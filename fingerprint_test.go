@@ -2,6 +2,8 @@ package pdce_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -73,6 +75,54 @@ func TestCacheKeyProperty(t *testing.T) {
 	}
 	if p.CacheKey(pdce.Options{Mode: pdce.Dead, Verify: true, VerifyRuns: 7}) != base {
 		t.Error("verified mode changed the key (it cannot change a successful result)")
+	}
+}
+
+// TestCacheKeyGolden pins Program.CacheKey across builds. Fleet stores
+// keep results under these keys, so a key that moves while
+// cacheKeyVersion stays put orphans every stored blob. A change that
+// means to move them bumps the version and replaces
+// testdata/cachekeys.golden with the lines this test prints.
+func TestCacheKeyGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "cachekeys.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	figs, _ := filepath.Glob(filepath.Join("testdata", "fig*.cfg"))
+	corpus, _ := filepath.Glob(filepath.Join("testdata", "corpus", "*.while"))
+	var got []string
+	for _, path := range append(figs, corpus...) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p *pdce.Program
+		if strings.HasSuffix(path, ".cfg") {
+			p, err = pdce.ParseCFG(string(data))
+		} else {
+			p, err = pdce.ParseSource(strings.TrimSuffix(filepath.Base(path), ".while"), string(data))
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, mode := range []pdce.Mode{pdce.Dead, pdce.Faint} {
+			got = append(got, fmt.Sprintf("%s %s %s", filepath.ToSlash(path), mode, p.CacheKey(pdce.Options{Mode: mode})))
+		}
+	}
+	if len(got) != 28 {
+		t.Errorf("computed %d keys, want 28 (14 programs, pde and pfe)", len(got))
+	}
+	for i, line := range got {
+		if i >= len(want) || line != want[i] {
+			t.Errorf("cache key moved; new line:\n%s", line)
+		}
+	}
+	if len(want) > len(got) {
+		t.Errorf("golden file has %d lines, %d keys computed", len(want), len(got))
+	}
+	if v := pdce.CacheKeyVersion(); v != "pdce-cache-v2" {
+		t.Errorf("CacheKeyVersion() = %q: a version bump needs new golden keys", v)
 	}
 }
 

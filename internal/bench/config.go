@@ -53,15 +53,12 @@ type ExpConfig struct {
 	QuickSizes  []int          `json:"quick_sizes,omitempty"`
 	Params      map[string]int `json:"params,omitempty"`
 	QuickParams map[string]int `json:"quick_params,omitempty"`
-	Clients     []int          `json:"clients,omitempty"`
-	Replicas    []int          `json:"replicas,omitempty"`
-	StoreModes  []string       `json:"store_modes,omitempty"`
 }
 
 // CheckConfig tunes the regression gate. The band around a baseline
 // metric is max(MADK·spread, RelFloor·|baseline|), where spread is the
 // larger of the baseline window's MAD and the newest run's
-// across-repeat MAD; time-derived metrics (wall clock, request rates,
+// across-repeat MAD; time-derived metrics (wall clock, throughput,
 // speedups) use TimeRelFloor instead of RelFloor, since they move with
 // the host. Directions overrides or disables the built-in
 // better-direction table per metric ("lower", "higher", "skip").
@@ -202,28 +199,4 @@ func (e *ExpConfig) Param(key string, quick bool, full, quickDef int) int {
 		return quickDef
 	}
 	return full
-}
-
-// ClientsOr returns the declared client-concurrency sweep or def.
-func (e *ExpConfig) ClientsOr(def []int) []int {
-	if e != nil && len(e.Clients) > 0 {
-		return e.Clients
-	}
-	return def
-}
-
-// ReplicasOr returns the declared replica sweep or def.
-func (e *ExpConfig) ReplicasOr(def []int) []int {
-	if e != nil && len(e.Replicas) > 0 {
-		return e.Replicas
-	}
-	return def
-}
-
-// StoreModesOr returns the declared store-mode set or def.
-func (e *ExpConfig) StoreModesOr(def []string) []string {
-	if e != nil && len(e.StoreModes) > 0 {
-		return e.StoreModes
-	}
-	return def
 }

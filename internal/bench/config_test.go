@@ -78,9 +78,6 @@ func TestLoadMatrixBackfillsDefaults(t *testing.T) {
 	if m.Seeds(cx) != 7 || cx.Param("anything", false, 3, 1) != 3 {
 		t.Errorf("unknown experiment not defaulted")
 	}
-	if got := cx.ClientsOr([]int{1, 4}); len(got) != 2 {
-		t.Errorf("ClientsOr default = %v", got)
-	}
 }
 
 func TestLoadMatrixRejectsBadJSON(t *testing.T) {
@@ -116,10 +113,7 @@ func TestRepoMatrixMatchesBuiltins(t *testing.T) {
 		t.Fatal("committed experiments.json declares no experiments")
 	}
 	for id, want := range map[string]map[string]int{
-		"C9":  {"programs": 32, "stmts": 256},
-		"C10": {"programs": 16, "stmts": 192, "warm_reps": 5},
-		"C11": {"programs": 48, "stmts": 160, "warm_reps": 6, "clients": 16},
-		"C12": {"programs": 48, "stmts": 160, "clients": 16, "replicas": 4},
+		"C9": {"programs": 32, "stmts": 256},
 	} {
 		e := m.Exp(id)
 		for key, v := range want {

@@ -16,40 +16,29 @@ var metricDirections = map[string]string{
 	obs.BenchTimeMetric: "lower",
 	"violations":        "lower",
 	"pde_violations":    "lower",
-	"errors":            "lower",
-	"re_solves":         "lower",
 	"node_visits":       "lower",
 	"w_mean":            "lower",
 	"w_max":             "lower",
 	"exponent":          "lower",
 
-	"ok":                 "higher",
-	"reqs_per_s":         "higher",
-	"cold_reqs_per_s":    "higher",
-	"restart_reqs_per_s": "higher",
-	"programs_per_s":     "higher",
-	"speedup":            "higher",
-	"speedup_vs_1":       "higher",
-	"speedup_vs_cold":    "higher",
-	"affinity_hit_rate":  "higher",
-	"fleet_hit_rate":     "higher",
-	"byte_identical":     "higher",
-	"dce":                "higher",
-	"fce":                "higher",
-	"dudce":              "higher",
-	"ssadce":             "higher",
-	"pde1":               "higher",
-	"pde":                "higher",
-	"pfe":                "higher",
-	"pde_savings":        "higher",
+	"ok":             "higher",
+	"programs_per_s": "higher",
+	"speedup":        "higher",
+	"dce":            "higher",
+	"fce":            "higher",
+	"dudce":          "higher",
+	"ssadce":         "higher",
+	"pde1":           "higher",
+	"pde":            "higher",
+	"pfe":            "higher",
+	"pde_savings":    "higher",
 }
 
 // timeDerived reports whether a metric moves with the host's clock and
-// load (wall times, request rates, speedup ratios), which widens its
+// load (wall times, throughput, speedup ratios), which widens its
 // relative band floor.
 func timeDerived(metric string) bool {
 	return metric == obs.BenchTimeMetric ||
-		strings.Contains(metric, "reqs_per_s") ||
 		strings.Contains(metric, "programs_per_s") ||
 		strings.HasPrefix(metric, "speedup")
 }

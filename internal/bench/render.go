@@ -13,9 +13,11 @@ import (
 var expOrder = []string{"F", "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C9b", "C10", "C11", "C12"}
 
 // expTitles are the built-in section titles; an experiment's Title in
-// experiments.json overrides them. Retired experiments (C9b, the
-// dense/sparse/auto engine comparison) keep their titles so their
-// recorded runs still render as history.
+// experiments.json overrides them. Retired experiments keep their
+// titles so their recorded runs still render as history: C9b (the
+// dense/sparse/auto engine comparison) and C10–C12 (serving
+// throughput, cluster serving and fleet restart, whose guarantees are
+// now tests and whose speed cmd/pdcebench measures).
 var expTitles = map[string]string{
 	"F":   "Figures 1–13: paper transformation vs. implementation",
 	"C1":  "pde wall-clock scaling on structured programs",

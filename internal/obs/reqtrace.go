@@ -58,14 +58,18 @@ const (
 
 // ParseTraceparent decodes a W3C traceparent header value. Unknown
 // versions are accepted as long as the field layout matches (the spec's
-// forward-compatibility rule); a malformed or all-zero value returns
-// ok false.
+// forward-compatibility rule): a later version may append fields after
+// another "-", while version 00 is exactly 55 bytes. A malformed or
+// all-zero value returns ok false.
 func ParseTraceparent(s string) (SpanContext, bool) {
 	// version "-" traceid(32) "-" spanid(16) "-" flags(2)
 	if len(s) < 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return SpanContext{}, false
 	}
-	if !isHex(s[:2], 2) || s[:2] == "ff" {
+	if !isHex(s[:2], 2) || s[:2] == "ff" || !isHex(s[53:55], 2) {
+		return SpanContext{}, false
+	}
+	if len(s) > 55 && (s[:2] == "00" || s[55] != '-') {
 		return SpanContext{}, false
 	}
 	sc := SpanContext{TraceID: s[3:35], SpanID: s[36:52]}

@@ -37,18 +37,17 @@ func padHex8(n int) string {
 	return string(out)
 }
 
-func TestTraceparentRoundTrip(t *testing.T) {
-	sc := SpanContext{TraceID: tid(7), SpanID: sid(9)}
-	back, ok := ParseTraceparent(sc.Traceparent())
-	if !ok || back != sc {
-		t.Fatalf("round trip: got %+v ok=%v, want %+v", back, ok, sc)
+// Traceparent values the parser must accept and reject. The round-trip
+// test asserts them and the fuzzer starts from them.
+var (
+	goodTraceparents = []string{
+		"00-" + tid(7) + "-" + sid(9) + "-01",
+		// Later versions parse, with or without appended fields (W3C
+		// forward compatibility).
+		"cc-" + tid(7) + "-" + sid(9) + "-01",
+		"cc-" + tid(7) + "-" + sid(9) + "-01-what",
 	}
-	// Future versions must parse (W3C forward compatibility)...
-	if _, ok := ParseTraceparent("cc-" + tid(7) + "-" + sid(9) + "-01"); !ok {
-		t.Error("future version rejected")
-	}
-	// ...but these must not.
-	bad := []string{
+	badTraceparents = []string{
 		"",
 		"00-" + tid(7) + "-" + sid(9),         // truncated
 		"ff-" + tid(7) + "-" + sid(9) + "-01", // forbidden version
@@ -56,12 +55,57 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		"00-" + tid(7) + "-" + zeroSpanID + "-01",               // zero span
 		"00-ABCDEF00000000000000000000000007-" + sid(9) + "-01", // uppercase hex
 		"00_" + tid(7) + "-" + sid(9) + "-01",                   // wrong separator
+		"00-" + tid(7) + "-" + sid(9) + "-zz",                   // flags not hex
+		"00-" + tid(7) + "-" + sid(9) + "-01-extra",             // version 00 with a trailing field
+		"00-" + tid(7) + "-" + sid(9) + "-01garbage",            // version 00 with trailing bytes
+		"cc-" + tid(7) + "-" + sid(9) + "-01xyz",                // later version, no "-" after the flags
 	}
-	for _, s := range bad {
+)
+
+func TestTraceparentRoundTrip(t *testing.T) {
+	sc := SpanContext{TraceID: tid(7), SpanID: sid(9)}
+	back, ok := ParseTraceparent(sc.Traceparent())
+	if !ok || back != sc {
+		t.Fatalf("round trip: got %+v ok=%v, want %+v", back, ok, sc)
+	}
+	for _, s := range goodTraceparents {
+		if _, ok := ParseTraceparent(s); !ok {
+			t.Errorf("ParseTraceparent(%q) rejected", s)
+		}
+	}
+	for _, s := range badTraceparents {
 		if _, ok := ParseTraceparent(s); ok {
 			t.Errorf("ParseTraceparent(%q) accepted", s)
 		}
 	}
+}
+
+// FuzzTraceparent feeds arbitrary header values to the parser, which
+// reads them straight off the wire. It must never panic, and whatever
+// it accepts must be a valid context that survives a round trip; a
+// version-00 value it accepts is exactly 55 bytes with hex flags.
+func FuzzTraceparent(f *testing.F) {
+	for _, s := range goodTraceparents {
+		f.Add(s)
+	}
+	for _, s := range badTraceparents {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, ok := ParseTraceparent(s)
+		if !ok {
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("accepted %q as an invalid context %+v", s, sc)
+		}
+		if back, ok := ParseTraceparent(sc.Traceparent()); !ok || back != sc {
+			t.Fatalf("accepted %q, but its rendering %q parses to %+v ok=%v", s, sc.Traceparent(), back, ok)
+		}
+		if strings.HasPrefix(s, "00") && (len(s) != 55 || !isHex(s[53:], 2)) {
+			t.Fatalf("accepted a malformed version-00 value %q", s)
+		}
+	})
 }
 
 func TestSpanTreeAndRetention(t *testing.T) {

@@ -117,13 +117,6 @@ type Config struct {
 	// other as L2 peers with no extra infrastructure.
 	PeerCache bool
 
-	// RequestHook, when non-nil, runs at the top of every admitted
-	// /optimize request, before the cache is consulted. It is a test
-	// and load-modelling hook — cluster benchmarks install one that
-	// serializes a fixed per-node service cost so replica scaling is
-	// measurable on a single machine — and is never set in production.
-	RequestHook func(r *http.Request)
-
 	// TraceCapacity bounds the in-process request-trace store (default
 	// 512 traces; negative disables tracing entirely — requests then
 	// pay one nil check per boundary and the /debug/traces surface
@@ -403,9 +396,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	defer s.exit()
 	start := time.Now()
 	defer func() { s.stats.RecordLatency(time.Since(start)) }()
-	if s.cfg.RequestHook != nil {
-		s.cfg.RequestHook(r)
-	}
 	sp := obs.SpanFromContext(r.Context())
 
 	o, explain, perr := optionsFromQuery(r)

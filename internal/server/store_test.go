@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -91,6 +94,126 @@ func TestStoreL2Backfill(t *testing.T) {
 		if !strings.Contains(string(prom), want) {
 			t.Errorf("prom exposition is missing %q", want)
 		}
+	}
+}
+
+// fleetPass boots four replicas, each on its own backend from mk (nil
+// mk = no L2), sends one pass over sources through a Pool with 16
+// concurrent callers, then drains and closes the fleet — the
+// scheduler's kill, after which only the store survives. It returns
+// each program's response bytes and the fleet's solve and L2-hit
+// counts.
+func fleetPass(t *testing.T, sources []string, mk func() store.Backend) (bodies [][]byte, solves, l2Hits int64) {
+	t.Helper()
+	const replicas, clients = 4, 16
+	var servers []*server.Server
+	var fronts []*httptest.Server
+	var urls []string
+	for i := 0; i < replicas; i++ {
+		cfg := server.Config{MaxInFlight: clients, MaxQueue: 4 * clients}
+		if mk != nil {
+			cfg.Store = mk()
+		}
+		s, err := server.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		servers = append(servers, s)
+		fronts = append(fronts, ts)
+		urls = append(urls, ts.URL)
+	}
+	p, err := pdce.NewPool(urls, pdce.PoolOptions{ProbeInterval: -1, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	bodies = make([][]byte, len(sources))
+	sem := make(chan struct{}, clients)
+	var wg sync.WaitGroup
+	for i, src := range sources {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			resp, _, err := p.Optimize(context.Background(), fmt.Sprintf("fleet-%02d", i), src, pdce.RequestOptions{})
+			if err != nil {
+				t.Errorf("program %d: %v", i, err)
+				return
+			}
+			bodies[i], _ = json.Marshal(resp)
+		}()
+	}
+	wg.Wait()
+	for i, s := range servers {
+		drainServer(t, s) // flushes the async L2 publishes
+		fronts[i].Close()
+		solves += s.Stats().Optimizes()
+		l2Hits += s.StoreStats().L2Hits()
+	}
+	return bodies, solves, l2Hits
+}
+
+// TestStoreFleetRestart is the fleet drill the store exists for: a
+// four-replica fleet cold-solves a corpus, is drained and killed, and
+// is rescheduled on empty L1s over the same store. Determinism
+// (Theorem 3.7) makes every replica's solve of a key the same bytes,
+// so the rescheduled fleet serves its whole first pass from L2 without
+// solving. Without a store it re-solves everything, to the same bytes.
+func TestStoreFleetRestart(t *testing.T) {
+	sources := make([]string, 24)
+	for i := range sources {
+		sources[i] = pdce.Generate(pdce.GenParams{Seed: int64(i), Stmts: 96}).Format()
+	}
+	arms := []struct {
+		name string
+		mk   func(t *testing.T) func() store.Backend
+	}{
+		{"none", func(*testing.T) func() store.Backend { return nil }},
+		{"dir", func(t *testing.T) func() store.Backend {
+			root := t.TempDir()
+			return func() store.Backend {
+				b, err := store.NewDirStore(root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+		}},
+		{"http", func(t *testing.T) func() store.Backend {
+			ds, err := store.NewDirStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobd := httptest.NewServer(store.Handler(ds)) // in-process pdce-blobd
+			t.Cleanup(blobd.Close)
+			return func() store.Backend { return store.NewHTTPStore(blobd.URL, blobd.Client()) }
+		}},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			mk := arm.mk(t)
+			cold, solves, _ := fleetPass(t, sources, mk)
+			if solves != int64(len(sources)) {
+				t.Fatalf("cold fleet solved %d times for %d programs", solves, len(sources))
+			}
+			warm, solves, l2Hits := fleetPass(t, sources, mk)
+			for i := range cold {
+				if !bytes.Equal(cold[i], warm[i]) {
+					t.Fatalf("program %d: the rescheduled fleet served different bytes:\ncold: %s\nwarm: %s", i, cold[i], warm[i])
+				}
+			}
+			want, wantHits := int64(0), int64(len(sources))
+			if mk == nil {
+				want, wantHits = int64(len(sources)), 0
+			}
+			if solves != want || l2Hits != wantHits {
+				t.Fatalf("rescheduled fleet: %d re-solves and %d L2 hits for %d programs, want %d and %d",
+					solves, l2Hits, len(sources), want, wantHits)
+			}
+		})
 	}
 }
 

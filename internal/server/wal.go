@@ -169,19 +169,28 @@ func scanWAL(data []byte) (recs []walRecord, keep int, st RecoverStats) {
 	}
 }
 
-// Append logs one record. With sync true the record is fsync'd before
-// Append returns — the caller may then acknowledge durability to its
-// client. An append or sync error leaves the log usable but reports
-// the record as not durable.
-func (w *WAL) Append(rec walRecord, sync bool) error {
+// encodeFrame renders one record as a whole log frame.
+func encodeFrame(rec walRecord) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("queue wal: encoding record: %w", err)
+		return nil, err
 	}
 	frame := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
 	copy(frame[8:], payload)
+	return frame, nil
+}
+
+// Append logs one record. With sync true the record is fsync'd before
+// Append returns — the caller may then acknowledge durability to its
+// client. An append or sync error leaves the log usable but reports
+// the record as not durable.
+func (w *WAL) Append(rec walRecord, sync bool) error {
+	frame, err := encodeFrame(rec)
+	if err != nil {
+		return fmt.Errorf("queue wal: encoding record: %w", err)
+	}
 	// The torn-write seam: a hook may shorten the frame, modelling a
 	// crash that let only part of the record reach the disk.
 	faultinject.Fire(faultinject.QueueAppend, &frame)
@@ -290,16 +299,9 @@ func rewriteWAL(path string, recs []walRecord) (*WAL, error) {
 	}
 	defer os.Remove(tmp.Name())
 	for _, rec := range recs {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			tmp.Close()
-			return nil, fmt.Errorf("queue wal: compact: %w", err)
-		}
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-		if _, err := tmp.Write(hdr[:]); err == nil {
-			_, err = tmp.Write(payload)
+		frame, err := encodeFrame(rec)
+		if err == nil {
+			_, err = tmp.Write(frame)
 		}
 		if err != nil {
 			tmp.Close()

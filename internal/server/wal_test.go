@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"pdce/internal/faultinject"
@@ -306,4 +307,50 @@ func TestWALFrameSanity(t *testing.T) {
 	if len(recs) != 0 || keep != 0 || st.TornBytes != 3 {
 		t.Fatalf("short header: recs=%v keep=%d st=%+v", recs, keep, st)
 	}
+}
+
+// FuzzWALRecover feeds arbitrary bytes to recovery, the decoder of a
+// log a crash or a bad disk may have mangled. It must never panic; the
+// prefix it keeps must be exactly what the torn-tail count leaves; and
+// that prefix must rescan to the same records with nothing torn.
+func FuzzWALRecover(f *testing.F) {
+	var whole []byte
+	for _, rec := range []walRecord{
+		{Op: "submit", ID: "a", Source: "x := 1"},
+		{Op: "done", ID: "a", Body: []byte(`{"ok":true}`)},
+	} {
+		frame, err := encodeFrame(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		whole = append(whole, frame...)
+	}
+	f.Add(whole)
+	f.Add(whole[:len(whole)-5]) // torn tail
+	badCRC := append([]byte(nil), whole...)
+	badCRC[4] ^= 0xFF
+	f.Add(badCRC)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, keep, st := scanWAL(data)
+		if keep < 0 || keep > len(data) {
+			t.Fatalf("keep %d outside [0, %d]", keep, len(data))
+		}
+		if st.TornBytes != len(data)-keep {
+			t.Fatalf("torn bytes %d, want %d", st.TornBytes, len(data)-keep)
+		}
+		if st.Records != len(recs) {
+			t.Fatalf("stats count %d records, %d returned", st.Records, len(recs))
+		}
+		for _, rec := range recs {
+			if rec.Op == "" || rec.ID == "" {
+				t.Fatalf("replayed a record without op or id: %+v", rec)
+			}
+		}
+		again, keep2, st2 := scanWAL(data[:keep])
+		if keep2 != keep || st2 != (RecoverStats{Records: st.Records, CorruptRecords: st.CorruptRecords}) ||
+			!reflect.DeepEqual(again, recs) {
+			t.Fatalf("rescan of the kept prefix: keep %d stats %+v, want keep %d stats %+v and the same records",
+				keep2, st2, keep, st)
+		}
+	})
 }

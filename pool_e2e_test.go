@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -146,6 +147,119 @@ func TestPoolSurvivesReplicaKill(t *testing.T) {
 	if m := p.Members(); m[0].Healthy {
 		t.Fatal("killed replica still marked healthy")
 	}
+}
+
+// drivePool sends passes over sources through clients closed-loop
+// workers and returns the caller-visible errors. Jobs are handed out
+// under a lock, so halfway, when non-nil, runs once after half of
+// them were handed out and before any later one is: every request in
+// the second half is sent after it returns.
+func drivePool(p *pdce.Pool, sources []string, clients, passes int, halfway func()) []error {
+	total := len(sources) * passes
+	var mu sync.Mutex
+	next := 0
+	take := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if next == total {
+			return 0, false
+		}
+		if next == total/2 && halfway != nil {
+			halfway()
+		}
+		next++
+		return (next - 1) % len(sources), true
+	}
+	var errs []error
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, ok := take(); ok; i, ok = take() {
+				_, _, err := p.Optimize(context.Background(), fmt.Sprintf("drill-%02d", i), sources[i], pdce.RequestOptions{})
+				if err != nil {
+					mu.Lock()
+					errs = append(errs, err)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// TestPoolFleetDrill is the cluster drill: four replicas behind a
+// Pool and 16 closed-loop clients. Determinism (Theorem 3.7) makes a
+// result content-addressable and replicas interchangeable, so after a
+// cold pass the warm passes never re-solve, affinity keeps every
+// program on its home replica, and a replica that begins draining
+// mid-run stays invisible to callers.
+func TestPoolFleetDrill(t *testing.T) {
+	const (
+		replicas = 4
+		clients  = 16
+		programs = 48
+		warm     = 3
+	)
+	var servers []*server.Server
+	var urls []string
+	for i := 0; i < replicas; i++ {
+		// Admission sized for every client at once: a 429 would fail
+		// the request over to a replica that is not its home.
+		s, err := server.New(server.Config{MaxInFlight: clients, MaxQueue: 4 * clients})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		servers = append(servers, s)
+		urls = append(urls, ts.URL)
+	}
+	p, err := pdce.NewPool(urls, pdce.PoolOptions{ProbeInterval: -1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	sources := make([]string, programs)
+	for i := range sources {
+		sources[i] = pdce.Generate(pdce.GenParams{Seed: int64(i), Stmts: 96}).Format()
+	}
+
+	if errs := drivePool(p, sources, clients, 1, nil); len(errs) > 0 {
+		t.Fatalf("cold pass: %d errors, first: %v", len(errs), errs[0])
+	}
+	if errs := drivePool(p, sources, clients, warm, nil); len(errs) > 0 {
+		t.Fatalf("warm passes: %d errors, first: %v", len(errs), errs[0])
+	}
+	var solves int64
+	for _, s := range servers {
+		solves += s.Stats().Optimizes()
+	}
+	if solves != programs {
+		t.Fatalf("fleet solved %d times for %d programs: a warm request or a sibling replica re-solved", solves, programs)
+	}
+	if rate := p.Stats().Snapshot().AffinityHitRate; rate != 1 {
+		t.Fatalf("affinity hit rate %.3f, want 1: a request left its home replica", rate)
+	}
+
+	// The fault run covers the list twice and replica 0 begins draining
+	// halfway, so every program is requested again after the drain. In
+	// a single pass the drained replica homes none of the second half's
+	// programs on 31 of 20,000 random rings, and then nothing reaches it.
+	victim := servers[0]
+	if errs := drivePool(p, sources, clients, 2, victim.BeginDrain); len(errs) > 0 {
+		t.Fatalf("the drain leaked %d errors to callers, first: %v", len(errs), errs[0])
+	}
+	if p.Members()[0].Healthy {
+		t.Fatal("drained replica is still marked healthy")
+	}
+	snap := p.Stats().Snapshot()
+	if rc := snap.Replicas[urls[0]]; rc.Ejections < 1 {
+		t.Fatalf("drained replica counters %+v, want at least one ejection", rc)
+	}
+	t.Logf("fault run: %d failovers, %d ejections", snap.Failovers, snap.Replicas[urls[0]].Ejections)
 }
 
 func newQueuedReplica(t *testing.T) (*server.Server, *httptest.Server) {

@@ -49,9 +49,11 @@ func TestAffinityStabilityUnderChurn(t *testing.T) {
 
 	home := make(map[string]*member, len(keys))
 	routed := make(map[string]*member, len(keys))
+	homed := make(map[*member]int, len(p.members))
 	for _, k := range keys {
 		cands := p.candidates(k)
 		home[k] = cands[0]
+		homed[cands[0]]++
 		m, wait := p.pick(cands, 0)
 		if wait != 0 {
 			t.Fatalf("key %s: unexpected cooldown wait %v on a healthy ring", k, wait)
@@ -59,6 +61,14 @@ func TestAffinityStabilityUnderChurn(t *testing.T) {
 		routed[k] = m
 		if m != cands[0] {
 			t.Fatalf("key %s: healthy ring routed to %s, want home %s", k, m.base, cands[0].base)
+		}
+	}
+	// Ring balance bounds the busiest replica, and so the fleet's warm
+	// capacity: with no member home to more than half of the keys, four
+	// replicas serve a warm working set at least twice as fast as one.
+	for m, n := range homed {
+		if 2*n > len(keys) {
+			t.Fatalf("replica %s is home to %d of %d keys, more than half", m.base, n, len(keys))
 		}
 	}
 
