@@ -106,15 +106,16 @@ func BenchmarkTable1Faint(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1FaintBlockwise measures the reference block-level
-// solver for comparison with the paper's slotwise algorithm.
+// BenchmarkTable1FaintBlockwise measures the block-level engine's
+// faint solve — the optimizer's — for comparison with the paper's
+// slotwise algorithm.
 func BenchmarkTable1FaintBlockwise(b *testing.B) {
 	for _, n := range benchSizes {
 		g := scaledProgram(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				analysis.FaintVarsBlockwise(g)
+				analysis.NewElimSolver(g, g.CollectVars(), true).Solve(nil)
 			}
 		})
 	}

@@ -33,7 +33,7 @@ edge 1 e
 `)
 	d := DeadVars(g)
 	n := mustNode(t, g, "1")
-	xd := d.InstrXDead(n)
+	xd := d.InstrX(n)
 
 	x, _ := d.Vars.Index("x")
 	y, _ := d.Vars.Index("y")
@@ -57,8 +57,8 @@ edge 1 e
 	}
 	// And therefore x := 5 is an eliminable dead assignment while
 	// x := a+b is not.
-	if !d.DeadAfter(n, 3, "x") || d.DeadAfter(n, 0, "x") {
-		t.Error("DeadAfter disagrees with InstrXDead")
+	if !d.XAfter(n, 3, "x") || d.XAfter(n, 0, "x") {
+		t.Error("XAfter disagrees with InstrX")
 	}
 }
 
@@ -78,7 +78,7 @@ edge 4 e
 `)
 	d := DeadVars(g)
 	n1 := mustNode(t, g, "1")
-	if d.DeadAfter(n1, 0, "x") {
+	if d.XAfter(n1, 0, "x") {
 		t.Error("x live through node 3 but reported dead")
 	}
 	// Branch statements keep their operands alive.
@@ -96,7 +96,7 @@ edge 4 e
 `)
 	d2 := DeadVars(g2)
 	m := mustNode(t, g2, "1")
-	if d2.DeadAfter(m, 0, "c") {
+	if d2.XAfter(m, 0, "c") {
 		t.Error("branch condition operand reported dead (footnote 2 violated)")
 	}
 }
@@ -116,13 +116,13 @@ edge x e
 `)
 	d := DeadVars(g)
 	nb := mustNode(t, g, "b")
-	if d.DeadAfter(nb, 0, "acc") {
+	if d.XAfter(nb, 0, "acc") {
 		t.Error("acc reported dead in loop")
 	}
-	if !d.DeadAfter(nb, 1, "junk") {
+	if !d.XAfter(nb, 1, "junk") {
 		t.Error("junk not reported dead")
 	}
-	if d.DeadAfter(nb, 2, "i") {
+	if d.XAfter(nb, 2, "i") {
 		t.Error("i reported dead despite loop branch use")
 	}
 }
@@ -150,7 +150,7 @@ edge 4 e
 		t.Error("x not faint after x := x+1")
 	}
 	d := DeadVars(g)
-	if d.DeadAfter(n3, 0, "x") {
+	if d.XAfter(n3, 0, "x") {
 		t.Error("x reported dead — it is only faint")
 	}
 }
@@ -176,10 +176,10 @@ edge 1 e
 			t.Errorf("%s not faint after its definition", v)
 		}
 	}
-	if d.DeadAfter(n, 0, "a") || d.DeadAfter(n, 1, "b") {
+	if d.XAfter(n, 0, "a") || d.XAfter(n, 1, "b") {
 		t.Error("chain heads reported dead — only faint")
 	}
-	if !d.DeadAfter(n, 2, "c") {
+	if !d.XAfter(n, 2, "c") {
 		t.Error("chain tail not dead")
 	}
 }
@@ -201,11 +201,11 @@ edge 1 e
 	}
 }
 
-// TestFaintSlotwiseMatchesBlockwise cross-validates the paper's
-// slotwise worklist solver against the independent block-transfer
-// solver on random programs — both compute the greatest solution of
-// the Table 1 equations.
-func TestFaintSlotwiseMatchesBlockwise(t *testing.T) {
+// TestFaintSlotwiseMatchesEngine cross-validates the paper's slotwise
+// worklist solver against the block-level engine's faint solve on
+// random programs — both compute the greatest solution of the Table 1
+// equations.
+func TestFaintSlotwiseMatchesEngine(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		params := progen.Params{Seed: seed, Stmts: 50, Vars: 5, LoopProb: 0.15, BranchProb: 0.25}
 		if seed%3 == 0 {
@@ -213,19 +213,19 @@ func TestFaintSlotwiseMatchesBlockwise(t *testing.T) {
 		}
 		g := progen.Generate(params)
 		slot := FaintVars(g)
-		block := FaintVarsBlockwise(g)
+		block := NewElimSolver(g, g.CollectVars(), true).Solve(nil)
 		// Compare N-FAINT at every block entry and X-FAINT at
 		// every block exit.
 		for _, n := range g.Nodes() {
-			if !slot.EntryFaint(n).Equal(block.NFaint[n.ID]) {
+			if !slot.EntryFaint(n).Equal(block.N[n.ID]) {
 				t.Fatalf("seed %d node %s: entry faint differs: slot=%s block=%s\n%s",
-					seed, n.Label, slot.EntryFaint(n), block.NFaint[n.ID], g)
+					seed, n.Label, slot.EntryFaint(n), block.N[n.ID], g)
 			}
-			if !slot.ExitFaint(n).Equal(block.XFaint[n.ID]) {
+			if !slot.ExitFaint(n).Equal(block.X[n.ID]) {
 				t.Fatalf("seed %d node %s: exit faint differs", seed, n.Label)
 			}
 			// Per-instruction agreement too.
-			ix := block.InstrXFaint(n)
+			ix := block.InstrX(n)
 			for si := range n.Stmts {
 				for vi := 0; vi < slot.Vars.Len(); vi++ {
 					v := slot.Vars.Var(vi)
@@ -246,7 +246,7 @@ func TestDeadImpliesFaint(t *testing.T) {
 		d := DeadVars(g)
 		f := FaintVars(g)
 		for _, n := range g.Nodes() {
-			xd := d.InstrXDead(n)
+			xd := d.InstrX(n)
 			for si := range n.Stmts {
 				for vi := 0; vi < d.Vars.Len(); vi++ {
 					v := d.Vars.Var(vi)

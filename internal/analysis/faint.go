@@ -22,9 +22,13 @@ import (
 // computations such as the loop x := x+1 of Figure 9.
 //
 // The problem is not a bit-vector problem — the slot (ι, x) depends on
-// the slot (ι, lhs_ι) of the same instruction — so the canonical
-// solver works slotwise at instruction granularity, following the
-// worklist discipline the paper describes in Sections 5.2 and 6.1.2.
+// the slot (ι, lhs_ι) of the same instruction. This solver is the
+// paper's: it works slotwise at instruction granularity, following the
+// worklist discipline of Sections 5.2 and 6.1.2. The optimizer solves
+// the same equations blockwise on the one dataflow engine
+// (NewElimSolver with faint set); the slotwise solver is the reference
+// the engine's solution is tested against, and the from-scratch
+// reference driver's faint analysis.
 type FaintResult struct {
 	Vars *ir.VarTable
 	Flat *dataflow.FlatProgram
@@ -36,28 +40,19 @@ type FaintResult struct {
 	// SlotUpdates counts worklist slot processings — the quantity
 	// Section 6.1.2 bounds by O(i·v).
 	SlotUpdates int
-
-	// Cancelled reports that the solve was interrupted before
-	// reaching the fixpoint. A cancelled solution is partial — still
-	// above the greatest fixpoint — and must not justify any
-	// elimination.
-	Cancelled bool
 }
 
 // FaintVars solves the faint-variable analysis on g with the slotwise
 // worklist algorithm.
 func FaintVars(g *cfg.Graph) *FaintResult {
-	return FaintVarsObserve(g, g.CollectVars(), nil, nil)
+	return FaintVarsObserve(g, g.CollectVars(), nil)
 }
 
 // FaintVarsObserve is FaintVars over a caller-chosen variable universe
-// (which must cover every variable in g). cancel, when non-nil, is
-// consulted periodically while the slot worklist drains; when it
-// returns true the solve stops early and the result comes back flagged
-// Cancelled. metrics, when non-nil, receives the solve's slot-update
-// and worklist-push counts (including the initial seeding) when it
-// finishes or is cancelled.
-func FaintVarsObserve(g *cfg.Graph, vars *ir.VarTable, cancel func() bool, metrics *obs.SolverMetrics) *FaintResult {
+// (which must cover every variable in g). metrics, when non-nil,
+// receives the solve's slot-update and worklist-push counts (including
+// the initial seeding).
+func FaintVarsObserve(g *cfg.Graph, vars *ir.VarTable, metrics *obs.SolverMetrics) *FaintResult {
 	fp := dataflow.Flatten(g)
 	nv := vars.Len()
 	ni := fp.Len()
@@ -160,11 +155,6 @@ func FaintVarsObserve(g *cfg.Graph, vars *ir.VarTable, cancel func() bool, metri
 	}
 
 	for len(queue) > 0 {
-		if cancel != nil && r.SlotUpdates%256 == 0 && cancel() {
-			r.Cancelled = true
-			metrics.RecordSlotSolve(r.SlotUpdates, pushes, true)
-			return r
-		}
 		s := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		queued[s.i*nv+s.x] = false
@@ -205,7 +195,7 @@ func FaintVarsObserve(g *cfg.Graph, vars *ir.VarTable, cancel func() bool, metri
 			}
 		}
 	}
-	metrics.RecordSlotSolve(r.SlotUpdates, pushes, false)
+	metrics.RecordSlotSolve(r.SlotUpdates, pushes)
 	return r
 }
 
@@ -230,81 +220,19 @@ func (r *FaintResult) ExitFaint(n *cfg.Node) *bitvec.Vector {
 	return r.XFaint[r.Flat.BlockExit(n)]
 }
 
-// --- Blockwise reference solver ------------------------------------
+// NeedsScan reports true for every block: a from-scratch solve makes
+// no claim about which blocks held still.
+func (r *FaintResult) NeedsScan(cfg.NodeID) bool { return true }
 
-// faintProblem solves the same equations with a block-level worklist
-// whose transfer walks the block backwards. Functionally equivalent to
-// the slotwise solver (both compute the greatest fixpoint); kept as a
-// cross-check oracle and ablation subject.
-type faintProblem struct {
-	vars *ir.VarTable
-	bits int
-}
-
-func (p *faintProblem) Bits() int                     { return p.bits }
-func (p *faintProblem) Direction() dataflow.Direction { return dataflow.Backward }
-func (p *faintProblem) Meet() dataflow.Meet           { return dataflow.Intersect }
-func (p *faintProblem) Boundary() *bitvec.Vector      { return bitvec.NewAllOnes(p.bits) }
-func (p *faintProblem) Top() *bitvec.Vector           { return bitvec.NewAllOnes(p.bits) }
-
-func (p *faintProblem) Transfer(n *cfg.Node, out, in *bitvec.Vector) {
-	in.CopyFrom(out)
+// AssignIndices appends to dst the statement indices of every
+// assignment of block n whose left-hand side is faint immediately
+// after it — the elimination set of faint code elimination — in
+// decreasing index order.
+func (r *FaintResult) AssignIndices(n *cfg.Node, dst []int) []int {
 	for si := len(n.Stmts) - 1; si >= 0; si-- {
-		faintStep(p.vars, n.Stmts[si], in)
-	}
-}
-
-// faintStep updates v from X-FAINT to N-FAINT across one instruction,
-// in place. Order matters twice: the conjunct involving X-FAINT(lhs)
-// must read the pre-update value, and for a self-referential
-// assignment (lhs among its own operands, e.g. x := x+1) with a
-// non-faint target, the operand-clearing conjunct overrides the MOD
-// disjunct — so MOD is applied first and the clears afterwards.
-func faintStep(vars *ir.VarTable, s ir.Stmt, v *bitvec.Vector) {
-	switch st := s.(type) {
-	case ir.Assign:
-		lhsIdx := vars.MustIndex(st.LHS)
-		lhsFaintAfter := v.Get(lhsIdx)
-		v.Set(lhsIdx) // + MOD
-		if !lhsFaintAfter {
-			// ASS-USED operands of a non-faint target are not
-			// faint before the instruction.
-			ir.ExprVars(st.RHS, func(u ir.Var) {
-				v.Clear(vars.MustIndex(u))
-			})
+		if a, ok := n.Stmts[si].(ir.Assign); ok && r.FaintAfter(n, si, a.LHS) {
+			dst = append(dst, si)
 		}
-	case ir.Out, ir.Branch:
-		ir.Uses(s, func(u ir.Var) { // ¬RELV-USED
-			v.Clear(vars.MustIndex(u))
-		})
 	}
-}
-
-// BlockFaintResult is the blockwise reference solution.
-type BlockFaintResult struct {
-	Vars   *ir.VarTable
-	NFaint []*bitvec.Vector // block entry, by NodeID
-	XFaint []*bitvec.Vector // block exit, by NodeID
-	Stats  dataflow.SolverStats
-}
-
-// FaintVarsBlockwise solves the faint analysis with the block-level
-// reference solver.
-func FaintVarsBlockwise(g *cfg.Graph) *BlockFaintResult {
-	vars := g.CollectVars()
-	prob := &faintProblem{vars: vars, bits: vars.Len()}
-	sol := dataflow.Solve(g, prob)
-	return &BlockFaintResult{Vars: vars, NFaint: sol.In, XFaint: sol.Out, Stats: sol.Stats}
-}
-
-// InstrXFaint returns X-FAINT immediately after every statement of
-// block n under the blockwise solution.
-func (r *BlockFaintResult) InstrXFaint(n *cfg.Node) []*bitvec.Vector {
-	out := make([]*bitvec.Vector, len(n.Stmts))
-	cur := r.XFaint[n.ID].Copy()
-	for si := len(n.Stmts) - 1; si >= 0; si-- {
-		out[si] = cur.Copy()
-		faintStep(r.Vars, n.Stmts[si], cur)
-	}
-	return out
+	return dst
 }

@@ -41,13 +41,14 @@ func Pressure(g *cfg.Graph) PressureStats {
 
 	var st PressureStats
 	for _, n := range g.Nodes() {
-		// Walk the block backwards reconstructing per-instruction
-		// entry deadness, then count complements.
-		cur := dead.XDead[n.ID].Copy()
+		// Walk the block's footprints backwards reconstructing
+		// per-instruction entry deadness, then count complements.
+		cur := dead.X[n.ID].Copy()
+		c := dead.prob.memo.blockInfo(n)
 		counts := make([]int, len(n.Stmts)+1)
 		counts[len(n.Stmts)] = nv - cur.Count()
 		for si := len(n.Stmts) - 1; si >= 0; si-- {
-			dead.stepper().step(n.Stmts[si], cur)
+			dead.prob.step(c, si, cur)
 			counts[si] = nv - cur.Count()
 		}
 		// One sample per instruction entry; empty blocks sample

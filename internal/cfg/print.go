@@ -3,6 +3,7 @@ package cfg
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pdce/internal/ir"
@@ -22,7 +23,7 @@ import (
 // order, edges in source-ID order; the rendering is deterministic.
 func (g *Graph) Format() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "graph %q\n", g.Name)
+	fmt.Fprintf(&sb, "graph %s\n", quote(g.Name))
 	for _, n := range g.nodes {
 		if n == g.Start || n == g.End {
 			continue
@@ -43,20 +44,32 @@ func (g *Graph) Format() string {
 	return sb.String()
 }
 
-// quoteLabel quotes labels containing characters outside the bare-word
-// alphabet of the parser.
+// quoteLabel leaves a label bare only when the parser's lexer reads it
+// back as one token — an identifier, or a decimal integer in int64
+// range — and quotes it otherwise.
 func quoteLabel(l string) string {
-	for _, r := range l {
-		if !(r == '_' || r == '.' || r >= '0' && r <= '9' ||
-			r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z') {
-			return fmt.Sprintf("%q", l)
+	bare := l != ""
+	if bare && l[0] >= '0' && l[0] <= '9' {
+		_, err := strconv.ParseInt(l, 10, 64)
+		bare = err == nil
+	} else {
+		for i := 0; bare && i < len(l); i++ {
+			c := l[i]
+			bare = c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
+				i > 0 && (c == '.' || c >= '0' && c <= '9')
 		}
 	}
-	if l == "" {
-		return `""`
+	if bare {
+		return l
 	}
-	return l
+	return quote(l)
 }
+
+// quoteEscaper applies exactly the escapes the lexer's string literals
+// read back; every other byte is written raw.
+var quoteEscaper = strings.NewReplacer(`"`, `\"`, `\`, `\\`, "\n", `\n`)
+
+func quote(s string) string { return `"` + quoteEscaper.Replace(s) + `"` }
 
 // String returns a compact human-oriented listing: one line per node
 // with its statements and successors. Used in error messages and by

@@ -392,14 +392,14 @@ func runReference(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*cf
 	tr := col.Tracer()
 	eliminate := func() (ElimStats, bool) {
 		if opt.Mode == ModeFaint {
-			fr := analysis.FaintVarsObserve(out, out.CollectVars(), nil, col.FaintMetrics())
-			return eliminateFaintSolved(out, fr, hot, nil, tr), true
+			fr := analysis.FaintVarsObserve(out, out.CollectVars(), col.FaintMetrics())
+			return eliminateSolved(out, fr, fr.SlotUpdates, hot, nil, tr), true
 		}
 		dr := analysis.DeadVars(out)
 		// The reference driver's solvers live for one phase, so every
 		// solve is a full one.
 		col.DeadMetrics().RecordSolve(obs.SolveFull, dr.Stats.Cost(out.NumNodes()))
-		return eliminateDeadSolved(out, dr, hot, nil, tr), true
+		return eliminateSolved(out, dr, dr.Stats.NodeVisits, hot, nil, tr), true
 	}
 	sink := func() (SinkStats, bool) {
 		return sinkObserved(out, hot, tr, col.DelayMetrics()), true
@@ -440,13 +440,11 @@ func (d *dirtySet) take() []cfg.NodeID {
 // steps. The variable and pattern universes are collected once, after
 // critical-edge splitting, and kept for the whole run; both are
 // supersets of every later round's universe, which is exact (see
-// DeadSolver and DelaySolver for the arguments). Each phase records
-// the blocks it mutates; the next solve of the dead-variable and
-// delayability analyses re-seeds from the previous solution and the
-// accumulated dirty set instead of restarting from Top.
-//
-// The faint analysis is slotwise over a flat instruction numbering
-// that shifts with every mutation, so it is solved afresh each round.
+// ElimSolver and DelaySolver for the arguments). Each phase records
+// the blocks it mutates; the next solve of the elimination analysis
+// (dead or faint) and of delayability re-seeds from the previous
+// solution and the accumulated dirty set instead of restarting from
+// Top.
 func runIncremental(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*cfg.Graph, error) {
 	vars := out.CollectVars()
 	pt := out.CollectPatterns()
@@ -460,11 +458,12 @@ func runIncremental(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*
 	delay.SetCancel(cancel)
 	delay.SetMetrics(col.DelayMetrics())
 	delay.SetRegion(hot)
-	var deadSolver *analysis.DeadSolver
-	if opt.Mode == ModeDead {
-		deadSolver = analysis.NewDeadSolver(out, vars)
-		deadSolver.SetCancel(cancel)
-		deadSolver.SetMetrics(col.DeadMetrics())
+	elim := analysis.NewElimSolver(out, vars, opt.Mode == ModeFaint)
+	elim.SetCancel(cancel)
+	if opt.Mode == ModeFaint {
+		elim.SetMetrics(col.FaintMetrics())
+	} else {
+		elim.SetMetrics(col.DeadMetrics())
 	}
 	if col != nil {
 		// The solvers live for the whole run; fold their arena slab
@@ -472,14 +471,12 @@ func runIncremental(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*
 		defer func() {
 			a := delay.ArenaStats()
 			col.AddArena(a.Slabs, a.CapWords, a.UsedWords)
-			if deadSolver != nil {
-				a = deadSolver.ArenaStats()
-				col.AddArena(a.Slabs, a.CapWords, a.UsedWords)
-			}
+			a = elim.ArenaStats()
+			col.AddArena(a.Slabs, a.CapWords, a.UsedWords)
 		}()
 	}
 
-	// pendElim holds blocks changed since the dead-variable solver last
+	// pendElim holds blocks changed since the elimination solver last
 	// saw the program; pendSink since the delayability solver did. An
 	// elimination in round r dirties the same round's sink and the
 	// next round's elimination; a sink dirties both of the next
@@ -492,26 +489,17 @@ func runIncremental(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*
 		// the pattern table (sync is optional — a missed or stale sync
 		// is caught by the caches' slice-header validation).
 		delay.Index.SyncRewrite(n, old, ops)
-		if deadSolver != nil {
-			deadSolver.SyncRewrite(n, old, ops)
-			pendElim.add(n.ID)
-		}
+		elim.SyncRewrite(n, old, ops)
+		pendElim.add(n.ID)
 		pendSink.add(n.ID)
 	}
 
 	eliminate := func() (ElimStats, bool) {
-		if opt.Mode == ModeFaint {
-			fr := analysis.FaintVarsObserve(out, vars, cancel, col.FaintMetrics())
-			if fr.Cancelled {
-				return ElimStats{}, false
-			}
-			return eliminateFaintSolved(out, fr, hot, onChange, tr), true
-		}
-		res := deadSolver.Solve(pendElim.take())
+		res := elim.Solve(pendElim.take())
 		if res.Stats.Cancelled {
 			return ElimStats{}, false
 		}
-		return eliminateDeadSolved(out, res, hot, onChange, tr), true
+		return eliminateSolved(out, res, res.Stats.NodeVisits, hot, onChange, tr), true
 	}
 	sink := func() (SinkStats, bool) {
 		dres := delay.Solve(pendSink.take())

@@ -11,8 +11,9 @@ import (
 type ElimStats struct {
 	// Removed is the number of assignments eliminated.
 	Removed int
-	// SolverWork is analysis effort: block visits for the dead
-	// analysis, slot updates for the faint analysis.
+	// SolverWork is analysis effort: block visits of the engine's
+	// dead or faint solve, or slot updates of the reference driver's
+	// slotwise faint solve.
 	SolverWork int
 }
 
@@ -29,30 +30,57 @@ func (s ElimStats) Changed() bool { return s.Removed > 0 }
 // up front; cascading effects (elimination-elimination, Section 4.4)
 // are second-order and handled by the driver's re-iteration.
 func EliminateDead(g *cfg.Graph) ElimStats {
-	return eliminateDeadSolved(g, analysis.DeadVars(g), nil, nil, nil)
+	return eliminateOnce(g, false)
 }
 
-// eliminateDeadSolved applies the elimination step justified by an
-// already-solved dead-variable analysis. hot, when non-nil, confines
-// the removals to the blocks it accepts; the analysis itself stays
-// global, because deadness must see the uses in cold blocks. changed,
-// when non-nil, is called once for every block whose statement list
-// was altered — the dirty-set feed of the incremental driver. tr, when
-// non-nil, receives one provenance event per removed assignment.
-func eliminateDeadSolved(g *cfg.Graph, dead *analysis.DeadResult, hot HotPredicate, changed blockEdit, tr *obs.Trace) ElimStats {
-	var st ElimStats
-	st.SolverWork = dead.Stats.NodeVisits
+// EliminateFaint performs one faint code elimination step (`fce`) on g
+// in place, eliminating each assignment whose left-hand-side variable
+// is faint immediately after it. Faintness subsumes deadness, so every
+// dce removal is also an fce removal; fce additionally removes
+// mutually-sustaining useless assignments (Figure 9, Figure 12).
+func EliminateFaint(g *cfg.Graph) ElimStats {
+	return eliminateOnce(g, true)
+}
+
+func eliminateOnce(g *cfg.Graph, faint bool) ElimStats {
+	res := analysis.NewElimSolver(g, g.CollectVars(), faint).Solve(nil)
+	return eliminateSolved(g, res, res.Stats.NodeVisits, nil, nil, nil)
+}
+
+// elimSolution is a solved elimination analysis: the engine's
+// analysis.ElimResult in either mode, or the reference driver's
+// slotwise analysis.FaintResult.
+type elimSolution interface {
+	// NeedsScan reports whether block id may hold eliminable
+	// assignments the previous elimination pass did not see.
+	NeedsScan(id cfg.NodeID) bool
+	// AssignIndices appends the indices of block n's eliminable
+	// assignments to dst in decreasing statement order.
+	AssignIndices(n *cfg.Node, dst []int) []int
+}
+
+// eliminateSolved applies the elimination step justified by an
+// already-solved analysis; work is the solve's effort for ElimStats.
+// The solution must describe g's current statement layout. hot, when
+// non-nil, confines the removals to the blocks it accepts; the
+// analysis itself stays global, because deadness and faintness must
+// see the uses in cold blocks. changed, when non-nil, is called once
+// for every block whose statement list was altered — the dirty-set
+// feed of the incremental driver. tr, when non-nil, receives one
+// provenance event per removed assignment.
+func eliminateSolved(g *cfg.Graph, sol elimSolution, work int, hot HotPredicate, changed blockEdit, tr *obs.Trace) ElimStats {
+	st := ElimStats{SolverWork: work}
 	var idx []int
 	var ops []int32
 	for _, n := range g.Nodes() {
 		// An incremental solve restricts the walk: a block whose
 		// statements and solution values both held still since the
-		// previous elimination pass was emptied of dead assignments
-		// by that pass and needs no rescan.
-		if len(n.Stmts) == 0 || !dead.NeedsScan(n.ID) || (hot != nil && !hot(n)) {
+		// previous elimination pass was emptied of eliminable
+		// assignments by that pass and needs no rescan.
+		if len(n.Stmts) == 0 || !sol.NeedsScan(n.ID) || (hot != nil && !hot(n)) {
 			continue
 		}
-		idx = dead.DeadAssignIndices(n, idx[:0])
+		idx = sol.AssignIndices(n, idx[:0])
 		if len(idx) == 0 {
 			continue
 		}
@@ -82,55 +110,6 @@ func eliminateDeadSolved(g *cfg.Graph, dead *analysis.DeadResult, hot HotPredica
 		n.Stmts = kept
 		if changed != nil {
 			changed(n, old, ops)
-		}
-	}
-	return st
-}
-
-// EliminateFaint performs one faint code elimination step (`fce`) on g
-// in place, eliminating each assignment whose left-hand-side variable
-// is faint immediately after it. Faintness subsumes deadness, so every
-// dce removal is also an fce removal; fce additionally removes
-// mutually-sustaining useless assignments (Figure 9, Figure 12).
-func EliminateFaint(g *cfg.Graph) ElimStats {
-	return eliminateFaintSolved(g, analysis.FaintVars(g), nil, nil, nil)
-}
-
-// eliminateFaintSolved applies the elimination step justified by an
-// already-solved faint-variable analysis, confined to hot blocks like
-// eliminateDeadSolved. The solution must describe g's current
-// statement layout (the flat program indexes into it).
-func eliminateFaintSolved(g *cfg.Graph, faint *analysis.FaintResult, hot HotPredicate, changed blockEdit, tr *obs.Trace) ElimStats {
-	var st ElimStats
-	st.SolverWork = faint.SlotUpdates
-	var ops []int32
-	for _, n := range g.Nodes() {
-		if len(n.Stmts) == 0 || (hot != nil && !hot(n)) {
-			continue
-		}
-		removed := 0
-		old := n.Stmts
-		kept := n.Stmts[:0]
-		ops = ops[:0]
-		for si, s := range n.Stmts {
-			if a, ok := s.(ir.Assign); ok && faint.FaintAfter(n, si, a.LHS) {
-				removed++
-				if tr != nil {
-					if p, pok := ir.PatternOf(s); pok {
-						tr.Record(obs.KindEliminate, n.Label, string(p.LHS), p.String())
-					}
-				}
-				continue
-			}
-			kept = append(kept, s)
-			ops = append(ops, int32(si))
-		}
-		n.Stmts = kept
-		if removed > 0 {
-			st.Removed += removed
-			if changed != nil {
-				changed(n, old, ops)
-			}
 		}
 	}
 	return st

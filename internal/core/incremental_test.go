@@ -60,18 +60,20 @@ func TestIncrementalMatchesReference(t *testing.T) {
 func TestIncrementalMatchesReferenceTruncated(t *testing.T) {
 	for seed := 0; seed < 25; seed++ {
 		g := progen.Generate(progen.Params{Seed: int64(seed), Stmts: 60, Vars: 5, LoopProb: 0.2, BranchProb: 0.3})
-		for _, rounds := range []int{1, 2} {
-			inc, _, err := core.Transform(g, core.Options{Mode: core.ModeDead, MaxRounds: rounds})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, _, err := core.Transform(g, core.Options{Mode: core.ModeDead, MaxRounds: rounds, NoIncremental: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if inc.Format() != ref.Format() {
-				t.Errorf("seed %d, MaxRounds=%d: outputs differ\nincremental:\n%s\nreference:\n%s",
-					seed, rounds, inc.Format(), ref.Format())
+		for _, mode := range []core.Mode{core.ModeDead, core.ModeFaint} {
+			for _, rounds := range []int{1, 2} {
+				inc, _, err := core.Transform(g, core.Options{Mode: mode, MaxRounds: rounds})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, _, err := core.Transform(g, core.Options{Mode: mode, MaxRounds: rounds, NoIncremental: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if inc.Format() != ref.Format() {
+					t.Errorf("seed %d, %v, MaxRounds=%d: outputs differ\nincremental:\n%s\nreference:\n%s",
+						seed, mode, rounds, inc.Format(), ref.Format())
+				}
 			}
 		}
 	}
@@ -83,29 +85,31 @@ func TestIncrementalMatchesReferenceTruncated(t *testing.T) {
 func TestIncrementalObserveSnapshots(t *testing.T) {
 	for seed := 0; seed < 10; seed++ {
 		g := progen.Generate(progen.Params{Seed: int64(seed), Stmts: 50, Vars: 4, BranchProb: 0.3})
-		snap := func(noInc bool) []string {
-			var out []string
-			_, _, err := core.Transform(g, core.Options{
-				Mode:          core.ModeDead,
-				NoIncremental: noInc,
-				Observe: func(ev core.PhaseEvent) {
-					out = append(out, ev.Phase+"\n"+ev.Graph.Format())
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
+		for _, mode := range []core.Mode{core.ModeDead, core.ModeFaint} {
+			snap := func(noInc bool) []string {
+				var out []string
+				_, _, err := core.Transform(g, core.Options{
+					Mode:          mode,
+					NoIncremental: noInc,
+					Observe: func(ev core.PhaseEvent) {
+						out = append(out, ev.Phase+"\n"+ev.Graph.Format())
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
 			}
-			return out
-		}
-		inc, ref := snap(false), snap(true)
-		if len(inc) != len(ref) {
-			t.Fatalf("seed %d: phase counts differ: %d vs %d", seed, len(inc), len(ref))
-		}
-		for i := range inc {
-			if inc[i] != ref[i] {
-				t.Errorf("seed %d: phase %d snapshots differ\nincremental:\n%s\nreference:\n%s",
-					seed, i, inc[i], ref[i])
-				break
+			inc, ref := snap(false), snap(true)
+			if len(inc) != len(ref) {
+				t.Fatalf("seed %d, %v: phase counts differ: %d vs %d", seed, mode, len(inc), len(ref))
+			}
+			for i := range inc {
+				if inc[i] != ref[i] {
+					t.Errorf("seed %d, %v: phase %d snapshots differ\nincremental:\n%s\nreference:\n%s",
+						seed, mode, i, inc[i], ref[i])
+					break
+				}
 			}
 		}
 	}

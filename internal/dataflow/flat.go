@@ -8,9 +8,9 @@ import (
 // FlatProgram is an instruction-level view of a flow graph: every
 // statement becomes one instruction, and a block without statements
 // contributes a single implicit skip so that every block has an entry
-// and an exit instruction. The faint-variable analysis requires this
-// granularity (Table 1 works at the instruction level; its footnote b
-// notes only the dead analysis can be lifted to blocks).
+// and an exit instruction. The paper's slotwise faint-variable solver
+// works at this granularity (Table 1 is stated per instruction; its
+// footnote b notes only the dead analysis has a gen/kill block form).
 type FlatProgram struct {
 	Graph  *cfg.Graph
 	Instrs []FlatInstr

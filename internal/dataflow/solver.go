@@ -1,13 +1,15 @@
 // Package dataflow provides the two solving regimes the paper's
 // analyses need:
 //
-//   - a block-level worklist solver for monotone vector problems
-//     (dead variables, delayability — the bit-vector analyses of
-//     Tables 1 and 2), and
+//   - a block-level worklist solver for monotone vector problems: the
+//     bit-vector analyses of Tables 1 and 2 (dead variables,
+//     delayability) and Table 1's faint variables, whose block
+//     transfer is monotone but not gen/kill; and
 //   - an instruction-level flattening of a flow graph (FlatProgram),
-//     on which the slotwise worklist algorithm of Dhamdhere, Rosen and
-//     Zadeck solves the faint-variable problem, which is not a
-//     bit-vector problem (Section 5.2, Section 6.1.2).
+//     on which the paper's slotwise worklist algorithm of Dhamdhere,
+//     Rosen and Zadeck solves the faint-variable problem (Section 5.2,
+//     Section 6.1.2) — the reference the block-level faint solve is
+//     tested against.
 //
 // All paper analyses take greatest fixpoints: solvers initialize to the
 // problem's top value and iterate downwards. Solvers record iteration

@@ -381,7 +381,7 @@ func tempLivePoints(t *testing.T, g *cfg.Graph) int {
 	}
 	points := 0
 	for _, n := range g.Nodes() {
-		xd := dead.InstrXDead(n)
+		xd := dead.InstrX(n)
 		for si := range n.Stmts {
 			for _, vi := range temps {
 				if !xd[si].Get(vi) {

@@ -136,15 +136,12 @@ func (m *SolverMetrics) RecordCacheHit() {
 
 // RecordSlotSolve accounts one slotwise faint-variable solve, whose
 // unit of work is the slot update rather than the block visit.
-func (m *SolverMetrics) RecordSlotSolve(slotUpdates, pushes int, cancelled bool) {
+func (m *SolverMetrics) RecordSlotSolve(slotUpdates, pushes int) {
 	if m == nil {
 		return
 	}
 	m.solves.Add(1)
 	m.fullSolves.Add(1)
-	if cancelled {
-		m.cancelled.Add(1)
-	}
 	m.slotUpdates.Add(int64(slotUpdates))
 	m.pushes.Add(int64(pushes))
 }
@@ -214,7 +211,8 @@ type SolverSnapshot struct {
 	VectorOps int64 `json:"vector_ops"`
 
 	// SlotUpdates counts slot processings of the slotwise faint
-	// solver — the quantity Section 6.1.2 bounds by O(i·v).
+	// solver — the quantity Section 6.1.2 bounds by O(i·v). Only the
+	// from-scratch reference driver runs that solver.
 	SlotUpdates int64 `json:"slot_updates"`
 }
 

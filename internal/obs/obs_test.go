@@ -23,7 +23,7 @@ func TestNilSafety(t *testing.T) {
 	var m *SolverMetrics
 	m.RecordSolve(SolveFull, SolveCost{Visits: 1, Pushes: 2, Seeded: 3, Seedable: 4, VecOps: 5})
 	m.RecordCacheHit()
-	m.RecordSlotSolve(1, 2, true)
+	m.RecordSlotSolve(1, 2)
 	if got := m.Snapshot(); got != (SolverSnapshot{}) {
 		t.Errorf("nil metrics snapshot = %+v, want zero", got)
 	}
@@ -67,13 +67,9 @@ func TestSolverMetricsAccounting(t *testing.T) {
 func TestSolverMetricsCancelled(t *testing.T) {
 	var m SolverMetrics
 	m.RecordSolve(SolveFull, SolveCost{Visits: 5, Pushes: 5, Seeded: 5, Seedable: 5, Cancelled: true})
-	m.RecordSlotSolve(100, 40, true)
 	s := m.Snapshot()
-	if s.CancelledSolves != 2 {
-		t.Errorf("cancelled = %d, want 2", s.CancelledSolves)
-	}
-	if s.SlotUpdates != 100 {
-		t.Errorf("slot updates = %d, want 100", s.SlotUpdates)
+	if s.CancelledSolves != 1 {
+		t.Errorf("cancelled = %d, want 1", s.CancelledSolves)
 	}
 }
 
@@ -160,7 +156,7 @@ func TestCollectorConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				c.DelayMetrics().RecordSolve(SolveIncremental, SolveCost{Visits: 1, Pushes: 1, Seeded: 1, Seedable: 2, VecOps: 1})
 				c.DeadMetrics().RecordCacheHit()
-				c.FaintMetrics().RecordSlotSolve(3, 1, false)
+				c.FaintMetrics().RecordSlotSolve(3, 1)
 				c.AddArena(0, 8, 4)
 				c.Tracer().Record(KindSinkRemove, "b", "x", "x := 1")
 			}
@@ -186,7 +182,7 @@ func TestTelemetryJSONRoundTrip(t *testing.T) {
 	c.DelayMetrics().RecordSolve(SolveFull, SolveCost{Visits: 10, Pushes: 12, Passes: 1, MaxWorklistDepth: 10, Seeded: 10, Seedable: 10, VecOps: 33})
 	c.DelayMetrics().RecordSolve(SolveIncremental, SolveCost{Visits: 2, Pushes: 2, Passes: 1, MaxWorklistDepth: 2, Seeded: 1, Seedable: 10, VecOps: 6})
 	c.DeadMetrics().RecordCacheHit()
-	c.FaintMetrics().RecordSlotSolve(50, 20, false)
+	c.FaintMetrics().RecordSlotSolve(50, 20)
 	c.AddArena(2, 16384, 900)
 	c.Tracer().BeginPhase(1, "eliminate", "dead")
 	c.Tracer().Record(KindEliminate, "3", "x", "x := a+b")

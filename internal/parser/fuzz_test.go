@@ -47,9 +47,9 @@ func FuzzParseSource(f *testing.F) {
 	})
 }
 
-// FuzzParseCFG: the low-level parser must never panic, and accepted
-// graphs must survive the full pde pipeline without breaking
-// invariants.
+// FuzzParseCFG: the low-level parser must never panic, accepted graphs
+// must survive Format/ParseCFG unchanged, name included, and both
+// pipelines, pde and pfe, without breaking invariants.
 func FuzzParseCFG(f *testing.F) {
 	seeds := []string{
 		"graph \"g\"\nnode 1 { x := a+b }\nnode 2 { out(x) }\nedge s 1\nedge 1 2\nedge 2 e",
@@ -60,6 +60,12 @@ func FuzzParseCFG(f *testing.F) {
 		"edge s e",
 		"node e { skip }",
 		"graph",
+		// Names and labels Format once printed in forms the lexer
+		// rejects or splits.
+		"node \"1a\" {}\nedge s \"1a\"\nedge \"1a\" e",
+		"node \"1.5\" {}\nnode \".\" {}\nedge s \"1.5\"\nedge \"1.5\" \".\"\nedge \".\" e",
+		"node \"99999999999999999999\" {}\nedge s \"99999999999999999999\"\nedge \"99999999999999999999\" e",
+		"graph \"\x11\"\nnode \"\t\xff\" {}\nedge s \"\t\xff\"\nedge \"\t\xff\" e",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -71,12 +77,21 @@ func FuzzParseCFG(f *testing.F) {
 		}
 		// Accepted graphs are valid by construction...
 		cfg.MustValidate(g)
-		// ...and the optimizer must handle them.
-		opt, _, err := core.PDE(g)
+		back, err := parser.ParseCFG(g.Format())
 		if err != nil {
-			t.Fatalf("pde failed on accepted graph: %v\n%s", err, g.Format())
+			t.Fatalf("Format output does not re-parse: %v\n%s", err, g.Format())
 		}
-		cfg.MustValidate(opt)
+		if back.Name != g.Name || !cfg.Equal(g, back) {
+			t.Fatalf("Format round trip changed the graph for %q", src)
+		}
+		// ...and both optimizers must handle them.
+		for _, run := range []func(*cfg.Graph) (*cfg.Graph, core.Stats, error){core.PDE, core.PFE} {
+			opt, _, err := run(g)
+			if err != nil {
+				t.Fatalf("optimizer failed on accepted graph: %v\n%s", err, g.Format())
+			}
+			cfg.MustValidate(opt)
+		}
 	})
 }
 

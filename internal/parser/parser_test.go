@@ -243,6 +243,37 @@ edge 1 e
 	}
 }
 
+// TestFormatRoundTripsAwkwardNames pins Format's round-trip promise on
+// labels the lexer cannot read back bare (a digit-led non-integer, an
+// out-of-range integer, punctuation) and on names and labels holding
+// bytes Go's %q would escape in ways the lexer rejects.
+func TestFormatRoundTripsAwkwardNames(t *testing.T) {
+	for _, tc := range []struct{ name, label string }{
+		{"g", "1a"},
+		{"g", "1.5"},
+		{"g", "."},
+		{"g", "99999999999999999999"},
+		{"tab\there", "1"},
+		{"g", "tab\there"},
+		{"\x11", "\x11"},
+		{"\xff", "\xff"},
+	} {
+		g := cfg.New(tc.name)
+		n := g.AddNode(tc.label)
+		n.Stmts = []ir.Stmt{ir.Out{Arg: ir.Const{Value: 1}}}
+		g.AddEdge(g.Start, n)
+		g.AddEdge(n, g.End)
+		back, err := ParseCFG(g.Format())
+		if err != nil {
+			t.Errorf("graph %q, label %q: Format output does not re-parse: %v\n%s", tc.name, tc.label, err, g.Format())
+			continue
+		}
+		if back.Name != g.Name || !cfg.Equal(g, back) {
+			t.Errorf("graph %q, label %q: round trip changed the graph:\n%s\nvs\n%s", tc.name, tc.label, g.Format(), back.Format())
+		}
+	}
+}
+
 func TestParseSourceStraightLine(t *testing.T) {
 	g, err := ParseSource("p", `
 x := a + b

@@ -14,7 +14,7 @@
 // definition stays only if a use chain connects it to an out or
 // branch statement, which is the contrapositive of the faint
 // criterion of Table 1. The test suite cross-validates this against
-// the slotwise faint solver.
+// iterated faint code elimination.
 package ssa
 
 import (

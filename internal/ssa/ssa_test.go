@@ -186,8 +186,8 @@ if c > 0 { out(1) } else { out(2) }
 
 // TestEliminateMatchesIteratedFCE cross-validates two very different
 // implementations of "remove exactly the useless assignments": SSA
-// mark-and-sweep (this package) against the slotwise faint-variable
-// fixpoint (analysis + core). They must remove the same statements.
+// mark-and-sweep (this package) against the faint-variable fixpoint
+// (analysis + core). They must remove the same statements.
 func TestEliminateMatchesIteratedFCE(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		params := progen.Params{Seed: seed, Stmts: 60, Vars: 5, LoopProb: 0.15, BranchProb: 0.25}

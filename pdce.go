@@ -135,8 +135,8 @@ const (
 	// Dead uses the bit-vector dead-variable analysis (the paper's
 	// pde).
 	Dead = core.ModeDead
-	// Faint uses the slotwise faint-variable analysis (the paper's
-	// pfe) — strictly more powerful, somewhat more expensive.
+	// Faint uses the faint-variable analysis (the paper's pfe) —
+	// strictly more powerful, solved by the same incremental solver.
 	Faint = core.ModeFaint
 )
 

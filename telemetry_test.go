@@ -65,8 +65,14 @@ func TestTelemetryOptIn(t *testing.T) {
 					t.Errorf("pde run collected faint metrics: %+v", tel.Faint)
 				}
 			} else {
-				if tel.Faint.Solves == 0 || tel.Faint.SlotUpdates == 0 {
+				// The faint analysis runs on the block-level engine;
+				// only the reference driver's slotwise solver
+				// counts slot updates.
+				if tel.Faint.Solves == 0 || tel.Faint.NodeVisits == 0 {
 					t.Errorf("faint metrics empty: %+v", tel.Faint)
+				}
+				if tel.Faint.SlotUpdates != 0 {
+					t.Errorf("incremental pfe ran the slotwise solver: %+v", tel.Faint)
 				}
 			}
 			if r := tel.Delay.ReuseRate; r < 0 || r > 1 {
@@ -83,8 +89,9 @@ func TestTelemetryOptIn(t *testing.T) {
 }
 
 // TestTelemetryIncrementalReuse pins the headline metric: on a
-// multi-round program the incremental driver's later delay solves seed
-// only the affected region, so the accumulated reuse rate is positive.
+// multi-round program the incremental driver's later delay and
+// elimination solves seed only the affected region, so the accumulated
+// reuse rate is positive — for the faint analysis as for the dead one.
 // (The reference driver's zero reuse is pinned in internal/core.)
 func TestTelemetryIncrementalReuse(t *testing.T) {
 	p := mustParseFile(t, "testdata/corpus/stats.while")
@@ -101,6 +108,17 @@ func TestTelemetryIncrementalReuse(t *testing.T) {
 	}
 	if got := inc.Telemetry.Delay.IncrementalSolves; got == 0 {
 		t.Error("incremental driver reports no incremental solves")
+	}
+
+	_, fst, err := p.Optimize(pdce.Options{Mode: pdce.Faint, Telemetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fst.Telemetry.Faint.IncrementalSolves; got == 0 {
+		t.Errorf("pfe reports no incremental faint solves: %+v", fst.Telemetry.Faint)
+	}
+	if r := fst.Telemetry.Faint.ReuseRate; r <= 0 {
+		t.Errorf("incremental faint reuse rate = %v, want > 0", r)
 	}
 }
 
