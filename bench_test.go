@@ -115,7 +115,7 @@ func BenchmarkTable1FaintBlockwise(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				analysis.NewElimSolver(g, g.CollectVars(), true).Solve(nil)
+				analysis.NewElimSolver(g, analysis.NewFootprints(g.CollectVars(), nil), true).Solve(nil)
 			}
 		})
 	}

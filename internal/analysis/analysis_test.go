@@ -213,7 +213,7 @@ func TestFaintSlotwiseMatchesEngine(t *testing.T) {
 		}
 		g := progen.Generate(params)
 		slot := FaintVars(g)
-		block := NewElimSolver(g, g.CollectVars(), true).Solve(nil)
+		block := NewElimSolver(g, NewFootprints(g.CollectVars(), nil), true).Solve(nil)
 		// Compare N-FAINT at every block entry and X-FAINT at
 		// every block exit.
 		for _, n := range g.Nodes() {

@@ -72,7 +72,7 @@ func (l *Locals) Freeze(id cfg.NodeID) {
 // that recompute locals repeatedly over the same universe should build
 // the index once and use its Locals/UpdateBlock methods.
 func ComputeLocals(g *cfg.Graph, pt *ir.PatternTable) *Locals {
-	return NewPatternIndex(pt).Locals(g)
+	return NewPatternIndex(footprintsOf(g, pt)).Locals(g)
 }
 
 // SinkingCandidates returns, for presentation and tests, the candidate

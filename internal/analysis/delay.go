@@ -65,46 +65,13 @@ func (p *delayProblem) GenKill(n *cfg.Node) (gen, kill *bitvec.Vector) {
 // equations remain well-defined otherwise, but insertion points on
 // critical edges would then be unrepresentable (Section 2.1).
 func Delayability(g *cfg.Graph, pt *ir.PatternTable) *DelayResult {
-	return DelayabilityWithLocals(g, ComputeLocals(g, pt))
+	return NewDelaySolver(g, footprintsOf(g, pt)).Solve(nil)
 }
 
-// DelayabilityWithLocals is Delayability with precomputed local
-// predicates, which the caller may restrict first (a hot-region sink
-// freezes the cold blocks).
-func DelayabilityWithLocals(g *cfg.Graph, locals *Locals) *DelayResult {
-	bits := locals.Patterns.Len()
-	prob := &delayProblem{locals: locals, bits: bits}
-	sol := dataflow.Solve(g, prob)
-
-	r := &DelayResult{
-		Locals:   locals,
-		NDelayed: sol.In,
-		XDelayed: sol.Out,
-		NInsert:  make([]*bitvec.Vector, g.NumNodes()),
-		XInsert:  make([]*bitvec.Vector, g.NumNodes()),
-		Stats:    sol.Stats,
-	}
-	var arena bitvec.Arena
-	for _, n := range g.Nodes() {
-		r.NInsert[n.ID] = arena.New(bits)
-		r.XInsert[n.ID] = arena.New(bits)
-	}
-	computeInserts(g, r)
-	return r
-}
-
-// computeInserts derives the insertion predicates from a solved
-// delayability system, writing into the preallocated NInsert/XInsert
-// vectors of r.
-func computeInserts(g *cfg.Graph, r *DelayResult) {
-	for _, n := range g.Nodes() {
-		computeInsertsNode(r, n)
-	}
-}
-
-// computeInsertsNode refreshes one block's insertion predicates from
-// the solved system.
-func computeInsertsNode(r *DelayResult, n *cfg.Node) {
+// computeInserts refreshes one block's insertion predicates from the
+// solved system, writing into the preallocated NInsert/XInsert vectors
+// of r.
+func computeInserts(r *DelayResult, n *cfg.Node) {
 	// N-INSERT ⊆ N-DELAYED and X-INSERT ⊆ X-DELAYED; the delay
 	// solution is sparse (most blocks delay nothing), so an
 	// early-exit zero scan usually replaces the full products.
@@ -137,10 +104,11 @@ func computeInsertsNode(r *DelayResult, n *cfg.Node) {
 
 // DelaySolver solves the delayability system repeatedly on one graph
 // whose block contents mutate between solves. It owns the pattern
-// blocking index, the local predicates, and the solution storage; a
-// solve after k blocks changed recomputes k blocks' locals and
-// re-iterates only the affected region (the dirty blocks and their
-// transitive successors — delayability flows forward).
+// blocking index, the local predicates, and the solution storage, and
+// reads statements through a Footprints index it may share with an
+// ElimSolver; a solve after k blocks changed recomputes k blocks'
+// locals and re-iterates only the affected region (the dirty blocks
+// and their transitive successors — delayability flows forward).
 //
 // The pattern universe is fixed at creation and must cover every
 // pattern of every version of the program the solver sees. A superset
@@ -150,7 +118,7 @@ func computeInsertsNode(r *DelayResult, n *cfg.Node) {
 // assigns it X-DELAYED = false everywhere — no spurious insertions.
 type DelaySolver struct {
 	g      *cfg.Graph
-	Index  *PatternIndex
+	index  *PatternIndex
 	locals *Locals
 	solver *dataflow.Solver
 	res    DelayResult
@@ -168,13 +136,14 @@ type DelaySolver struct {
 	insEpoch uint32
 }
 
-// NewDelaySolver creates a solver for g over pattern universe pt.
-func NewDelaySolver(g *cfg.Graph, pt *ir.PatternTable) *DelaySolver {
-	ix := NewPatternIndex(pt)
-	bits := pt.Len()
+// NewDelaySolver creates a solver for g over the pattern universe of
+// fp, resolving statements through fp.
+func NewDelaySolver(g *cfg.Graph, fp *Footprints) *DelaySolver {
+	ix := NewPatternIndex(fp)
+	bits := fp.Patterns.Len()
 	s := &DelaySolver{
 		g:        g,
-		Index:    ix,
+		index:    ix,
 		locals:   ix.Locals(g),
 		scratch:  bitvec.New(bits),
 		insStamp: make([]uint32, g.NumNodes()),
@@ -194,9 +163,6 @@ func NewDelaySolver(g *cfg.Graph, pt *ir.PatternTable) *DelaySolver {
 	}
 	return s
 }
-
-// Locals exposes the solver's local predicates (kept current by Solve).
-func (s *DelaySolver) Locals() *Locals { return s.locals }
 
 // SetRegion confines sinking to the blocks hot accepts — the paper's
 // Section 7 hot areas. It freezes every other block's locals now, and
@@ -251,7 +217,7 @@ func (s *DelaySolver) ArenaStats() bitvec.ArenaStats {
 func (s *DelaySolver) Solve(dirty []cfg.NodeID) *DelayResult {
 	for _, id := range dirty {
 		n := s.g.Node(id)
-		s.Index.UpdateBlock(s.locals, n, s.scratch)
+		s.index.UpdateBlock(s.locals, n, s.scratch)
 		s.restrict(n)
 	}
 	sol := s.solver.Resolve(dirty)
@@ -273,7 +239,9 @@ func (s *DelaySolver) Solve(dirty []cfg.NodeID) *DelayResult {
 // N-DELAYED (the predecessors of touched blocks).
 func (s *DelaySolver) refreshInserts(touched []cfg.NodeID) {
 	if touched == nil {
-		computeInserts(s.g, &s.res)
+		for _, n := range s.g.Nodes() {
+			computeInserts(&s.res, n)
+		}
 		return
 	}
 	s.insEpoch++
@@ -286,7 +254,7 @@ func (s *DelaySolver) refreshInserts(touched []cfg.NodeID) {
 	refresh := func(n *cfg.Node) {
 		if s.insStamp[n.ID] != s.insEpoch {
 			s.insStamp[n.ID] = s.insEpoch
-			computeInsertsNode(&s.res, n)
+			computeInserts(&s.res, n)
 		}
 	}
 	for _, id := range touched {

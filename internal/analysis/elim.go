@@ -61,137 +61,12 @@ func (r *ElimResult) NeedsScan(id cfg.NodeID) bool {
 	return r.scanStamp == nil || r.scanStamp[id] == r.scanEpoch
 }
 
-// stmtVars is a statement's footprint in the variable universe: the
-// index of its defined variable (-1 if none; only assignments define
-// one) and the half-open range [us:ue) of the owning blockVars' uses
-// slice holding its used-variable indices (possibly with repeats).
-type stmtVars struct {
-	def    int32
-	us, ue int32
-}
-
-// varMemo resolves statement footprints per block. There is no
-// per-statement memo map: hashing an ir.Stmt interface key goes
-// through reflection-driven typehash and costs as much as re-walking
-// the statement, so the per-node cache (validated by the statement
-// slice header, like blockResolve) is the only memo layer.
-type varMemo struct {
-	vars   *ir.VarTable
-	blocks []blockVars
-
-	// rbInfo/rbUses are rebuildBlock's build buffers, swapped with
-	// the target block's slices on commit.
-	rbInfo []stmtVars
-	rbUses []int32
-}
-
-// blockVars caches the resolved footprints of one node's statements.
-// uses pools the used-variable indices of the block's statements
-// (info entries hold offsets into it).
-type blockVars struct {
-	head *ir.Stmt
-	n    int
-	info []stmtVars
-	uses []int32
-}
-
-func newVarMemo(vars *ir.VarTable) *varMemo {
-	return &varMemo{vars: vars}
-}
-
-// blockInfo returns the resolved footprint cache of node, rebuilding
-// it if the block was rewritten.
-func (mm *varMemo) blockInfo(node *cfg.Node) *blockVars {
-	id := int(node.ID)
-	if id >= len(mm.blocks) {
-		grown := make([]blockVars, id+1+len(mm.blocks)/2)
-		copy(grown, mm.blocks)
-		mm.blocks = grown
-	}
-	c := &mm.blocks[id]
-	stmts := node.Stmts
-	if c.n == len(stmts) && (c.n == 0 || c.head == &stmts[0]) {
-		return c
-	}
-	c.info = c.info[:0]
-	c.uses = c.uses[:0]
-	// One closure cell per rebuild, not one per statement.
-	addUse := func(u ir.Var) {
-		c.uses = append(c.uses, int32(mm.vars.MustIndex(u)))
-	}
-	for _, s := range stmts {
-		v := stmtVars{def: -1}
-		if d, ok := ir.Def(s); ok {
-			v.def = int32(mm.vars.MustIndex(d))
-		}
-		start := len(c.uses)
-		ir.Uses(s, addUse)
-		v.us, v.ue = int32(start), int32(len(c.uses))
-		c.info = append(c.info, v)
-	}
-	c.n = len(stmts)
-	if c.n > 0 {
-		c.head = &stmts[0]
-	} else {
-		c.head = nil
-	}
-	return c
-}
-
-// rebuildBlock synchronizes node's cached footprints after a rewrite,
-// so the next transfer or gen/kill recomputation re-walks no expression
-// trees. old is the pre-rewrite statement slice; ops describes
-// node.Stmts entry by entry — op >= 0 kept former statement old[op],
-// op < 0 inserted a statement that is resolved directly (insertions
-// are single assignments, so the walk is shallow). A cache that does
-// not match old falls back to lazy re-resolution.
-func (mm *varMemo) rebuildBlock(node *cfg.Node, old []ir.Stmt, ops []int32) {
-	id := int(node.ID)
-	if id >= len(mm.blocks) {
-		mm.blockInfo(node)
-		return
-	}
-	c := &mm.blocks[id]
-	if c.n != len(old) || (c.n > 0 && c.head != &old[0]) {
-		return
-	}
-	info := mm.rbInfo[:0]
-	uses := mm.rbUses[:0]
-	for si, op := range ops {
-		var v stmtVars
-		start := len(uses)
-		if op >= 0 {
-			v = c.info[op]
-			uses = append(uses, c.uses[v.us:v.ue]...)
-		} else {
-			s := node.Stmts[si]
-			v.def = -1
-			if d, ok := ir.Def(s); ok {
-				v.def = int32(mm.vars.MustIndex(d))
-			}
-			ir.Uses(s, func(u ir.Var) {
-				uses = append(uses, int32(mm.vars.MustIndex(u)))
-			})
-		}
-		v.us, v.ue = int32(start), int32(len(uses))
-		info = append(info, v)
-	}
-	c.info, mm.rbInfo = info, c.info[:0]
-	c.uses, mm.rbUses = uses, c.uses[:0]
-	c.n = len(node.Stmts)
-	if c.n > 0 {
-		c.head = &node.Stmts[0]
-	} else {
-		c.head = nil
-	}
-}
-
 // elimProblem is the block-level system of either elimination
 // analysis. Its transfer walks the block's cached footprints backward,
 // one step per statement.
 type elimProblem struct {
 	bits  int
-	memo  *varMemo
+	fp    *Footprints
 	faint bool
 }
 
@@ -203,20 +78,20 @@ func (p *elimProblem) Top() *bitvec.Vector           { return bitvec.NewAllOnes(
 
 func (p *elimProblem) Transfer(n *cfg.Node, out, in *bitvec.Vector) {
 	in.CopyFrom(out)
-	c := p.memo.blockInfo(n)
+	c := p.fp.block(n)
 	for si := len(c.info) - 1; si >= 0; si-- {
 		p.step(c, si, in)
 	}
 }
 
 // step updates v from the X value to the N value of statement si of
-// footprint cache c, in place. The definition makes its target dead
+// block footprint c, in place. The definition makes its target dead
 // or faint (+ MOD), then the uses clear theirs (¬USED; within one
 // statement the use wins, as in x := x+1). Faint reads X-FAINT(lhs)
 // before MOD: the operands of an assignment whose target was faint are
 // not cleared. Out and branch define nothing, so all their uses clear
 // (¬RELV-USED).
-func (p *elimProblem) step(c *blockVars, si int, v *bitvec.Vector) {
+func (p *elimProblem) step(c *blockFootprint, si int, v *bitvec.Vector) {
 	info := &c.info[si]
 	if d := int(info.def); d >= 0 {
 		faintTarget := p.faint && v.Get(d)
@@ -271,7 +146,7 @@ func (p *deadProblem) updateBlock(n *cfg.Node) {
 	gen, kill := p.gen[n.ID], p.kill[n.ID]
 	gen.ClearAll()
 	kill.ClearAll()
-	c := p.memo.blockInfo(n)
+	c := p.fp.block(n)
 	for i := range c.info {
 		info := &c.info[i]
 		for _, u := range c.uses[info.us:info.ue] {
@@ -296,16 +171,17 @@ func (p *deadProblem) GenKill(n *cfg.Node) (gen, kill *bitvec.Vector) {
 // DeadVars solves the dead-variable analysis on g over its full
 // variable universe.
 func DeadVars(g *cfg.Graph) *ElimResult {
-	return NewElimSolver(g, g.CollectVars(), false).Solve(nil)
+	return NewElimSolver(g, NewFootprints(g.CollectVars(), nil), false).Solve(nil)
 }
 
 // ElimSolver solves an elimination analysis — dead variables, or
 // faint ones when created with faint set — repeatedly on one graph
 // whose block contents mutate between solves: the fixpoint driver's
-// round structure. The variable universe is fixed at creation; it must
-// cover every variable of every version of the program the solver sees
-// (a superset is fine: a variable that no longer occurs is simply dead
-// and faint everywhere and influences no other bit).
+// round structure. The variable universe is the statement index's,
+// fixed at creation; it must cover every variable of every version of
+// the program the solver sees (a superset is fine: a variable that no
+// longer occurs is simply dead and faint everywhere and influences no
+// other bit).
 type ElimSolver struct {
 	g      *cfg.Graph
 	dead   *deadProblem // nil for the faint analysis
@@ -317,11 +193,13 @@ type ElimSolver struct {
 	scanEpoch uint32
 }
 
-// NewElimSolver creates a solver for g over the given universe. The
-// dead-variable analysis runs on the engine's gen/kill path; the
-// faint one on its general transfer.
-func NewElimSolver(g *cfg.Graph, vars *ir.VarTable, faint bool) *ElimSolver {
-	prob := &elimProblem{bits: vars.Len(), memo: newVarMemo(vars), faint: faint}
+// NewElimSolver creates a solver for g over the variable universe of
+// fp, resolving statements through fp. The dead-variable analysis runs
+// on the engine's gen/kill path; the faint one on its general
+// transfer.
+func NewElimSolver(g *cfg.Graph, fp *Footprints, faint bool) *ElimSolver {
+	vars := fp.Vars
+	prob := &elimProblem{bits: vars.Len(), fp: fp, faint: faint}
 	s := &ElimSolver{g: g}
 	if faint {
 		s.solver = dataflow.NewSolver(g, prob)
@@ -375,14 +253,6 @@ func (s *ElimSolver) Solve(dirty []cfg.NodeID) *ElimResult {
 	return &s.res
 }
 
-// SyncRewrite synchronizes the solver's per-block statement cache
-// after the caller rewrote block n (see varMemo.rebuildBlock for the
-// ops encoding). Purely an optimization: an unsynced rewrite is caught
-// by the cache's statement-slice header check and re-resolved lazily.
-func (s *ElimSolver) SyncRewrite(n *cfg.Node, old []ir.Stmt, ops []int32) {
-	s.res.prob.memo.rebuildBlock(n, old, ops)
-}
-
 // setScan installs the elimination walk's restriction for this round:
 // the solver's touched set, which covers both the solution values that
 // may have moved and the dirty blocks (statements that changed since
@@ -413,7 +283,7 @@ func (s *ElimSolver) setScan(touched []cfg.NodeID) {
 // InstrX returns X-DEAD (X-FAINT) immediately after every statement of
 // block n (index i corresponds to n.Stmts[i]).
 func (r *ElimResult) InstrX(n *cfg.Node) []*bitvec.Vector {
-	c := r.prob.memo.blockInfo(n)
+	c := r.prob.fp.block(n)
 	out := make([]*bitvec.Vector, len(c.info))
 	cur := r.X[n.ID].Copy()
 	for si := len(c.info) - 1; si >= 0; si-- {
@@ -444,7 +314,7 @@ func (r *ElimResult) AssignIndices(n *cfg.Node, dst []int) []int {
 	}
 	cur := r.scratch
 	cur.CopyFrom(r.X[n.ID])
-	c := r.prob.memo.blockInfo(n)
+	c := r.prob.fp.block(n)
 	for si := len(c.info) - 1; si >= 0; si-- {
 		// cur is X immediately after statement si.
 		if d := c.info[si].def; d >= 0 && cur.Get(int(d)) {

@@ -44,7 +44,7 @@ func Pressure(g *cfg.Graph) PressureStats {
 		// Walk the block's footprints backwards reconstructing
 		// per-instruction entry deadness, then count complements.
 		cur := dead.X[n.ID].Copy()
-		c := dead.prob.memo.blockInfo(n)
+		c := dead.prob.fp.block(n)
 		counts := make([]int, len(n.Stmts)+1)
 		counts[len(n.Stmts)] = nv - cur.Count()
 		for si := len(n.Stmts) - 1; si >= 0; si-- {

@@ -85,9 +85,10 @@ func Partial(err error) bool {
 	return errors.As(err, &ie) || errors.As(err, &re)
 }
 
-// ErrorClass names err's containment category for telemetry and
-// request tracing: "panic", "interrupt", "round-check", a bare
-// "error" for anything else, "" for nil.
+// ErrorClass names err's containment category for request tracing in
+// the words the wire's error_kind uses for the same failures: "panic",
+// "deadline" (a watchdog interrupt), "miscompile" (a round-check
+// rollback), a bare "error" for anything else, "" for nil.
 func ErrorClass(err error) string {
 	if err == nil {
 		return ""
@@ -99,9 +100,9 @@ func ErrorClass(err error) string {
 	case errors.As(err, &pe):
 		return "panic"
 	case errors.As(err, &ie):
-		return "interrupt"
+		return "deadline"
 	case errors.As(err, &re):
-		return "round-check"
+		return "miscompile"
 	}
 	return "error"
 }

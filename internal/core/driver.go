@@ -446,19 +446,18 @@ func (d *dirtySet) take() []cfg.NodeID {
 // solution and the accumulated dirty set instead of restarting from
 // Top.
 func runIncremental(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*cfg.Graph, error) {
-	vars := out.CollectVars()
-	pt := out.CollectPatterns()
+	fp := analysis.NewFootprints(out.CollectVars(), out.CollectPatterns())
 	col := opt.Collector
 	tr := col.Tracer()
 
 	wd := newWatchdog(opt)
 	cancel := wd.checkFunc()
 
-	delay := analysis.NewDelaySolver(out, pt)
+	delay := analysis.NewDelaySolver(out, fp)
 	delay.SetCancel(cancel)
 	delay.SetMetrics(col.DelayMetrics())
 	delay.SetRegion(hot)
-	elim := analysis.NewElimSolver(out, vars, opt.Mode == ModeFaint)
+	elim := analysis.NewElimSolver(out, fp, opt.Mode == ModeFaint)
 	elim.SetCancel(cancel)
 	if opt.Mode == ModeFaint {
 		elim.SetMetrics(col.FaintMetrics())
@@ -484,12 +483,11 @@ func runIncremental(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*
 	pendElim := newDirtySet(out.NumNodes())
 	pendSink := newDirtySet(out.NumNodes())
 	onChange := func(n *cfg.Node, old []ir.Stmt, ops []int32) {
-		// Splice the solvers' per-block statement caches along the
-		// rewrite instead of letting them re-resolve the block against
-		// the pattern table (sync is optional — a missed or stale sync
-		// is caught by the caches' slice-header validation).
-		delay.Index.SyncRewrite(n, old, ops)
-		elim.SyncRewrite(n, old, ops)
+		// Splice the solvers' shared statement index along the rewrite
+		// instead of letting it re-resolve the block against the
+		// universes (sync is optional — a missed or stale sync is
+		// caught by the index's slice-header validation).
+		fp.SyncRewrite(n, old, ops)
 		pendElim.add(n.ID)
 		pendSink.add(n.ID)
 	}
@@ -506,7 +504,7 @@ func runIncremental(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*
 		if dres.Stats.Cancelled {
 			return SinkStats{}, false
 		}
-		return applySink(out, delay.Index, delay.Locals(), dres, onChange, tr), true
+		return applySink(out, fp, dres, onChange, tr), true
 	}
 	return iterate(out, opt, st, wd, eliminate, sink)
 }

@@ -43,7 +43,7 @@ func EliminateFaint(g *cfg.Graph) ElimStats {
 }
 
 func eliminateOnce(g *cfg.Graph, faint bool) ElimStats {
-	res := analysis.NewElimSolver(g, g.CollectVars(), faint).Solve(nil)
+	res := analysis.NewElimSolver(g, analysis.NewFootprints(g.CollectVars(), nil), faint).Solve(nil)
 	return eliminateSolved(g, res, res.Stats.NodeVisits, nil, nil, nil)
 }
 

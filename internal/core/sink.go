@@ -62,19 +62,11 @@ func Sink(g *cfg.Graph) SinkStats {
 // receives the provenance events of the rewrite, m the delayability
 // solve's cost counters. All three may be nil.
 func sinkObserved(g *cfg.Graph, hot HotPredicate, tr *obs.Trace, m *obs.SolverMetrics) SinkStats {
-	pt := g.CollectPatterns()
-	ix := analysis.NewPatternIndex(pt)
-	locals := ix.Locals(g)
-	if hot != nil {
-		for _, n := range g.Nodes() {
-			if !hot(n) {
-				locals.Freeze(n.ID)
-			}
-		}
-	}
-	delay := analysis.DelayabilityWithLocals(g, locals)
-	m.RecordSolve(obs.SolveFull, delay.Stats.Cost(g.NumNodes()))
-	return applySink(g, ix, locals, delay, nil, tr)
+	fp := analysis.NewFootprints(g.CollectVars(), g.CollectPatterns())
+	delay := analysis.NewDelaySolver(g, fp)
+	delay.SetRegion(hot)
+	delay.SetMetrics(m)
+	return applySink(g, fp, delay.Solve(nil), nil, tr)
 }
 
 // blockEdit is the rewrite notification shared by the transformation
@@ -108,11 +100,12 @@ type sinkScratch struct {
 // current program (the reference driver), and is equally computable
 // from a superset table carried across the whole run (the incremental
 // driver) — so both drivers emit identical text.
-func applySink(g *cfg.Graph, ix *analysis.PatternIndex, locals *analysis.Locals, delay *analysis.DelayResult, changed blockEdit, tr *obs.Trace) SinkStats {
-	pt := ix.Patterns
+func applySink(g *cfg.Graph, fp *analysis.Footprints, delay *analysis.DelayResult, changed blockEdit, tr *obs.Trace) SinkStats {
+	pt := fp.Patterns
+	locals := delay.Locals
 	var st SinkStats
 	st.SolverVisits = delay.Stats.NodeVisits
-	rank := occurrenceRanks(g, ix)
+	rank := occurrenceRanks(g, fp)
 	var sc sinkScratch
 	for _, n := range g.Nodes() {
 		nIns := delay.NInsert[n.ID]
@@ -226,16 +219,16 @@ func applySink(g *cfg.Graph, ix *analysis.PatternIndex, locals *analysis.Locals,
 // occurrence in g (node order, then statement order); patterns with no
 // occurrence get a rank past every real one. Insertions are sourced
 // from sinking candidates, so every inserted pattern has a real rank.
-// Lookups go through the index's statement memo — this runs once per
-// sinking round over every statement of the program.
-func occurrenceRanks(g *cfg.Graph, ix *analysis.PatternIndex) []int {
-	rank := make([]int, ix.Patterns.Len())
+// Lookups go through the statement index — this runs once per sinking
+// round over every statement of the program.
+func occurrenceRanks(g *cfg.Graph, fp *analysis.Footprints) []int {
+	rank := make([]int, fp.Patterns.Len())
 	for i := range rank {
 		rank[i] = int(^uint(0) >> 1)
 	}
 	r := 0
 	for _, n := range g.Nodes() {
-		ix.ForEachPatternStmt(n, func(si, pi int) {
+		fp.ForEachPattern(n, func(pi int) {
 			if rank[pi] > r {
 				rank[pi] = r
 				r++

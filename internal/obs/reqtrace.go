@@ -385,6 +385,15 @@ func (ts *TraceStore) finish(rec SpanRecord, root bool) {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	ts.retainLocked(rec, root)
+}
+
+// retainLocked is the one retention step for an ended span, local or
+// ingested: it feeds the stage window, appends to a kept trace,
+// discards into a sampled-out one, and otherwise buffers the span,
+// running the retention decision when it is a root. Caller holds
+// ts.mu.
+func (ts *TraceStore) retainLocked(rec SpanRecord, root bool) {
 	ts.recordStage(rec.Name, rec.DurationNS)
 	if e, ok := ts.kept[rec.TraceID]; ok {
 		appendSpan(e, rec)
@@ -527,26 +536,8 @@ func (ts *TraceStore) Ingest(recs []SpanRecord) int {
 		}
 		n++
 		ts.ingested++
-		ts.recordStage(rec.Name, rec.DurationNS)
-		if e, ok := ts.kept[rec.TraceID]; ok {
-			appendSpan(e, rec)
-			continue
-		}
-		if ts.dropped[rec.TraceID] {
-			// Same resurrection rule as locally-ended roots: an errored
-			// root arriving for a sampled-out trace revives it.
-			if rec.ParentID == "" && rec.Error != "" {
-				delete(ts.dropped, rec.TraceID)
-				ts.decide(rec, []SpanRecord{rec})
-			}
-			continue
-		}
-		buf := ts.bufferPending(rec)
-		if rec.ParentID == "" {
-			// A rootless batch stays pending until some root arrives.
-			delete(ts.pending, rec.TraceID)
-			ts.decide(rec, buf)
-		}
+		// A rootless batch stays pending until some root arrives.
+		ts.retainLocked(rec, rec.ParentID == "")
 	}
 	return n
 }

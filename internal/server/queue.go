@@ -39,11 +39,10 @@ type Queue struct {
 	wal   *WAL
 	stats *obs.QueueStats
 
-	retries    int
-	workers    int
-	backoff    time.Duration
-	maxBackoff time.Duration
-	deadline   time.Duration
+	retries  int
+	workers  int
+	backoff  time.Duration
+	deadline time.Duration
 
 	submitMu sync.Mutex // serializes Submit's check-log-admit sequence
 
@@ -109,19 +108,18 @@ func newQueue(srv *Server, cfg Config) (*Queue, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &Queue{
-		srv:        srv,
-		wal:        wal,
-		stats:      &obs.QueueStats{},
-		retries:    cfg.QueueRetries,
-		workers:    cfg.QueueWorkers,
-		backoff:    cfg.QueueBackoff,
-		maxBackoff: cfg.QueueMaxBackoff,
-		deadline:   cfg.DefaultDeadline,
-		jobs:       make(map[string]*qjob),
-		notify:     make(chan struct{}, 64),
-		drainc:     make(chan struct{}),
-		ctx:        ctx,
-		cancel:     cancel,
+		srv:      srv,
+		wal:      wal,
+		stats:    &obs.QueueStats{},
+		retries:  cfg.QueueRetries,
+		workers:  cfg.QueueWorkers,
+		backoff:  cfg.QueueBackoff,
+		deadline: cfg.DefaultDeadline,
+		jobs:     make(map[string]*qjob),
+		notify:   make(chan struct{}, 64),
+		drainc:   make(chan struct{}),
+		ctx:      ctx,
+		cancel:   cancel,
 	}
 	q.fold(recs)
 	if rst.TornBytes > 0 {
@@ -552,11 +550,11 @@ func (q *Queue) run(j *qjob) {
 // retryDelay is the capped exponential backoff before attempt+1.
 func (q *Queue) retryDelay(attempts int) time.Duration {
 	d := q.backoff
-	for i := 1; i < attempts && d < q.maxBackoff; i++ {
+	for i := 1; i < attempts && d < queueMaxBackoff; i++ {
 		d *= 2
 	}
-	if d > q.maxBackoff {
-		d = q.maxBackoff
+	if d > queueMaxBackoff {
+		d = queueMaxBackoff
 	}
 	return d
 }

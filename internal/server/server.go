@@ -41,6 +41,13 @@ import (
 	"pdce/internal/store"
 )
 
+// Serving policy every replica shares; no flag or Config field sets it.
+const (
+	maxBodyBytes      = 8 << 20         // cap on every request body
+	retryAfterSeconds = 1               // Retry-After on 429 and 503
+	queueMaxBackoff   = 2 * time.Second // cap on the queue's retry delay
+)
+
 // Config sizes one Server. The zero value is usable: every field has
 // a sensible default applied by New.
 type Config struct {
@@ -73,13 +80,6 @@ type Config struct {
 	// per job, so batches share the server-wide budget.
 	BatchWorkers int
 
-	// MaxBodyBytes caps request bodies (default 8 MiB).
-	MaxBodyBytes int64
-
-	// RetryAfter is the Retry-After hint on 429/503 responses in
-	// seconds (default 1).
-	RetryAfter int
-
 	// QueueDir enables the durable async job queue (POST
 	// /optimize/submit): accepted jobs are logged to a write-ahead log
 	// under this directory, fsync'd before the 202, and replayed on
@@ -88,12 +88,12 @@ type Config struct {
 	QueueDir string
 	// QueueRetries bounds the attempts per job before it is poisoned
 	// (parked in the failed state; default 3). QueueWorkers sizes the
-	// queue's worker pool (default 2). QueueBackoff/QueueMaxBackoff
-	// shape the capped exponential retry delay (defaults 50ms / 2s).
-	QueueRetries    int
-	QueueWorkers    int
-	QueueBackoff    time.Duration
-	QueueMaxBackoff time.Duration
+	// queue's worker pool (default 2). QueueBackoff is the first retry
+	// delay of the exponential backoff capped at queueMaxBackoff
+	// (default 50ms).
+	QueueRetries int
+	QueueWorkers int
+	QueueBackoff time.Duration
 
 	// Store, when non-nil, is the shared L2 result store behind the
 	// in-memory cache (see store.go): local misses consult it before
@@ -143,12 +143,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchWorkers <= 0 {
 		c.BatchWorkers = c.MaxInFlight
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 1
-	}
 	if c.QueueRetries <= 0 {
 		c.QueueRetries = 3
 	}
@@ -157,9 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueBackoff <= 0 {
 		c.QueueBackoff = 50 * time.Millisecond
-	}
-	if c.QueueMaxBackoff <= 0 {
-		c.QueueMaxBackoff = 2 * time.Second
 	}
 	if c.TraceCapacity == 0 {
 		c.TraceCapacity = 512
@@ -403,7 +394,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "bad-request", perr, "")
 		return
 	}
-	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "bad-request", "reading body: "+err.Error(), "")
 		return
@@ -578,7 +569,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.stats.RecordLatency(time.Since(start)) }()
 
 	var breq pdce.BatchOptimizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(&breq); err != nil {
 		s.httpError(w, http.StatusBadRequest, "bad-request", "decoding batch request: "+err.Error(), "")
 		return
@@ -735,7 +726,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"explain is not supported on async submissions", "")
 		return
 	}
-	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "bad-request", "reading body: "+err.Error(), "")
 		return
@@ -811,7 +802,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if s.Draining() {
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		w.WriteHeader(http.StatusServiceUnavailable)
 		json.NewEncoder(w).Encode(pdce.HealthResponse{Status: "draining"})
 		return
@@ -891,7 +882,7 @@ func (s *Server) serve(w http.ResponseWriter, body []byte, state pdce.CacheState
 func (s *Server) httpError(w http.ResponseWriter, status int, kind, msg, bundle string) {
 	w.Header().Set("Content-Type", "application/json")
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 	}
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(pdce.ServerError{Kind: kind, Message: msg, ReproBundle: bundle})

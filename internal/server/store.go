@@ -260,7 +260,7 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "version mismatch", http.StatusNotFound)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return

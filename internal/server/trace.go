@@ -178,7 +178,7 @@ func (s *Server) handleTraceIngest(w http.ResponseWriter, r *http.Request) {
 			"request tracing is disabled (trace store capacity 0)", "")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "bad-request", "reading body: "+err.Error(), "")
 		return

@@ -310,6 +310,52 @@ func TestTraceErrorAlwaysKept(t *testing.T) {
 	}
 }
 
+// TestBatchJobSpanDeadline: a batch job stopped by its deadline
+// records the same error word on its batch.job span as the entry's
+// wire error_kind, so one vocabulary serves /optimize's solve span,
+// the batch path and the response body.
+func TestBatchJobSpanDeadline(t *testing.T) {
+	_, ts, _ := startServer(t, server.Config{})
+	restore := faultinject.Set(func(p faultinject.Point, _ any) {
+		if p == faultinject.SolverVisit {
+			time.Sleep(3 * time.Millisecond)
+		}
+	})
+	defer restore()
+	body, _ := json.Marshal(pdce.BatchOptimizeRequest{
+		Mode:       "pde",
+		DeadlineMS: 1,
+		Programs:   []pdce.BatchProgram{{Name: "slow", Source: demoSource}},
+	})
+	resp, err := http.Post(ts.URL+"/optimize/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out pdce.BatchOptimizeResponse
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 1 || out.Results[0].ErrorKind != "deadline" {
+		t.Fatalf("batch entry: %+v, want error_kind deadline", out.Results)
+	}
+	traceID := resp.Header.Get("Pdce-Trace-Id")
+	waitForSpan(t, ts.URL, traceID, "batch.job")
+	found := false
+	for _, sp := range getTrace(t, ts.URL, traceID).Spans {
+		if sp.Name == "batch.job" {
+			found = true
+			if sp.Error != out.Results[0].ErrorKind {
+				t.Errorf("batch.job span error = %q, entry error_kind = %q", sp.Error, out.Results[0].ErrorKind)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("trace has no batch.job span")
+	}
+}
+
 // TestTraceDisabled: negative capacity turns the subsystem off — no
 // trace header, 503 from the debug surface, request ids still flowing.
 func TestTraceDisabled(t *testing.T) {
