@@ -45,15 +45,19 @@ bench-check:
 
 # Fuzz smoke over the containment contract: SafeOptimize must never
 # panic and must always return a structurally valid program, whatever
-# the input and option combination. Then four decoders of untrusted
-# bytes: the traceparent header parser, WAL recovery, the flow-graph
-# parser (whose accepted graphs must round-trip through Format and
-# survive pde and pfe), and DirStore's blob files (served only when
-# they verify, otherwise removed).
+# the input and option combination. Then five decoders of untrusted
+# bytes: the traceparent header parser, WAL recovery, the serving
+# endpoints' request decoding (POST /optimize answers only 200 or a
+# structured 400, a 200 carries a parseable program and repeats as a
+# byte-identical cache hit; POST /optimize/batch answers 400 or one
+# entry per program), the flow-graph parser (whose accepted graphs must
+# round-trip through Format and survive pde and pfe), and DirStore's
+# blob files (served only when they verify, otherwise removed).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSafeOptimize -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzTraceparent -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzWALRecover -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzOptimizeRequest -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzParseCFG -fuzztime 10s ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzDirStoreBlob -fuzztime 10s ./internal/store
 

@@ -150,6 +150,9 @@ func (c *Client) Submit(ctx context.Context, name, source string, o RequestOptio
 	if o.MaxRounds > 0 {
 		q.Set("max_rounds", strconv.Itoa(o.MaxRounds))
 	}
+	if o.Deadline > 0 {
+		q.Set("deadline_ms", strconv.FormatInt(o.Deadline.Milliseconds(), 10))
+	}
 	if o.Telemetry {
 		q.Set("telemetry", "1")
 	}

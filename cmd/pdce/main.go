@@ -265,10 +265,6 @@ func printTelemetrySummary(t *pdce.Telemetry) {
 	solverLine("delay", t.Delay)
 	solverLine("dead", t.Dead)
 	solverLine("faint", t.Faint)
-	if t.Arena.Slabs > 0 {
-		fmt.Fprintf(os.Stderr, "arena: %d slabs, %d of %d words used\n",
-			t.Arena.Slabs, t.Arena.UsedWords, t.Arena.CapWords)
-	}
 	if n := len(t.Events); n > 0 {
 		fmt.Fprintf(os.Stderr, "trace: %d provenance events\n", n)
 	}

@@ -259,6 +259,28 @@ func TestDeadImpliesFaint(t *testing.T) {
 	}
 }
 
+// TestElimSolverStorageAllocs pins the solvers' storage rule: each
+// per-node vector family is one bitvec.Rows slab, so building an
+// ElimSolver costs a number of allocations that does not grow with the
+// graph. The footprints are resolved by AllocsPerRun's warm-up run, so
+// only the solver's own storage is counted.
+func TestElimSolverStorageAllocs(t *testing.T) {
+	allocs := func(stmts int) (float64, int) {
+		g := progen.Generate(progen.Params{Seed: 42, Stmts: stmts})
+		cfg.SplitCriticalEdges(g)
+		fp := NewFootprints(g.CollectVars(), nil)
+		return testing.AllocsPerRun(5, func() { NewElimSolver(g, fp, false) }), g.NumNodes()
+	}
+	small, smallNodes := allocs(256)
+	large, largeNodes := allocs(4096)
+	// One allocation per vector would add four per block: thousands.
+	const slack = 32
+	t.Logf("NewElimSolver: %.0f allocations on %d blocks, %.0f on %d", large, largeNodes, small, smallNodes)
+	if large > small+slack {
+		t.Errorf("want at most %d more allocations on the larger graph", slack)
+	}
+}
+
 // --- Figure 13: local predicates ---------------------------------------
 
 func TestFigure13Candidates(t *testing.T) {

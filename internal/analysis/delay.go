@@ -122,7 +122,6 @@ type DelaySolver struct {
 	locals *Locals
 	solver *dataflow.Solver
 	res    DelayResult
-	arena  bitvec.Arena // backs the insertion-predicate vectors
 
 	scratch *bitvec.Vector // locals sweep scratch
 
@@ -154,12 +153,8 @@ func NewDelaySolver(g *cfg.Graph, fp *Footprints) *DelaySolver {
 		Locals:   s.locals,
 		NDelayed: sol.In,
 		XDelayed: sol.Out,
-		NInsert:  make([]*bitvec.Vector, g.NumNodes()),
-		XInsert:  make([]*bitvec.Vector, g.NumNodes()),
-	}
-	for _, n := range g.Nodes() {
-		s.res.NInsert[n.ID] = s.arena.New(bits)
-		s.res.XInsert[n.ID] = s.arena.New(bits)
+		NInsert:  bitvec.Rows(g.NumNodes(), bits),
+		XInsert:  bitvec.Rows(g.NumNodes(), bits),
 	}
 	return s
 }
@@ -194,17 +189,6 @@ func (s *DelaySolver) SetCancel(cancel func() bool) { s.solver.SetCancel(cancel)
 // solver performs, including the cached-solution fast path. A nil sink
 // (the default) collects nothing.
 func (s *DelaySolver) SetMetrics(m *obs.SolverMetrics) { s.solver.SetMetrics(m) }
-
-// ArenaStats reports the combined slab state of the solver's vector
-// arenas (the fixpoint solution storage plus the insertion predicates).
-func (s *DelaySolver) ArenaStats() bitvec.ArenaStats {
-	st := s.solver.ArenaStats()
-	own := s.arena.Stats()
-	st.Slabs += own.Slabs
-	st.CapWords += own.CapWords
-	st.UsedWords += own.UsedWords
-	return st
-}
 
 // Solve re-solves after the given blocks changed: their local
 // predicates are recomputed (and frozen again outside the region), the

@@ -122,18 +122,15 @@ type deadProblem struct {
 	// reproduces the statement walk exactly, one word-parallel pass
 	// per block, and hands the solver its gen/kill fast paths.
 	gen, kill []*bitvec.Vector
-	arena     bitvec.Arena
 }
 
 func newDeadProblem(g *cfg.Graph, base *elimProblem) *deadProblem {
 	p := &deadProblem{
 		elimProblem: base,
-		gen:         make([]*bitvec.Vector, g.NumNodes()),
-		kill:        make([]*bitvec.Vector, g.NumNodes()),
+		gen:         bitvec.Rows(g.NumNodes(), base.bits),
+		kill:        bitvec.Rows(g.NumNodes(), base.bits),
 	}
 	for _, n := range g.Nodes() {
-		p.gen[n.ID] = p.arena.New(p.bits)
-		p.kill[n.ID] = p.arena.New(p.bits)
 		p.updateBlock(n)
 	}
 	return p
@@ -221,19 +218,6 @@ func (s *ElimSolver) SetCancel(cancel func() bool) { s.solver.SetCancel(cancel) 
 // SetMetrics installs a telemetry sink recording every solve this
 // solver performs. A nil sink (the default) collects nothing.
 func (s *ElimSolver) SetMetrics(m *obs.SolverMetrics) { s.solver.SetMetrics(m) }
-
-// ArenaStats reports the slab state of the solver's vector arenas (the
-// fixpoint storage plus, for the dead analysis, the gen/kill masks).
-func (s *ElimSolver) ArenaStats() bitvec.ArenaStats {
-	st := s.solver.ArenaStats()
-	if s.dead != nil {
-		own := s.dead.arena.Stats()
-		st.Slabs += own.Slabs
-		st.CapWords += own.CapWords
-		st.UsedWords += own.UsedWords
-	}
-	return st
-}
 
 // Solve re-solves after the given blocks changed, reusing the previous
 // round's solution outside the affected region (the dirty blocks and

@@ -101,14 +101,9 @@ func (ix *PatternIndex) Locals(g *cfg.Graph) *Locals {
 	np := ix.fp.Patterns.Len()
 	l := &Locals{
 		Patterns:   ix.fp.Patterns,
-		LocDelayed: make([]*bitvec.Vector, numNodes),
-		LocBlocked: make([]*bitvec.Vector, numNodes),
+		LocDelayed: bitvec.Rows(numNodes, np),
+		LocBlocked: bitvec.Rows(numNodes, np),
 		Cands:      make([][]CandEntry, numNodes),
-	}
-	var arena bitvec.Arena
-	for _, n := range g.Nodes() {
-		l.LocDelayed[n.ID] = arena.New(np)
-		l.LocBlocked[n.ID] = arena.New(np)
 	}
 	scratch := bitvec.New(np)
 	for _, n := range g.Nodes() {

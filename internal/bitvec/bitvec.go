@@ -42,6 +42,27 @@ func NewAllOnes(n int) *Vector {
 	return v
 }
 
+// Rows returns count zeroed n-bit vectors backed by one word slab and
+// one header slab: three allocations whatever count is. The solvers
+// store each per-node vector family this way — one row per node,
+// allocated once per run and never resized. Rows do not alias: each
+// row's words are capped at its own stride.
+func Rows(count, n int) []*Vector {
+	if n < 0 {
+		panic(fmt.Sprintf("bitvec: negative length %d", n))
+	}
+	stride := (n + wordBits - 1) / wordBits
+	words := make([]uint64, count*stride)
+	hdrs := make([]Vector, count)
+	rows := make([]*Vector, count)
+	for i := range rows {
+		lo, hi := i*stride, (i+1)*stride
+		hdrs[i] = Vector{n: n, words: words[lo:hi:hi]}
+		rows[i] = &hdrs[i]
+	}
+	return rows
+}
+
 // Len returns the number of bits in v.
 func (v *Vector) Len() int { return v.n }
 
@@ -73,15 +94,6 @@ func (v *Vector) Set(i int) {
 func (v *Vector) Clear(i int) {
 	v.check(i)
 	v.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
-// Assign sets bit i to b.
-func (v *Vector) Assign(i int, b bool) {
-	if b {
-		v.Set(i)
-	} else {
-		v.Clear(i)
-	}
 }
 
 // SetAll sets every bit to one.
@@ -193,15 +205,6 @@ func (v *Vector) AndInto(a, b *Vector) {
 	}
 }
 
-// OrInto sets v = a OR b in a single pass. v may alias a or b.
-func (v *Vector) OrInto(a, b *Vector) {
-	v.checkSame(a)
-	v.checkSame(b)
-	for i, x := range a.words {
-		v.words[i] = x | b.words[i]
-	}
-}
-
 // AndNotInto sets v = a AND NOT b in a single pass. v may alias a or b.
 // It exists for the single-successor X-INSERT case
 // X-DELAYED · ¬N-DELAYED_succ, which would otherwise cost a clear, an
@@ -276,13 +279,6 @@ func (v *Vector) ForEach(f func(i int)) {
 			x &= x - 1
 		}
 	}
-}
-
-// Indices returns the indices of all set bits in increasing order.
-func (v *Vector) Indices() []int {
-	out := make([]int, 0, v.Count())
-	v.ForEach(func(i int) { out = append(out, i) })
-	return out
 }
 
 // String renders the vector as a 0/1 string, bit 0 first — convenient

@@ -21,6 +21,37 @@ func TestNewIsZero(t *testing.T) {
 	}
 }
 
+func TestRowsAreZeroAndIndependent(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+		rows := Rows(5, n)
+		if len(rows) != 5 {
+			t.Fatalf("Rows(5, %d) returned %d rows", n, len(rows))
+		}
+		for _, v := range rows {
+			if v.Len() != n || !v.IsZero() {
+				t.Fatalf("Rows(5, %d): row of length %d, zero %v", n, v.Len(), v.IsZero())
+			}
+		}
+		// Writing one row, all-ones included, must not disturb its
+		// slab neighbours.
+		for i, v := range rows {
+			v.SetAll()
+			for j, w := range rows {
+				want := 0
+				if j <= i {
+					want = n
+				}
+				if w.Count() != want {
+					t.Fatalf("n=%d: row %d has %d bits after filling rows 0..%d, want %d", n, j, w.Count(), i, want)
+				}
+			}
+		}
+	}
+	if rows := Rows(0, 64); len(rows) != 0 {
+		t.Fatalf("Rows(0, 64) returned %d rows", len(rows))
+	}
+}
+
 func TestNewNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -44,18 +75,6 @@ func TestSetGetClear(t *testing.T) {
 		if v.Get(i) {
 			t.Errorf("bit %d still set after Clear", i)
 		}
-	}
-}
-
-func TestAssign(t *testing.T) {
-	v := New(10)
-	v.Assign(3, true)
-	if !v.Get(3) {
-		t.Error("Assign(3,true) did not set")
-	}
-	v.Assign(3, false)
-	if v.Get(3) {
-		t.Error("Assign(3,false) did not clear")
 	}
 }
 
@@ -180,6 +199,8 @@ func TestChangedReporting(t *testing.T) {
 	}
 }
 
+// TestForEachAndIndices: ForEach visits exactly the set indices, in
+// strictly increasing order.
 func TestForEachAndIndices(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -191,9 +212,10 @@ func TestForEachAndIndices(t *testing.T) {
 			v.Set(i)
 			want[i] = true
 		}
-		got := v.Indices()
+		var got []int
+		v.ForEach(func(i int) { got = append(got, i) })
 		if len(got) != len(want) {
-			t.Fatalf("Indices len %d, want %d", len(got), len(want))
+			t.Fatalf("ForEach visited %d indices, want %d", len(got), len(want))
 		}
 		prev := -1
 		for _, i := range got {

@@ -67,7 +67,7 @@ func TestAndNotOrIntoAliasing(t *testing.T) {
 	}
 }
 
-// TestBinaryIntoKernels checks AndInto / OrInto / AndNotInto against
+// TestBinaryIntoKernels checks AndInto / AndNotInto against
 // their two-step equivalents, including aliasing with either operand.
 func TestBinaryIntoKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -77,7 +77,6 @@ func TestBinaryIntoKernels(t *testing.T) {
 		ref  func(v, b *Vector)
 	}{
 		{"AndInto", func(v, a, b *Vector) { v.AndInto(a, b) }, func(v, b *Vector) { v.And(b) }},
-		{"OrInto", func(v, a, b *Vector) { v.OrInto(a, b) }, func(v, b *Vector) { v.Or(b) }},
 		{"AndNotInto", func(v, a, b *Vector) { v.AndNotInto(a, b) }, func(v, b *Vector) { v.AndNot(b) }},
 	}
 	for _, k := range kernels {
@@ -120,5 +119,35 @@ func TestAndNotOrIntoTrailingWord(t *testing.T) {
 	}
 	if dst.Count() != n {
 		t.Fatalf("count = %d, want %d (stray trailing-word bits?)", dst.Count(), n)
+	}
+}
+
+func TestOrNot(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(200)
+		v, w := New(n), New(n)
+		for b := 0; b < n; b++ {
+			if rng.Intn(2) == 0 {
+				v.Set(b)
+			}
+			if rng.Intn(2) == 0 {
+				w.Set(b)
+			}
+		}
+		want := New(n)
+		for b := 0; b < n; b++ {
+			if v.Get(b) || !w.Get(b) {
+				want.Set(b)
+			}
+		}
+		v.OrNot(w)
+		if !v.Equal(want) {
+			t.Fatalf("n=%d: OrNot = %s, want %s", n, v, want)
+		}
+		// The complement of bits past Len must not leak in.
+		if v.Count() > n {
+			t.Fatalf("OrNot set bits beyond Len: count %d > %d", v.Count(), n)
+		}
 	}
 }

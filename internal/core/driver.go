@@ -102,12 +102,11 @@ type Options struct {
 	RoundCheck func(g *cfg.Graph, round int) error
 
 	// Collector, when non-nil, receives the run's telemetry: solver
-	// cost counters per analysis, arena slab statistics, and — when
-	// the collector's Trace is armed — the provenance event stream
-	// (one event per split edge, elimination, candidate removal,
-	// insertion, and fusion). Transform attaches the frozen snapshot
-	// to Stats.Telemetry. A nil collector makes every collection
-	// point a no-op.
+	// cost counters per analysis and — when the collector's Trace is
+	// armed — the provenance event stream (one event per split edge,
+	// elimination, candidate removal, insertion, and fusion).
+	// Transform attaches the frozen snapshot to Stats.Telemetry. A nil
+	// collector makes every collection point a no-op.
 	Collector *obs.Collector
 
 	// Span, when non-nil, is the request-tracing span covering this
@@ -463,16 +462,6 @@ func runIncremental(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*
 		elim.SetMetrics(col.FaintMetrics())
 	} else {
 		elim.SetMetrics(col.DeadMetrics())
-	}
-	if col != nil {
-		// The solvers live for the whole run; fold their arena slab
-		// state into the collector on every exit path.
-		defer func() {
-			a := delay.ArenaStats()
-			col.AddArena(a.Slabs, a.CapWords, a.UsedWords)
-			a = elim.ArenaStats()
-			col.AddArena(a.Slabs, a.CapWords, a.UsedWords)
-		}()
 	}
 
 	// pendElim holds blocks changed since the elimination solver last

@@ -17,12 +17,12 @@
 // behaviour against Section 6's estimates.
 //
 // Beyond the one-shot Solve, the Solver type supports the fixpoint
-// driver's round structure: it owns its In/Out storage (slab-allocated,
-// reused across solves) and can re-solve incrementally after a known
-// set of blocks changed, re-seeding from the previous solution instead
-// of re-initializing the whole graph to top, and it reports which
-// nodes' values may have moved (Result.Touched) so callers can confine
-// their own follow-up work to that region.
+// driver's round structure: it owns its In/Out storage (one row slab
+// per side, reused across solves) and can re-solve incrementally after
+// a known set of blocks changed, re-seeding from the previous solution
+// instead of re-initializing the whole graph to top, and it reports
+// which nodes' values may have moved (Result.Touched) so callers can
+// confine their own follow-up work to that region.
 //
 // One engine solves every block-level problem: a priority worklist
 // over the whole graph. Nodes drain in solve order (reverse postorder
@@ -186,9 +186,9 @@ func Solve(g *cfg.Graph, p VectorProblem) *Result {
 }
 
 // Solver is a reusable worklist solver bound to one graph and one
-// problem. It owns the solution storage (allocated from one slab) and
-// the worklist scratch, so repeated solves — the driver's rounds —
-// allocate nothing.
+// problem. It owns the solution storage (one bitvec.Rows slab per
+// side) and the worklist scratch, so repeated solves — the driver's
+// rounds — allocate nothing.
 //
 // The solver assumes the graph's node and edge structure stays fixed
 // between solves; only block contents (the transfer functions) may
@@ -200,10 +200,16 @@ type Solver struct {
 	gk  GenKillProblem // non-nil iff p has gen/kill form
 	res Result
 
-	arena    bitvec.Arena
 	top      *bitvec.Vector
 	boundary *bitvec.Vector
 	tmp      *bitvec.Vector
+
+	// meet and xfer alias res.In and res.Out by direction: meet is the
+	// side values arrive at (In forward, Out backward), xfer the side
+	// the block transfer writes. bnode is the node whose meet side
+	// holds the fixed boundary value (Start forward, End backward).
+	meet, xfer []*bitvec.Vector
+	bnode      *cfg.Node
 
 	order   []*cfg.Node // solve order: RPO (forward) or PO (backward)
 	pos     []int32     // NodeID -> position in order; -1 if absent
@@ -231,9 +237,6 @@ func (s *Solver) SetCancel(cancel func() bool) { s.cancel = cancel }
 // A nil sink — the default — keeps the solver silent.
 func (s *Solver) SetMetrics(m *obs.SolverMetrics) { s.metrics = m }
 
-// ArenaStats exposes the solution-storage arena's slab statistics.
-func (s *Solver) ArenaStats() bitvec.ArenaStats { return s.arena.Stats() }
-
 // flush reports a completed solve to the metrics sink, if any.
 func (s *Solver) flush(kind obs.SolveKind) {
 	s.metrics.RecordSolve(kind, s.res.Stats.Cost(s.g.NumNodes()))
@@ -254,8 +257,12 @@ func NewSolver(g *cfg.Graph, p VectorProblem) *Solver {
 		s.order = cfg.Postorder(g)
 	}
 	n := g.NumNodes()
-	s.res.In = make([]*bitvec.Vector, n)
-	s.res.Out = make([]*bitvec.Vector, n)
+	s.res.In = bitvec.Rows(n, p.Bits())
+	s.res.Out = bitvec.Rows(n, p.Bits())
+	s.meet, s.xfer, s.bnode = s.res.In, s.res.Out, g.Start
+	if !s.forward {
+		s.meet, s.xfer, s.bnode = s.res.Out, s.res.In, g.End
+	}
 	s.top = p.Top()
 	s.boundary = p.Boundary()
 	s.tmp = bitvec.New(p.Bits())
@@ -269,11 +276,17 @@ func NewSolver(g *cfg.Graph, p VectorProblem) *Solver {
 	s.wl.init(len(s.order))
 	s.affected = make([]bool, n)
 	s.frontier = make([]*cfg.Node, 0, len(s.order))
-	for _, node := range g.Nodes() {
-		s.res.In[node.ID] = s.arena.Copy(s.top)
-		s.res.Out[node.ID] = s.arena.Copy(s.top)
-	}
 	return s
+}
+
+// flow returns the nodes n's value is met from and the nodes whose
+// value depends on n's: predecessors and successors for a forward
+// problem, the reverse for a backward one.
+func (s *Solver) flow(n *cfg.Node) (srcs, deps []*cfg.Node) {
+	if s.forward {
+		return n.Preds(), n.Succs()
+	}
+	return n.Succs(), n.Preds()
 }
 
 // Result returns the current solution. Valid after Full or Resolve.
@@ -345,12 +358,7 @@ func (s *Solver) Resolve(dirty []cfg.NodeID) *Result {
 	for len(frontier) > 0 {
 		node := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
-		var deps []*cfg.Node
-		if s.forward {
-			deps = node.Succs()
-		} else {
-			deps = node.Preds()
-		}
+		_, deps := s.flow(node)
 		for _, d := range deps {
 			if !s.affected[d.ID] {
 				s.affected[d.ID] = true
@@ -388,11 +396,7 @@ func (s *Solver) Resolve(dirty []cfg.NodeID) *Result {
 }
 
 func (s *Solver) applyBoundary() {
-	if s.forward {
-		s.res.In[s.g.Start.ID].CopyFrom(s.boundary)
-	} else {
-		s.res.Out[s.g.End.ID].CopyFrom(s.boundary)
-	}
+	s.meet[s.bnode.ID].CopyFrom(s.boundary)
 }
 
 // run drains the priority worklist. Membership lives in a bitset over
@@ -404,7 +408,7 @@ func (s *Solver) applyBoundary() {
 func (s *Solver) run() {
 	res := &s.res
 	p := s.p
-	g := s.g
+	meet, xfer := s.meet, s.xfer
 	intersect := p.Meet() == Intersect
 
 	vecOps, pushes, visits := 0, 0, 0
@@ -450,65 +454,35 @@ func (s *Solver) run() {
 		visits++
 		faultinject.Fire(faultinject.SolverVisit, nil)
 
-		if s.forward {
-			// Meet predecessors into In (except at Start,
-			// whose In is the fixed boundary).
-			if node != g.Start {
-				in := res.In[node.ID]
-				if preds := node.Preds(); len(preds) > 0 {
-					in.CopyFrom(res.Out[preds[0].ID])
-					vecOps++
-					for _, pr := range preds[1:] {
-						meetInto(in, res.Out[pr.ID])
-					}
-				}
+		// Meet the sources' transfer sides into the meet side (except
+		// at the boundary node, whose meet side is fixed), apply the
+		// block transfer, and requeue the dependents on a change.
+		id := node.ID
+		srcs, deps := s.flow(node)
+		if node != s.bnode && len(srcs) > 0 {
+			m := meet[id]
+			m.CopyFrom(xfer[srcs[0].ID])
+			vecOps++
+			for _, src := range srcs[1:] {
+				meetInto(m, xfer[src.ID])
 			}
-			var changed bool
-			if s.gk != nil {
-				gen, kill := s.gk.GenKill(node)
-				changed = res.Out[node.ID].AndNotOrInto(res.In[node.ID], kill, gen)
-				vecOps++ // one fused transfer-and-change-test pass
-			} else {
-				p.Transfer(node, res.In[node.ID], s.tmp)
-				vecOps += 2 // the transfer evaluation and the change test
-				if changed = !s.tmp.Equal(res.Out[node.ID]); changed {
-					res.Out[node.ID].CopyFrom(s.tmp)
-					vecOps++
-				}
-			}
-			if changed {
-				for _, succ := range node.Succs() {
-					pushDep(succ.ID)
-				}
-			}
+		}
+		var changed bool
+		if s.gk != nil {
+			gen, kill := s.gk.GenKill(node)
+			changed = xfer[id].AndNotOrInto(meet[id], kill, gen)
+			vecOps++ // one fused transfer-and-change-test pass
 		} else {
-			if node != g.End {
-				out := res.Out[node.ID]
-				if succs := node.Succs(); len(succs) > 0 {
-					out.CopyFrom(res.In[succs[0].ID])
-					vecOps++
-					for _, succ := range succs[1:] {
-						meetInto(out, res.In[succ.ID])
-					}
-				}
-			}
-			var changed bool
-			if s.gk != nil {
-				gen, kill := s.gk.GenKill(node)
-				changed = res.In[node.ID].AndNotOrInto(res.Out[node.ID], kill, gen)
+			p.Transfer(node, meet[id], s.tmp)
+			vecOps += 2 // the transfer evaluation and the change test
+			if changed = !s.tmp.Equal(xfer[id]); changed {
+				xfer[id].CopyFrom(s.tmp)
 				vecOps++
-			} else {
-				p.Transfer(node, res.Out[node.ID], s.tmp)
-				vecOps += 2
-				if changed = !s.tmp.Equal(res.In[node.ID]); changed {
-					res.In[node.ID].CopyFrom(s.tmp)
-					vecOps++
-				}
 			}
-			if changed {
-				for _, pr := range node.Preds() {
-					pushDep(pr.ID)
-				}
+		}
+		if changed {
+			for _, d := range deps {
+				pushDep(d.ID)
 			}
 		}
 	}

@@ -216,16 +216,6 @@ type SolverSnapshot struct {
 	SlotUpdates int64 `json:"slot_updates"`
 }
 
-// ArenaSnapshot describes the slab allocator state behind one or more
-// solvers' solution storage.
-type ArenaSnapshot struct {
-	// Slabs is the number of backing chunks, CapWords their combined
-	// capacity in 64-bit words, UsedWords the words actually carved.
-	Slabs     int64 `json:"slabs"`
-	CapWords  int64 `json:"cap_words"`
-	UsedWords int64 `json:"used_words"`
-}
-
 // Telemetry is the serializable observability section of a run,
 // attached to core.Stats when a Collector was installed.
 type Telemetry struct {
@@ -236,17 +226,13 @@ type Telemetry struct {
 	Dead  SolverSnapshot `json:"dead"`
 	Faint SolverSnapshot `json:"faint"`
 
-	// Arena aggregates slab statistics over the run's pooled
-	// bit-vector storage.
-	Arena ArenaSnapshot `json:"arena"`
-
 	// Events is the provenance trace, present when tracing was on.
 	Events []Event `json:"events,omitempty"`
 }
 
 // Collector is the root telemetry sink of one optimization run: one
-// SolverMetrics per analysis, optional provenance tracing, and arena
-// accounting. A nil *Collector disables everything.
+// SolverMetrics per analysis and optional provenance tracing. A nil
+// *Collector disables everything.
 type Collector struct {
 	Delay SolverMetrics
 	Dead  SolverMetrics
@@ -255,10 +241,6 @@ type Collector struct {
 	// Trace is the provenance event sink; nil leaves tracing off
 	// while metrics still collect.
 	Trace *Trace
-
-	arenaSlabs atomic.Int64
-	arenaCap   atomic.Int64
-	arenaUsed  atomic.Int64
 }
 
 // NewCollector returns a collector; with trace set it also records
@@ -307,16 +289,6 @@ func (c *Collector) Tracer() *Trace {
 	return c.Trace
 }
 
-// AddArena folds one arena's slab statistics into the run totals.
-func (c *Collector) AddArena(slabs, capWords, usedWords int) {
-	if c == nil {
-		return
-	}
-	c.arenaSlabs.Add(int64(slabs))
-	c.arenaCap.Add(int64(capWords))
-	c.arenaUsed.Add(int64(usedWords))
-}
-
 // Snapshot freezes the collector into the serializable Telemetry
 // section.
 func (c *Collector) Snapshot() *Telemetry {
@@ -324,14 +296,9 @@ func (c *Collector) Snapshot() *Telemetry {
 		return nil
 	}
 	return &Telemetry{
-		Delay: c.Delay.Snapshot(),
-		Dead:  c.Dead.Snapshot(),
-		Faint: c.Faint.Snapshot(),
-		Arena: ArenaSnapshot{
-			Slabs:     c.arenaSlabs.Load(),
-			CapWords:  c.arenaCap.Load(),
-			UsedWords: c.arenaUsed.Load(),
-		},
+		Delay:  c.Delay.Snapshot(),
+		Dead:   c.Dead.Snapshot(),
+		Faint:  c.Faint.Snapshot(),
 		Events: c.Trace.Events(),
 	}
 }

@@ -12,7 +12,6 @@ import (
 // the pipeline call unconditionally on the hot path.
 func TestNilSafety(t *testing.T) {
 	var c *Collector
-	c.AddArena(1, 2, 3)
 	if c.Snapshot() != nil {
 		t.Error("nil collector snapshot should be nil")
 	}
@@ -157,7 +156,6 @@ func TestCollectorConcurrent(t *testing.T) {
 				c.DelayMetrics().RecordSolve(SolveIncremental, SolveCost{Visits: 1, Pushes: 1, Seeded: 1, Seedable: 2, VecOps: 1})
 				c.DeadMetrics().RecordCacheHit()
 				c.FaintMetrics().RecordSlotSolve(3, 1)
-				c.AddArena(0, 8, 4)
 				c.Tracer().Record(KindSinkRemove, "b", "x", "x := 1")
 			}
 		}()
@@ -166,9 +164,6 @@ func TestCollectorConcurrent(t *testing.T) {
 	tel := c.Snapshot()
 	if tel.Delay.Solves != 400 || tel.Dead.CacheHits != 400 || tel.Faint.SlotUpdates != 1200 {
 		t.Errorf("lost counter updates: %+v", tel)
-	}
-	if tel.Arena.UsedWords != 1600 {
-		t.Errorf("arena wrong: %+v", tel)
 	}
 	if len(tel.Events) != 400 {
 		t.Errorf("lost trace events: %d", len(tel.Events))
@@ -183,7 +178,6 @@ func TestTelemetryJSONRoundTrip(t *testing.T) {
 	c.DelayMetrics().RecordSolve(SolveIncremental, SolveCost{Visits: 2, Pushes: 2, Passes: 1, MaxWorklistDepth: 2, Seeded: 1, Seedable: 10, VecOps: 6})
 	c.DeadMetrics().RecordCacheHit()
 	c.FaintMetrics().RecordSlotSolve(50, 20)
-	c.AddArena(2, 16384, 900)
 	c.Tracer().BeginPhase(1, "eliminate", "dead")
 	c.Tracer().Record(KindEliminate, "3", "x", "x := a+b")
 	tel := c.Snapshot()

@@ -72,6 +72,7 @@ type qjob struct {
 	maxRounds int
 	telemetry bool
 	trace     bool
+	deadline  time.Duration // 0 = the server's default deadline
 
 	state     string // pdce.JobQueued/JobRunning/JobDone/JobFailed
 	attempts  int
@@ -164,7 +165,7 @@ func (q *Queue) fold(recs []walRecord) {
 			}
 			q.jobs[rec.ID] = &qjob{
 				id: rec.ID, name: rec.Name, source: rec.Source, lang: rec.Lang,
-				mode: rec.Mode, maxRounds: rec.MaxRounds,
+				mode: rec.Mode, maxRounds: rec.MaxRounds, deadline: time.Duration(rec.DeadlineMS) * time.Millisecond,
 				telemetry: rec.Telemetry, trace: rec.Trace,
 				traceID: rec.TraceID, spanID: rec.SpanID, requestID: rec.RequestID,
 				state: pdce.JobQueued, submitted: now,
@@ -198,11 +199,7 @@ func (q *Queue) fold(recs []walRecord) {
 func (q *Queue) compactRecords() []walRecord {
 	recs := make([]walRecord, 0, 2*len(q.jobs))
 	for _, j := range q.jobs {
-		recs = append(recs, walRecord{
-			Op: "submit", ID: j.id, Name: j.name, Source: j.source, Lang: j.lang,
-			Mode: j.mode, MaxRounds: j.maxRounds, Telemetry: j.telemetry, Trace: j.trace,
-			TraceID: j.traceID, SpanID: j.spanID, RequestID: j.requestID,
-		})
+		recs = append(recs, j.submitRecord())
 		switch j.state {
 		case pdce.JobDone:
 			recs = append(recs, walRecord{Op: "done", ID: j.id, Body: j.body, Degraded: j.degraded})
@@ -215,6 +212,16 @@ func (q *Queue) compactRecords() []walRecord {
 		}
 	}
 	return recs
+}
+
+// submitRecord renders j's submission as a log record.
+func (j *qjob) submitRecord() walRecord {
+	return walRecord{
+		Op: "submit", ID: j.id, Name: j.name, Source: j.source, Lang: j.lang,
+		Mode: j.mode, MaxRounds: j.maxRounds, DeadlineMS: j.deadline.Milliseconds(),
+		Telemetry: j.telemetry, Trace: j.trace,
+		TraceID: j.traceID, SpanID: j.spanID, RequestID: j.requestID,
+	}
 }
 
 // Submit durably enqueues one job and returns its state. A job with
@@ -230,8 +237,9 @@ func (q *Queue) compactRecords() []walRecord {
 // persists the trace identity in the submit record so the job's later
 // execution — possibly in a different process lifetime — continues
 // the same trace. rid is the request's Pdce-Request-Id, stamped into
-// repro bundles the job's attempts may write.
-func (q *Queue) Submit(id, name, source, lang string, o pdce.Options, sp *obs.Span, rid string) (state string, dup bool, err error) {
+// repro bundles the job's attempts may write. deadline bounds the
+// job's optimization; 0 leaves it to the server's default deadline.
+func (q *Queue) Submit(id, name, source, lang string, o pdce.Options, deadline time.Duration, sp *obs.Span, rid string) (state string, dup bool, err error) {
 	// Submissions are serialized by submitMu so the job table only ever
 	// holds durably-logged jobs: a concurrent duplicate must not be
 	// acknowledged off the back of a first submission whose fsync is
@@ -257,17 +265,12 @@ func (q *Queue) Submit(id, name, source, lang string, o pdce.Options, sp *obs.Sp
 	j := &qjob{
 		id: id, name: name, source: source, lang: lang,
 		mode: o.Mode.String(), maxRounds: o.MaxRounds,
-		telemetry: o.Telemetry, trace: o.Trace,
+		telemetry: o.Telemetry, trace: o.Trace, deadline: deadline,
 		traceID: sc.TraceID, spanID: sc.SpanID, requestID: rid,
 		state: pdce.JobQueued, submitted: time.Now(),
 	}
-	rec := walRecord{
-		Op: "submit", ID: id, Name: name, Source: source, Lang: lang,
-		Mode: j.mode, MaxRounds: j.maxRounds, Telemetry: j.telemetry, Trace: j.trace,
-		TraceID: j.traceID, SpanID: j.spanID, RequestID: j.requestID,
-	}
 	fsp := esp.Child("queue.wal.fsync")
-	err = q.wal.Append(rec, true)
+	err = q.wal.Append(j.submitRecord(), true)
 	if err != nil {
 		fsp.SetError("fsync")
 		fsp.End()
@@ -618,9 +621,13 @@ func (q *Queue) execute(j *qjob, xsp *obs.Span) (body []byte, degraded bool, err
 		o.Mode = pdce.Faint
 	}
 	ctx := q.ctx
-	if q.deadline > 0 {
+	deadline := q.deadline
+	if j.deadline > 0 {
+		deadline = j.deadline
+	}
+	if deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, q.deadline)
+		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
 	o.Context = ctx

@@ -82,6 +82,41 @@ func TestSubmitPollAck(t *testing.T) {
 	}
 }
 
+// TestSubmitDeadline: deadline_ms bounds an async job as it bounds a
+// synchronous request. Under a solver stall the job still ends done,
+// with a degraded body whose error kind is deadline.
+func TestSubmitDeadline(t *testing.T) {
+	s, _, c := startServer(t, queueConfig(t))
+	defer s.Drain(context.Background())
+	restore := faultinject.Set(func(p faultinject.Point, _ any) {
+		if p == faultinject.SolverVisit {
+			time.Sleep(3 * time.Millisecond)
+		}
+	})
+	defer restore()
+
+	sub, err := c.Submit(context.Background(), "demo", demoSource, pdce.RequestOptions{Deadline: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := c.Poll(ctx, sub.ID, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.State != pdce.JobDone {
+		t.Fatalf("job state %q error %q, want done", res.State, res.Error)
+	}
+	var resp pdce.OptimizeResponse
+	if err := json.Unmarshal(res.Result, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Degraded || resp.ErrorKind != "deadline" {
+		t.Fatalf("expected a degraded deadline result, got degraded=%v error_kind=%q", resp.Degraded, resp.ErrorKind)
+	}
+}
+
 // TestSubmitDeduplication: duplicate submissions collapse onto the
 // existing job by content address, and a submission whose result is
 // already cached short-circuits to done without queueing anything.

@@ -753,7 +753,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	state, dup, err := s.queue.Submit(key, prog.Name(), string(src), lang, o, sp, requestIDFrom(r.Context()))
+	state, dup, err := s.queue.Submit(key, prog.Name(), string(src), lang, o, queryDeadline(r), sp, requestIDFrom(r.Context()))
 	if err != nil {
 		s.httpError(w, http.StatusInternalServerError, "queue",
 			"submission not accepted: "+err.Error(), "")
@@ -891,12 +891,20 @@ func (s *Server) httpError(w http.ResponseWriter, status int, kind, msg, bundle 
 // requestDeadline resolves the per-request deadline: the deadline_ms
 // query parameter, else the server default.
 func (s *Server) requestDeadline(r *http.Request) time.Duration {
-	if v := r.URL.Query().Get("deadline_ms"); v != "" {
-		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
-			return time.Duration(ms) * time.Millisecond
-		}
+	if d := queryDeadline(r); d > 0 {
+		return d
 	}
 	return s.cfg.DefaultDeadline
+}
+
+// queryDeadline parses the deadline_ms query parameter: 0 when it is
+// absent or not a positive integer.
+func queryDeadline(r *http.Request) time.Duration {
+	ms, err := strconv.ParseInt(r.URL.Query().Get("deadline_ms"), 10, 64)
+	if err != nil || ms <= 0 {
+		return 0
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // optionsFromQuery maps query parameters to pdce.Options; the string

@@ -58,6 +58,9 @@ type walRecord struct {
 	MaxRounds int    `json:"max_rounds,omitempty"`
 	Telemetry bool   `json:"telemetry,omitempty"`
 	Trace     bool   `json:"trace,omitempty"`
+	// DeadlineMS is the submission's deadline_ms; 0 runs the job
+	// under the server's default deadline.
+	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 
 	// Request-tracing identity (op=submit): the submitting request's
 	// trace ID, its enqueue span, and its Pdce-Request-Id. Replayed

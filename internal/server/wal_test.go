@@ -83,6 +83,23 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQueueCompactionKeepsSubmission: a submit record survives replay
+// and compaction field for field, so a job rewritten at boot re-runs
+// with the options it was submitted with.
+func TestQueueCompactionKeepsSubmission(t *testing.T) {
+	sub := walRecord{
+		Op: "submit", ID: "a", Name: "demo", Source: "x := 1", Lang: "while",
+		Mode: "pfe", MaxRounds: 3, DeadlineMS: 250, Telemetry: true, Trace: true,
+		TraceID: "t", SpanID: "s", RequestID: "r",
+	}
+	q := &Queue{jobs: make(map[string]*qjob)}
+	q.fold([]walRecord{sub})
+	got := q.compactRecords()
+	if len(got) != 1 || !reflect.DeepEqual(got[0], sub) {
+		t.Fatalf("compacted %+v, want %+v", got, sub)
+	}
+}
+
 // TestWALTornFinalRecord covers the crash-between-write-and-sync
 // signature: the final frame reaches the disk only partially. Recovery
 // must quarantine the tail, truncate the file back to the last whole

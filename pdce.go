@@ -187,9 +187,9 @@ type Options struct {
 
 	// Telemetry enables cost-counter collection: per-analysis solver
 	// metrics (solves, node visits, worklist pushes, incremental-reuse
-	// rate, bit-vector ops) and arena slab statistics, returned as
-	// Stats.Telemetry. Off by default; when off, the optimizer's hot
-	// path is byte-identical to an uninstrumented build.
+	// rate, bit-vector ops), returned as Stats.Telemetry. Off by
+	// default; when off, the optimizer's hot path is byte-identical to
+	// an uninstrumented build.
 	Telemetry bool
 	// Trace additionally records the provenance event stream — one
 	// structured event per split edge, elimination, sinking-candidate
@@ -214,9 +214,9 @@ type Options struct {
 }
 
 // Telemetry is the observability section of a run: per-analysis solver
-// metrics, arena slab statistics, and (with Options.Trace) the
-// provenance event stream. See the internal/obs package documentation
-// for field semantics; the type serializes to stable JSON.
+// metrics and (with Options.Trace) the provenance event stream. See
+// the internal/obs package documentation for field semantics; the type
+// serializes to stable JSON.
 type Telemetry = obs.Telemetry
 
 // SolverMetrics is one analysis's frozen cost counters.
