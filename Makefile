@@ -45,20 +45,25 @@ bench-check:
 
 # Fuzz smoke over the containment contract: SafeOptimize must never
 # panic and must always return a structurally valid program, whatever
-# the input and option combination. Then five decoders of untrusted
+# the input and option combination. Then seven decoders of untrusted
 # bytes: the traceparent header parser, WAL recovery, the serving
 # endpoints' request decoding (POST /optimize answers only 200 or a
 # structured 400, a 200 carries a parseable program and repeats as a
 # byte-identical cache hit; POST /optimize/batch answers 400 or one
-# entry per program), the flow-graph parser (whose accepted graphs must
-# round-trip through Format and survive pde and pfe), and DirStore's
-# blob files (served only when they verify, otherwise removed).
+# entry per program), the three front ends that share the lexer (the
+# flow-graph parser, whose accepted graphs must round-trip through
+# Format and survive pde and pfe; the WHILE-language parser, whose
+# lowered graphs must round-trip through Format; the expression parser,
+# whose terms must round-trip through String), and DirStore's blob
+# files (served only when they verify, otherwise removed).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSafeOptimize -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzTraceparent -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzWALRecover -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeRequest -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzParseCFG -fuzztime 10s ./internal/parser
+	$(GO) test -run '^$$' -fuzz FuzzParseSource -fuzztime 10s ./internal/parser
+	$(GO) test -run '^$$' -fuzz FuzzParseExpr -fuzztime 10s ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzDirStoreBlob -fuzztime 10s ./internal/store
 
 # Telemetry smoke: optimize the corpus with all collectors on and

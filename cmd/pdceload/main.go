@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -145,13 +144,9 @@ func run(ctx context.Context, cfg loadConfig, out io.Writer) error {
 		time.Duration(snap.MaxNS).Round(time.Microsecond))
 	fmt.Fprintf(out, "affinity hit rate %.3f, failovers %d, hedges %d (won %d)\n",
 		snap.AffinityHitRate, snap.Failovers, snap.Hedges, snap.HedgesWon)
-	bases := make([]string, 0, len(snap.Replicas))
-	for base := range snap.Replicas {
-		bases = append(bases, base)
-	}
-	sort.Strings(bases)
-	for _, base := range bases {
-		rc := snap.Replicas[base]
+	for _, r := range cfg.replicas {
+		base := strings.TrimRight(r, "/") // the pool's name for the replica
+		rc := snap.Replicas[base]         // zero for a replica that got no request
 		fmt.Fprintf(out, "replica %s: %d attempts, %d failures, %d ejections, %d readmissions\n",
 			base, rc.Attempts, rc.Failures, rc.Ejections, rc.Readmissions)
 	}

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 )
 
 // Content addressing.
@@ -67,11 +66,7 @@ func (o Options) Cacheable() bool {
 // participates (it is part of the rendered result), so identical
 // bodies under different names address distinct entries.
 func (p *Program) CacheKey(o Options) string {
-	h := sha256.New()
-	io.WriteString(h, cacheKeyVersion)
-	io.WriteString(h, "\n")
-	io.WriteString(h, o.Fingerprint())
-	io.WriteString(h, "\n")
-	io.WriteString(h, p.g.Format())
-	return hex.EncodeToString(h.Sum(nil))
+	buf := append([]byte(cacheKeyVersion+"\n"), o.Fingerprint()...)
+	sum := sha256.Sum256(p.g.AppendFormat(append(buf, '\n')))
+	return hex.EncodeToString(sum[:])
 }

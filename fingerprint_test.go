@@ -1,6 +1,8 @@
 package pdce_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -123,6 +125,45 @@ func TestCacheKeyGolden(t *testing.T) {
 	}
 	if v := pdce.CacheKeyVersion(); v != "pdce-cache-v2" {
 		t.Errorf("CacheKeyVersion() = %q: a version bump needs new golden keys", v)
+	}
+}
+
+// TestFormatGolden pins Format's bytes beyond the golden-key inputs:
+// structured and irreducible generated programs of 10 to 1,000
+// statements, and their pde and pfe results, whose synthetic blocks
+// carry quoted labels such as "S4,5". CacheKey hashes these bytes, so
+// they may move only together with cacheKeyVersion.
+func TestFormatGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "format.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	quoted := 0
+	for seed := 0; seed < 12; seed++ {
+		p := pdce.Generate(pdce.GenParams{Seed: int64(seed), Stmts: 10 + 90*seed, Irreducible: seed%3 == 2})
+		texts := []string{p.Format()}
+		for _, mode := range []pdce.Mode{pdce.Dead, pdce.Faint} {
+			opt, _, err := p.Optimize(pdce.Options{Mode: mode})
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, mode, err)
+			}
+			texts = append(texts, opt.Format())
+		}
+		for _, text := range texts {
+			quoted += strings.Count(text, "\nnode \"")
+			h.Write([]byte(text))
+		}
+	}
+	if quoted == 0 {
+		t.Error("no quoted node label rendered: the set no longer covers label quoting")
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	if want := strings.TrimSpace(string(golden)); got != want {
+		t.Errorf("Format's bytes moved: digest %s, testdata/format.sha256 has %s. "+
+			"CacheKey hashes these bytes: bump cacheKeyVersion, regenerate "+
+			"testdata/cachekeys.golden and record the new digest "+
+			"(a change to progen alone needs only the new digest)", got, want)
 	}
 }
 

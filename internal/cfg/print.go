@@ -21,33 +21,40 @@ import (
 //
 // Start and end nodes are implicit ("s" and "e"). Nodes appear in ID
 // order, edges in source-ID order; the rendering is deterministic.
-func (g *Graph) Format() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "graph %s\n", quote(g.Name))
+func (g *Graph) Format() string { return string(g.AppendFormat(nil)) }
+
+// AppendFormat appends Format's text to dst and returns the extended
+// slice.
+func (g *Graph) AppendFormat(dst []byte) []byte {
+	dst = appendQuoted(append(dst, "graph "...), g.Name)
+	dst = append(dst, '\n')
 	for _, n := range g.nodes {
 		if n == g.Start || n == g.End {
 			continue
 		}
+		dst = appendLabel(append(dst, "node "...), n.Label)
 		if n.Synthetic {
-			fmt.Fprintf(&sb, "node %s synthetic {\n", quoteLabel(n.Label))
-		} else {
-			fmt.Fprintf(&sb, "node %s {\n", quoteLabel(n.Label))
+			dst = append(dst, " synthetic"...)
 		}
+		dst = append(dst, " {\n"...)
 		for _, s := range n.Stmts {
-			fmt.Fprintf(&sb, "  %s\n", s)
+			dst = ir.AppendStmt(append(dst, "  "...), s)
+			dst = append(dst, '\n')
 		}
-		sb.WriteString("}\n")
+		dst = append(dst, "}\n"...)
 	}
 	for _, e := range g.Edges() {
-		fmt.Fprintf(&sb, "edge %s %s\n", quoteLabel(e.From.Label), quoteLabel(e.To.Label))
+		dst = appendLabel(append(dst, "edge "...), e.From.Label)
+		dst = appendLabel(append(dst, ' '), e.To.Label)
+		dst = append(dst, '\n')
 	}
-	return sb.String()
+	return dst
 }
 
-// quoteLabel leaves a label bare only when the parser's lexer reads it
+// appendLabel writes a label bare only when the parser's lexer reads it
 // back as one token — an identifier, or a decimal integer in int64
-// range — and quotes it otherwise.
-func quoteLabel(l string) string {
+// range — and quoted otherwise.
+func appendLabel(dst []byte, l string) []byte {
 	bare := l != ""
 	if bare && l[0] >= '0' && l[0] <= '9' {
 		_, err := strconv.ParseInt(l, 10, 64)
@@ -60,16 +67,27 @@ func quoteLabel(l string) string {
 		}
 	}
 	if bare {
-		return l
+		return append(dst, l...)
 	}
-	return quote(l)
+	return appendQuoted(dst, l)
 }
 
-// quoteEscaper applies exactly the escapes the lexer's string literals
-// read back; every other byte is written raw.
-var quoteEscaper = strings.NewReplacer(`"`, `\"`, `\`, `\\`, "\n", `\n`)
-
-func quote(s string) string { return `"` + quoteEscaper.Replace(s) + `"` }
+// appendQuoted writes s as a string literal with exactly the escapes
+// the lexer reads back; every other byte is written raw.
+func appendQuoted(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '"', '\\':
+			dst = append(dst, '\\', c)
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '"')
+}
 
 // String returns a compact human-oriented listing: one line per node
 // with its statements and successors. Used in error messages and by

@@ -6,7 +6,10 @@
 // operands to stay alive.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Var is a program variable. Variables are compared by name.
 type Var string
@@ -76,7 +79,7 @@ func (VarRef) isExpr() {}
 func (Unary) isExpr()  {}
 func (Binary) isExpr() {}
 
-func (c Const) Key() string  { return fmt.Sprintf("%d", c.Value) }
+func (c Const) Key() string  { return strconv.FormatInt(c.Value, 10) }
 func (v VarRef) Key() string { return string(v.Name) }
 func (u Unary) Key() string  { return "(-" + u.X.Key() + ")" }
 func (b Binary) Key() string {
@@ -85,20 +88,33 @@ func (b Binary) Key() string {
 
 func (c Const) String() string  { return c.Key() }
 func (v VarRef) String() string { return v.Key() }
-func (u Unary) String() string  { return "-" + parenthesize(u.X) }
-func (b Binary) String() string {
-	return parenthesize(b.L) + string(b.Op) + parenthesize(b.R)
+func (u Unary) String() string  { return string(AppendExpr(nil, u)) }
+func (b Binary) String() string { return string(AppendExpr(nil, b)) }
+
+// AppendExpr appends e's String rendering to dst and returns the
+// extended slice.
+func AppendExpr(dst []byte, e Expr) []byte {
+	switch x := e.(type) {
+	case Const:
+		return strconv.AppendInt(dst, x.Value, 10)
+	case VarRef:
+		return append(dst, x.Name...)
+	case Unary:
+		return appendOperand(append(dst, '-'), x.X)
+	case Binary:
+		dst = appendOperand(dst, x.L)
+		return appendOperand(append(dst, x.Op...), x.R)
+	}
+	panic(fmt.Sprintf("ir: cannot render expression %#v", e))
 }
 
-// parenthesize renders an operand, wrapping compound operands in
+// appendOperand renders an operand, wrapping compound operands in
 // parentheses so that the output re-parses to the same tree.
-func parenthesize(e Expr) string {
-	switch e.(type) {
-	case Const, VarRef:
-		return e.String()
-	default:
-		return "(" + e.String() + ")"
+func appendOperand(dst []byte, e Expr) []byte {
+	if IsTrivial(e) {
+		return AppendExpr(dst, e)
 	}
+	return append(AppendExpr(append(dst, '('), e), ')')
 }
 
 // C returns a constant expression.

@@ -46,10 +46,27 @@ func (Skip) isStmt()   {}
 func (Out) isStmt()    {}
 func (Branch) isStmt() {}
 
-func (a Assign) String() string { return string(a.LHS) + " := " + a.RHS.String() }
+func (a Assign) String() string { return string(AppendStmt(nil, a)) }
 func (Skip) String() string     { return "skip" }
-func (o Out) String() string    { return "out(" + o.Arg.String() + ")" }
-func (b Branch) String() string { return "branch(" + b.Cond.String() + ")" }
+func (o Out) String() string    { return string(AppendStmt(nil, o)) }
+func (b Branch) String() string { return string(AppendStmt(nil, b)) }
+
+// AppendStmt appends s's String rendering to dst and returns the
+// extended slice.
+func AppendStmt(dst []byte, s Stmt) []byte {
+	switch st := s.(type) {
+	case Assign:
+		dst = append(dst, st.LHS...)
+		return AppendExpr(append(dst, " := "...), st.RHS)
+	case Skip:
+		return append(dst, "skip"...)
+	case Out:
+		return append(AppendExpr(append(dst, "out("...), st.Arg), ')')
+	case Branch:
+		return append(AppendExpr(append(dst, "branch("...), st.Cond), ')')
+	}
+	panic(fmt.Sprintf("ir: cannot render statement %#v", s))
+}
 
 // Uses calls f once per right-hand-side occurrence of a variable in s.
 // For relevant statements every operand variable is a use; for an

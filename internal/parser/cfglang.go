@@ -23,12 +23,7 @@ import (
 // are separated by newlines or semicolons. The resulting graph is
 // validated (cfg.Validate) before being returned.
 func ParseCFG(src string) (*cfg.Graph, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	t := &tokens{list: toks}
-	p := &cfgParser{t: t}
+	p := &cfgParser{t: newTokens(src)}
 	return p.parse()
 }
 

@@ -6,23 +6,37 @@ import (
 	"pdce/internal/ir"
 )
 
-// tokens is a cursor over a lexed token stream shared by both parsers.
+// tokens is the cursor both parsers read: the lexer and one token of
+// lookahead. The stream stops at end of input or at a lexical error.
+// No grammar rule accepts an error token, so the first error in the
+// source, lexical or syntactic, is the one reported.
 type tokens struct {
-	list []Token
-	pos  int
+	lx  lexer
+	tok Token // the next token
 }
 
-func (t *tokens) peek() Token { return t.list[t.pos] }
+func newTokens(src string) *tokens {
+	t := &tokens{lx: lexer{src: src, line: 1, col: 1}}
+	t.tok = t.lx.scan()
+	return t
+}
+
+func (t *tokens) peek() Token { return t.tok }
 
 func (t *tokens) next() Token {
-	tok := t.list[t.pos]
-	if tok.Kind != TokEOF {
-		t.pos++
+	tok := t.tok
+	if tok.Kind != TokEOF && tok.Kind != TokError {
+		t.tok = t.lx.scan()
 	}
 	return tok
 }
 
+// errf returns a syntax error at tok, or tok's own error if it is an
+// error token.
 func (t *tokens) errf(tok Token, format string, args ...any) error {
+	if tok.Kind == TokError {
+		return &Error{Line: tok.Line, Col: tok.Col, Msg: tok.Text}
+	}
 	return &Error{Line: tok.Line, Col: tok.Col, Msg: fmt.Sprintf(format, args...)}
 }
 
@@ -166,11 +180,7 @@ func (t *tokens) parsePrimary() (ir.Expr, error) {
 
 // ParseExpr parses a standalone expression (used by tests and tools).
 func ParseExpr(src string) (ir.Expr, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	t := &tokens{list: toks}
+	t := newTokens(src)
 	t.skipSemis()
 	e, err := t.parseExpr()
 	if err != nil {

@@ -15,7 +15,6 @@ package parser
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // TokKind classifies tokens.
@@ -36,6 +35,7 @@ const (
 	TokStar   // * when used as nondeterministic condition
 	TokSemi   // statement separator: ';' or newline(s)
 	TokComma
+	TokError // a lexical error; Text holds its message
 )
 
 func (k TokKind) String() string {
@@ -70,7 +70,9 @@ func (k TokKind) String() string {
 	return "unknown token"
 }
 
-// Token is a lexed token with its source position.
+// Token is a lexed token with its source position. Text is a slice of
+// the source, except for a string literal, whose Text is its decoded
+// value, and an error token, whose Text is the error message.
 type Token struct {
 	Kind TokKind
 	Text string
@@ -89,42 +91,19 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
+// lexer reads src one token per scan. Newlines and semicolons become
+// TokSemi, one token per run. Comments run from '//' or '#' to end of
+// line.
 type lexer struct {
 	src  string
 	pos  int
 	line int
 	col  int
-	toks []Token
 }
 
-// lex tokenizes src. Newlines and semicolons become TokSemi (runs are
-// merged). Comments run from '//' or '#' to end of line.
-func lex(src string) ([]Token, error) {
-	l := &lexer{src: src, line: 1, col: 1}
-	for {
-		tok, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		if tok.Kind == TokSemi && len(l.toks) > 0 && l.toks[len(l.toks)-1].Kind == TokSemi {
-			continue // merge separator runs
-		}
-		l.toks = append(l.toks, tok)
-		if tok.Kind == TokEOF {
-			return l.toks, nil
-		}
-	}
-}
-
-func (l *lexer) errf(format string, args ...any) error {
-	return &Error{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (l *lexer) peekByte() (byte, bool) {
-	if l.pos >= len(l.src) {
-		return 0, false
-	}
-	return l.src[l.pos], true
+// errorf returns an error token at the current position.
+func (l *lexer) errorf(format string, args ...any) Token {
+	return Token{Kind: TokError, Text: fmt.Sprintf(format, args...), Line: l.line, Col: l.col}
 }
 
 func (l *lexer) advance() byte {
@@ -139,128 +118,135 @@ func (l *lexer) advance() byte {
 	return c
 }
 
-func (l *lexer) next() (Token, error) {
-	// Skip horizontal whitespace and comments.
-	for {
-		c, ok := l.peekByte()
-		if !ok {
-			return Token{Kind: TokEOF, Line: l.line, Col: l.col}, nil
-		}
-		if c == ' ' || c == '\t' || c == '\r' {
+// acceptByte consumes the next byte if it is c.
+func (l *lexer) acceptByte(c byte) bool {
+	if l.pos < len(l.src) && l.src[l.pos] == c {
+		l.advance()
+		return true
+	}
+	return false
+}
+
+// skipSpace skips horizontal whitespace and comments.
+func (l *lexer) skipSpace() {
+	for l.pos < len(l.src) {
+		switch c := l.src[l.pos]; {
+		case c == ' ' || c == '\t' || c == '\r':
 			l.advance()
-			continue
-		}
-		if c == '#' || (c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/') {
-			for {
-				c, ok := l.peekByte()
-				if !ok || c == '\n' {
-					break
-				}
+		case c == '#' || c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
+			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.advance()
 			}
-			continue
+		default:
+			return
 		}
-		break
 	}
-	line, col := l.line, l.col
-	c := l.advance()
-	mk := func(k TokKind, text string) Token {
-		return Token{Kind: k, Text: text, Line: line, Col: col}
+}
+
+// scan returns the next token. A lexical error is a TokError token at
+// the position where scanning stopped.
+func (l *lexer) scan() Token {
+	l.skipSpace()
+	if l.pos == len(l.src) {
+		return Token{Kind: TokEOF, Line: l.line, Col: l.col}
 	}
-	switch {
+	tok := Token{Line: l.line, Col: l.col}
+	start := l.pos
+	switch c := l.advance(); {
 	case c == '\n' || c == ';':
-		return mk(TokSemi, string(c)), nil
+		tok.Kind, tok.Text = TokSemi, l.src[start:l.pos]
+		for l.skipSpace(); l.pos < len(l.src) && (l.src[l.pos] == '\n' || l.src[l.pos] == ';'); l.skipSpace() {
+			l.advance() // merge separator runs
+		}
+		return tok
 	case c == '{':
-		return mk(TokLBrace, "{"), nil
+		tok.Kind = TokLBrace
 	case c == '}':
-		return mk(TokRBrace, "}"), nil
+		tok.Kind = TokRBrace
 	case c == '(':
-		return mk(TokLParen, "("), nil
+		tok.Kind = TokLParen
 	case c == ')':
-		return mk(TokRParen, ")"), nil
+		tok.Kind = TokRParen
 	case c == ',':
-		return mk(TokComma, ","), nil
+		tok.Kind = TokComma
 	case c == ':':
-		if n, ok := l.peekByte(); ok && n == '=' {
-			l.advance()
-			return mk(TokAssign, ":="), nil
+		if !l.acceptByte('=') {
+			return l.errorf("unexpected ':' (expected ':=')")
 		}
-		return Token{}, l.errf("unexpected ':' (expected ':=')")
+		tok.Kind = TokAssign
 	case c == '*':
-		return mk(TokStar, "*"), nil
+		tok.Kind = TokStar
 	case c == '+' || c == '-' || c == '/' || c == '%':
-		return mk(TokOp, string(c)), nil
+		tok.Kind = TokOp
 	case c == '=' || c == '!':
-		if n, ok := l.peekByte(); ok && n == '=' {
-			l.advance()
-			return mk(TokOp, string(c)+"="), nil
+		if !l.acceptByte('=') {
+			return l.errorf("unexpected %q (expected %q)", string(c), string(c)+"=")
 		}
-		return Token{}, l.errf("unexpected %q (expected %q)", string(c), string(c)+"=")
+		tok.Kind = TokOp
 	case c == '<' || c == '>':
-		if n, ok := l.peekByte(); ok && n == '=' {
-			l.advance()
-			return mk(TokOp, string(c)+"="), nil
-		}
-		return mk(TokOp, string(c)), nil
+		l.acceptByte('=')
+		tok.Kind = TokOp
 	case c == '"':
-		var sb strings.Builder
-		for {
-			n, ok := l.peekByte()
-			if !ok || n == '\n' {
-				return Token{}, l.errf("unterminated string literal")
-			}
-			l.advance()
-			if n == '"' {
-				break
-			}
-			if n == '\\' {
-				esc, ok := l.peekByte()
-				if !ok {
-					return Token{}, l.errf("unterminated escape in string literal")
-				}
-				l.advance()
-				switch esc {
-				case '"', '\\':
-					sb.WriteByte(esc)
-				case 'n':
-					sb.WriteByte('\n')
-				default:
-					return Token{}, l.errf("unknown escape \\%c", esc)
-				}
-				continue
-			}
-			sb.WriteByte(n)
-		}
-		return mk(TokString, sb.String()), nil
+		return l.scanString(tok)
 	case isDigit(c):
-		start := l.pos - 1
-		for {
-			n, ok := l.peekByte()
-			if !ok || !isDigit(n) {
-				break
-			}
+		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
 			l.advance()
 		}
-		text := l.src[start:l.pos]
-		v, err := strconv.ParseInt(text, 10, 64)
+		v, err := strconv.ParseInt(l.src[start:l.pos], 10, 64)
 		if err != nil {
-			return Token{}, l.errf("integer literal %q out of range", text)
+			return l.errorf("integer literal %q out of range", l.src[start:l.pos])
 		}
-		t := mk(TokInt, text)
-		t.Int = v
-		return t, nil
+		tok.Kind, tok.Int = TokInt, v
 	case isIdentStart(c):
-		start := l.pos - 1
-		for {
-			n, ok := l.peekByte()
-			if !ok || !isIdentCont(n) {
-				break
-			}
+		for l.pos < len(l.src) && isIdentCont(l.src[l.pos]) {
 			l.advance()
 		}
-		return mk(TokIdent, l.src[start:l.pos]), nil
+		tok.Kind = TokIdent
+	default:
+		return l.errorf("unexpected character %q", string(c))
 	}
-	return Token{}, l.errf("unexpected character %q", string(c))
+	tok.Text = l.src[start:l.pos]
+	return tok
+}
+
+// scanString reads a string literal whose opening quote scan has
+// consumed. The value is a slice of the source unless the literal
+// holds an escape.
+func (l *lexer) scanString(tok Token) Token {
+	start := l.pos
+	var val []byte // the decoded value, from the first escape on
+	for {
+		if l.pos == len(l.src) || l.src[l.pos] == '\n' {
+			return l.errorf("unterminated string literal")
+		}
+		switch c := l.advance(); c {
+		case '"':
+			tok.Kind, tok.Text = TokString, l.src[start:l.pos-1]
+			if val != nil {
+				tok.Text = string(val)
+			}
+			return tok
+		case '\\':
+			if l.pos == len(l.src) {
+				return l.errorf("unterminated escape in string literal")
+			}
+			if val == nil {
+				val = []byte(l.src[start : l.pos-1])
+			}
+			switch esc := l.advance(); esc {
+			case '"', '\\':
+				val = append(val, esc)
+			case 'n':
+				val = append(val, '\n')
+			default:
+				return l.errorf("unknown escape \\%c", esc)
+			}
+		default:
+			if val != nil {
+				val = append(val, c)
+			}
+		}
+	}
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

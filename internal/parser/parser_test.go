@@ -1,12 +1,30 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"pdce/internal/cfg"
 	"pdce/internal/ir"
 )
+
+// lex reads all of src through the parsers' token cursor. A lexical
+// error ends the stream; lex returns it as the parsers would.
+func lex(src string) ([]Token, error) {
+	t := newTokens(src)
+	var toks []Token
+	for {
+		tok := t.next()
+		switch tok.Kind {
+		case TokError:
+			return nil, t.errf(tok, "")
+		case TokEOF:
+			return append(toks, tok), nil
+		}
+		toks = append(toks, tok)
+	}
+}
 
 func TestLexBasics(t *testing.T) {
 	toks, err := lex("x := a + 42 // comment\nout(x)")
@@ -79,6 +97,139 @@ func TestLexPositions(t *testing.T) {
 	}
 	if bTok == nil || bTok.Line != 2 || bTok.Col != 3 {
 		t.Errorf("position of b = %+v", bTok)
+	}
+}
+
+// parseAs runs one of the three front ends over src.
+func parseAs(front, src string) error {
+	var err error
+	switch front {
+	case "cfg":
+		_, err = ParseCFG(src)
+	case "while":
+		_, err = ParseSource("p", src)
+	case "expr":
+		_, err = ParseExpr(src)
+	}
+	return err
+}
+
+// A program whose only defect is lexical fails with the lexical error,
+// message and line:col, wherever the defect sits. The expected errors
+// are those of the lexer that tokenized the whole input before parsing.
+func TestLexicalErrorPositions(t *testing.T) {
+	bad := []string{":", "=", "!", `"abc`, `"a\qb"`, "$", "99999999999999999999"}
+	for _, c := range []struct {
+		front, template string
+		want            []string // one per bad lexeme
+	}{
+		{"cfg", "graph %s\nnode 1 {\n  x := a+b\n}\nedge s 1\nedge 1 e\n", []string{
+			"1:8: unexpected ':' (expected ':=')",
+			"1:8: unexpected \"=\" (expected \"==\")",
+			"1:8: unexpected \"!\" (expected \"!=\")",
+			"1:11: unterminated string literal",
+			"1:11: unknown escape \\q",
+			"1:8: unexpected character \"$\"",
+			"1:27: integer literal \"99999999999999999999\" out of range",
+		}},
+		{"cfg", "graph \"g\"\nnode 1 {\n  x := %s\n}\nedge s 1\nedge 1 e\n", []string{
+			"3:9: unexpected ':' (expected ':=')",
+			"3:9: unexpected \"=\" (expected \"==\")",
+			"3:9: unexpected \"!\" (expected \"!=\")",
+			"3:12: unterminated string literal",
+			"3:12: unknown escape \\q",
+			"3:9: unexpected character \"$\"",
+			"3:28: integer literal \"99999999999999999999\" out of range",
+		}},
+		{"cfg", "graph \"g\"\nnode 1 {\n  x := a+b\n}\nedge s 1\nedge 1 %s", []string{
+			"6:9: unexpected ':' (expected ':=')",
+			"6:9: unexpected \"=\" (expected \"==\")",
+			"6:9: unexpected \"!\" (expected \"!=\")",
+			"6:12: unterminated string literal",
+			"6:12: unknown escape \\q",
+			"6:9: unexpected character \"$\"",
+			"6:28: integer literal \"99999999999999999999\" out of range",
+		}},
+		{"while", "x := %s\nif * {\n  y := x\n}\nout(y)", []string{
+			"1:7: unexpected ':' (expected ':=')",
+			"1:7: unexpected \"=\" (expected \"==\")",
+			"1:7: unexpected \"!\" (expected \"!=\")",
+			"1:10: unterminated string literal",
+			"1:10: unknown escape \\q",
+			"1:7: unexpected character \"$\"",
+			"1:26: integer literal \"99999999999999999999\" out of range",
+		}},
+		{"while", "x := a\nif * {\n  y := %s\n}\nout(y)", []string{
+			"3:9: unexpected ':' (expected ':=')",
+			"3:9: unexpected \"=\" (expected \"==\")",
+			"3:9: unexpected \"!\" (expected \"!=\")",
+			"3:12: unterminated string literal",
+			"3:12: unknown escape \\q",
+			"3:9: unexpected character \"$\"",
+			"3:28: integer literal \"99999999999999999999\" out of range",
+		}},
+		{"while", "x := a\nif * {\n  y := x\n}\nout(y + %s)", []string{
+			"5:10: unexpected ':' (expected ':=')",
+			"5:10: unexpected \"=\" (expected \"==\")",
+			"5:10: unexpected \"!\" (expected \"!=\")",
+			"5:14: unterminated string literal",
+			"5:13: unknown escape \\q",
+			"5:10: unexpected character \"$\"",
+			"5:29: integer literal \"99999999999999999999\" out of range",
+		}},
+		{"expr", "%s + a*b", []string{
+			"1:2: unexpected ':' (expected ':=')",
+			"1:2: unexpected \"=\" (expected \"==\")",
+			"1:2: unexpected \"!\" (expected \"!=\")",
+			"1:11: unterminated string literal",
+			"1:5: unknown escape \\q",
+			"1:2: unexpected character \"$\"",
+			"1:21: integer literal \"99999999999999999999\" out of range",
+		}},
+		{"expr", "a*(%s - b)", []string{
+			"1:5: unexpected ':' (expected ':=')",
+			"1:5: unexpected \"=\" (expected \"==\")",
+			"1:5: unexpected \"!\" (expected \"!=\")",
+			"1:13: unterminated string literal",
+			"1:8: unknown escape \\q",
+			"1:5: unexpected character \"$\"",
+			"1:24: integer literal \"99999999999999999999\" out of range",
+		}},
+		{"expr", "a*b + %s", []string{
+			"1:8: unexpected ':' (expected ':=')",
+			"1:8: unexpected \"=\" (expected \"==\")",
+			"1:8: unexpected \"!\" (expected \"!=\")",
+			"1:11: unterminated string literal",
+			"1:11: unknown escape \\q",
+			"1:8: unexpected character \"$\"",
+			"1:27: integer literal \"99999999999999999999\" out of range",
+		}},
+	} {
+		for i, b := range bad {
+			src := fmt.Sprintf(c.template, b)
+			if err := parseAs(c.front, src); err == nil || err.Error() != c.want[i] {
+				t.Errorf("%s %q: error %v, want %s", c.front, src, err, c.want[i])
+			}
+		}
+	}
+}
+
+// With a lexical and a syntax error in one program, the earlier one is
+// reported, in either order.
+func TestFirstErrorReported(t *testing.T) {
+	for _, c := range []struct{ front, src, want string }{
+		{"cfg", "x : y", `1:1: expected 'node' or 'edge', found "x"`},
+		{"cfg", ": x", `1:2: unexpected ':' (expected ':=')`},
+		{"cfg", "graph \"g\"\nnode 1 {\n  x := )\n}\nedge s $\n", `3:8: expected expression, found ')' ")"`},
+		{"cfg", "graph \"g\"\nnode 1 {\n  x := $\n}\nedge s )\n", `3:9: unexpected character "$"`},
+		{"while", "x := )\ny := $", `1:6: expected expression, found ')' ")"`},
+		{"while", "x := $\ny := )", `1:7: unexpected character "$"`},
+		{"expr", ") + $", `1:1: expected expression, found ')' ")"`},
+		{"expr", "$ + )", `1:2: unexpected character "$"`},
+	} {
+		if err := parseAs(c.front, c.src); err == nil || err.Error() != c.want {
+			t.Errorf("%s %q: error %v, want %s", c.front, c.src, err, c.want)
+		}
 	}
 }
 

@@ -77,16 +77,7 @@ func MustParseSource(name, src string) *cfg.Graph {
 
 // ParseSourceAST parses a WHILE-language program to its AST.
 func ParseSourceAST(src string) ([]SrcStmt, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	t := &tokens{list: toks}
-	stmts, err := parseStmtList(t, TokEOF)
-	if err != nil {
-		return nil, err
-	}
-	return stmts, nil
+	return parseStmtList(newTokens(src), TokEOF)
 }
 
 // parseStmtList parses statements until the given closing token kind,

@@ -9,7 +9,9 @@ import "strings"
 // client-side so the affinity key is computed over the same parse the
 // server will perform.
 func DetectLang(src string) string {
-	for _, line := range strings.Split(src, "\n") {
+	for rest := src; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "//") || strings.HasPrefix(line, "#") {
 			continue
