@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race bench bench-json bench-check fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-module ci
+.PHONY: all build fmt vet test race bench bench-json fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-module ci
 
 all: build
 
@@ -34,33 +34,27 @@ bench-json:
 	$(GO) run ./cmd/benchpaper -quick -json BENCH_paper.json > /dev/null
 	$(GO) run ./cmd/benchreport
 
-# Regression gate: run the smoke matrix from experiments.json against a
-# scratch copy of the history and fail if any metric regresses beyond
-# its measured variance band. Set PDCE_BENCH_TOLERANCE (e.g. 2.0) to
-# widen every band on noisy hosts — see docs/OPERATIONS.md.
-bench-check:
-	cp BENCH_paper.json /tmp/pdce-bench-check.json
-	$(GO) run ./cmd/benchpaper -smoke -json /tmp/pdce-bench-check.json -out '' > /dev/null
-	$(GO) run ./cmd/benchreport -history /tmp/pdce-bench-check.json -check
-
 # Fuzz smoke over the containment contract: SafeOptimize must never
 # panic and must always return a structurally valid program, whatever
-# the input and option combination. Then seven decoders of untrusted
+# the input and option combination. Then eight decoders of untrusted
 # bytes: the traceparent header parser, WAL recovery, the serving
 # endpoints' request decoding (POST /optimize answers only 200 or a
 # structured 400, a 200 carries a parseable program and repeats as a
 # byte-identical cache hit; POST /optimize/batch answers 400 or one
-# entry per program), the three front ends that share the lexer (the
-# flow-graph parser, whose accepted graphs must round-trip through
-# Format and survive pde and pfe; the WHILE-language parser, whose
-# lowered graphs must round-trip through Format; the expression parser,
-# whose terms must round-trip through String), and DirStore's blob
-# files (served only when they verify, otherwise removed).
+# entry per program), the check that admits a stored result body
+# (never one whose key differs or whose program does not parse), the
+# three front ends that share the lexer (the flow-graph parser, whose
+# accepted graphs must round-trip through Format and survive pde and
+# pfe; the WHILE-language parser, whose lowered graphs must round-trip
+# through Format; the expression parser, whose terms must round-trip
+# through String), and DirStore's blob files (served only when they
+# verify, otherwise removed).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSafeOptimize -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzTraceparent -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzWALRecover -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeRequest -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzAdmitStored -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzParseCFG -fuzztime 10s ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzParseSource -fuzztime 10s ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzParseExpr -fuzztime 10s ./internal/parser
@@ -137,9 +131,9 @@ bench-module:
 # Full local CI: static checks (gofmt, vet), build, the whole suite
 # under the race detector (includes the incremental-vs-reference
 # equivalence property tests, the batch pipeline and fault-injection
-# tests, and the allocation budget guard), a benchmark smoke pass, the
-# containment fuzz smoke, the telemetry, serving, tracing, chaos, and
-# store smokes, the docs drift guard, the benchmark module's vet and
-# tests, and the benchmark regression gate (smoke matrix +
-# variance-band check).
-ci: fmt vet build race bench fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-module bench-check
+# tests, the allocation budget guard, and the two goldens that pin the
+# paper's clock-free claims and the driver's work), a benchmark smoke
+# pass, the containment fuzz smoke, the telemetry, serving, tracing,
+# chaos, and store smokes, the docs drift guard, and the benchmark
+# module's vet and tests.
+ci: fmt vet build race bench fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-module

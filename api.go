@@ -145,6 +145,11 @@ type CacheMetrics struct {
 	// SpillSwept counts orphaned temp files (crash litter from torn
 	// spill writes) removed at boot.
 	SpillSwept int64 `json:"spill_swept"`
+	// Rejected counts stored bodies refused on their way into L1: a
+	// spill entry, an L2 read or a peer push that does not decode as
+	// a result for its key, or whose program does not parse. The
+	// request behind each one solves locally.
+	Rejected int64 `json:"rejected"`
 	// HitRate is (memory + spill hits)/lookups.
 	HitRate float64 `json:"hit_rate"`
 }

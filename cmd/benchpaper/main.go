@@ -35,15 +35,15 @@
 // of repeats, per-repeat logs land in paper_runs/<run-id>/, and the
 // run (raw per-repeat records plus variance-aware aggregates) is
 // appended to the BENCH_paper.json history named by -json, which
-// cmd/benchreport turns into the reproduction docs and gates for
-// regressions.
+// cmd/benchreport turns into the reproduction docs. The clock-free
+// numbers of one quick run of F and C1–C8 are pinned by
+// TestPaperClaimsGolden.
 //
 // Usage:
 //
 //	benchpaper                          # run everything
 //	benchpaper -exp C1,C9               # a subset
 //	benchpaper -quick                   # smaller sweeps (CI-friendly)
-//	benchpaper -smoke                   # the bench-check gate matrix
 //	benchpaper -json BENCH_paper.json   # append the run to the history
 package main
 
@@ -76,7 +76,6 @@ import (
 var (
 	expFlag     = flag.String("exp", "all", "comma-separated experiments to run: F, C1, C2, C3, C4, C5, C6, C7, C8, C9, all")
 	quick       = flag.Bool("quick", false, "smaller sweeps")
-	smoke       = flag.Bool("smoke", false, "run the smoke matrix from experiments.json (the bench-check gate's scale; implies -quick)")
 	seedsFlag   = flag.Int("seeds", 0, "random seeds per configuration (0 = experiments.json)")
 	repeatsFlag = flag.Int("repeats", 0, "repeats per experiment (0 = experiments.json)")
 	configPath  = flag.String("config", "experiments.json", "experiment matrix config (missing file = built-in defaults)")
@@ -124,28 +123,20 @@ func registry() []experiment {
 	}
 }
 
-// selected resolves -exp / -smoke into the set of experiment ids.
+// selected resolves -exp into the set of experiment ids.
 func selected() (map[string]bool, error) {
 	known := map[string]string{}
 	for _, e := range registry() {
 		known[strings.ToLower(e.id)] = e.id
 	}
 	want := map[string]bool{}
-	var list []string
-	switch {
-	// An explicit -exp narrows the smoke matrix too: -smoke keeps its
-	// scale (sizes/seeds/repeats) either way.
-	case *smoke && *expFlag == "all":
-		list = matrix.Smoke.Exps
-	case *expFlag == "all":
-		for _, e := range registry() {
-			want[e.id] = true
+	if *expFlag == "all" {
+		for _, id := range known {
+			want[id] = true
 		}
 		return want, nil
-	default:
-		list = strings.Split(*expFlag, ",")
 	}
-	for _, id := range list {
+	for _, id := range strings.Split(*expFlag, ",") {
 		id = strings.TrimSpace(id)
 		if id == "" {
 			continue
@@ -169,9 +160,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchpaper: %v\n", err)
 		os.Exit(1)
-	}
-	if *smoke {
-		*quick = true
 	}
 	want, err := selected()
 	if err != nil {
@@ -253,9 +241,6 @@ func buildRun(runID string, failed []string) obs.BenchRun {
 	if *quick {
 		kind = "quick"
 	}
-	if *smoke {
-		kind = "smoke"
-	}
 	if records == nil {
 		records = []obs.BenchPoint{}
 	}
@@ -331,9 +316,6 @@ func runCaptured(logPath string, echo bool, f func() error) error {
 
 // sizes is the current experiment's program-size sweep.
 func sizes() []int {
-	if *smoke && len(matrix.Smoke.Sizes) > 0 {
-		return matrix.Smoke.Sizes
-	}
 	return matrix.Sizes(cur, *quick)
 }
 
@@ -341,9 +323,6 @@ func sizes() []int {
 func nseeds() int {
 	if *seedsFlag > 0 {
 		return *seedsFlag
-	}
-	if *smoke && matrix.Smoke.Seeds > 0 {
-		return matrix.Smoke.Seeds
 	}
 	return matrix.Seeds(cur)
 }
@@ -354,9 +333,6 @@ func nrepeats() int {
 	if *repeatsFlag > 0 {
 		return *repeatsFlag
 	}
-	if *smoke && matrix.Smoke.Repeats > 0 {
-		return matrix.Smoke.Repeats
-	}
 	return matrix.Repeats(cur)
 }
 
@@ -366,18 +342,12 @@ func globalSeeds() int {
 	if *seedsFlag > 0 {
 		return *seedsFlag
 	}
-	if *smoke && matrix.Smoke.Seeds > 0 {
-		return matrix.Smoke.Seeds
-	}
 	return matrix.Defaults.Seeds
 }
 
 func globalRepeats() int {
 	if *repeatsFlag > 0 {
 		return *repeatsFlag
-	}
-	if *smoke && matrix.Smoke.Repeats > 0 {
-		return matrix.Smoke.Repeats
 	}
 	if matrix.Defaults.Repeats > 0 {
 		return matrix.Defaults.Repeats
@@ -491,8 +461,7 @@ func expScaling(mode core.Mode, id, label string) error {
 	exp := fitExponent(ns, ts)
 	fmt.Printf("\nfitted exponent: time ~ n^%.2f (paper bound for realistic structured programs: O(n^2))\n\n", exp)
 	// A fit over fewer than three sizes has no residual — it is not a
-	// measurement — so the smoke sweep records no exponent and the gate
-	// never compares 2-point fits against real sweeps.
+	// measurement — so such a sweep records no exponent.
 	if len(ns) >= 3 {
 		record(id, label+"-fit", 0, 0, map[string]float64{"exponent": exp})
 	}

@@ -124,27 +124,21 @@ func TestSizesQuickSubset(t *testing.T) {
 	}
 }
 
-// TestSmokeSelection resolves -smoke into the smoke matrix's experiment
-// subset, and rejects unknown -exp ids.
-func TestSmokeSelection(t *testing.T) {
-	oldSmoke, oldExp := *smoke, *expFlag
-	defer func() { *smoke, *expFlag = oldSmoke, oldExp }()
+// TestExpSelection resolves -exp: "all" selects every registered
+// experiment, a list is case-insensitive, and an unknown id is refused.
+func TestExpSelection(t *testing.T) {
+	oldExp := *expFlag
+	defer func() { *expFlag = oldExp }()
 
-	*smoke = true
+	*expFlag = "all"
 	want, err := selected()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range matrix.Smoke.Exps {
-		if !want[id] {
-			t.Errorf("smoke selection missing %s", id)
-		}
-	}
-	if len(want) != len(matrix.Smoke.Exps) {
-		t.Errorf("smoke selected %d experiments, config lists %d", len(want), len(matrix.Smoke.Exps))
+	if len(want) != len(registry()) {
+		t.Errorf("all selected %d experiments, registry has %d", len(want), len(registry()))
 	}
 
-	*smoke = false
 	*expFlag = "c1, c9"
 	want, err = selected()
 	if err != nil {

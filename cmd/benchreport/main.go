@@ -1,7 +1,6 @@
 // Command benchreport is the analysis stage of the paper reproduction
 // harness. It consumes the BENCH_paper.json run history written by
-// cmd/benchpaper and either regenerates the reproduction docs (the
-// default) or gates the newest run against its baselines (-check).
+// cmd/benchpaper and regenerates the reproduction docs from it.
 //
 // Regeneration rewrites docs/BENCHMARKS.md wholesale and splices the
 // generated-table blocks of EXPERIMENTS.md and README.md in place —
@@ -11,27 +10,15 @@
 // re-running against committed data is byte-stable; the drift-guard
 // test in internal/bench enforces that the committed docs match.
 //
-// The regression gate compares the newest run's per-metric medians
-// against a window of preceding same-scale runs and fails (exit 1) only
-// when a metric moves in its worse direction beyond the measured
-// variance band. PDCE_BENCH_TOLERANCE (or -tolerance) widens every band
-// on noisy hosts.
-//
 // Usage:
 //
 //	benchreport                      # regenerate docs from BENCH_paper.json
-//	benchreport -run paper_runs/<id> # include an uncommitted run as newest
-//	benchreport -check               # regression gate, exit 1 on regression
-//	benchreport -check -tolerance 2  # double every variance band
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strconv"
 
 	"pdce/internal/bench"
 	"pdce/internal/obs"
@@ -40,10 +27,6 @@ import (
 var (
 	historyPath = flag.String("history", "BENCH_paper.json", "run history to analyze")
 	configPath  = flag.String("config", "experiments.json", "experiment matrix config (missing file = built-in defaults)")
-	runDir      = flag.String("run", "", "a paper_runs/<run-id> directory whose run.json is analyzed as the newest run without touching the history")
-	check       = flag.Bool("check", false, "regression gate: compare the newest run against its baseline window and exit non-zero on out-of-band regressions")
-	tolerance   = flag.Float64("tolerance", 0, "scale every variance band by this factor (0 = $PDCE_BENCH_TOLERANCE or 1.0)")
-	window      = flag.Int("window", 0, "baseline window size (0 = experiments.json)")
 	benchDoc    = flag.String("benchmarks", "docs/BENCHMARKS.md", "generated benchmarks document to (re)write ('' = skip)")
 	expDoc      = flag.String("experiments-doc", "EXPERIMENTS.md", "document whose generated blocks are spliced ('' = skip)")
 	readmeDoc   = flag.String("readme", "README.md", "document whose generated blocks are spliced ('' = skip)")
@@ -57,6 +40,7 @@ func main() {
 	}
 }
 
+// run rewrites the generated docs from the history.
 func run() error {
 	h, err := obs.LoadBenchHistory(*historyPath)
 	if err != nil {
@@ -66,67 +50,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *runDir != "" {
-		data, err := os.ReadFile(filepath.Join(*runDir, "run.json"))
-		if err != nil {
-			return err
-		}
-		var extra obs.BenchRun
-		if err := json.Unmarshal(data, &extra); err != nil {
-			return fmt.Errorf("%s: %w", filepath.Join(*runDir, "run.json"), err)
-		}
-		h.Runs = append(h.Runs, extra)
-	}
 	if len(h.Runs) == 0 {
 		return fmt.Errorf("%s: history has no runs; run `go run ./cmd/benchpaper -json %s` first",
 			*historyPath, *historyPath)
 	}
-	if *check {
-		return gate(h, matrix)
-	}
-	return regenerate(h, matrix)
-}
-
-// gate runs the regression check and reports the verdict.
-func gate(h *obs.BenchHistory, matrix *bench.Matrix) error {
-	cfg := matrix.Check
-	if *window > 0 {
-		cfg.Window = *window
-	}
-	tol := *tolerance
-	if tol <= 0 {
-		if env := os.Getenv("PDCE_BENCH_TOLERANCE"); env != "" {
-			v, err := strconv.ParseFloat(env, 64)
-			if err != nil || v <= 0 {
-				return fmt.Errorf("PDCE_BENCH_TOLERANCE=%q: not a positive number", env)
-			}
-			tol = v
-		}
-	}
-	res, err := bench.Check(h, cfg, tol)
-	if err != nil {
-		return err
-	}
-	if len(res.Baselines) == 0 {
-		fmt.Printf("benchreport: run %s has no comparable baseline runs; %d metric(s) recorded, nothing gated\n",
-			res.Run, res.Skipped)
-		return nil
-	}
-	fmt.Printf("benchreport: run %s vs %d baseline run(s) %v: %d metric(s) checked, %d skipped\n",
-		res.Run, len(res.Baselines), res.Baselines, res.Checked, res.Skipped)
-	if len(res.Regressions) == 0 {
-		fmt.Println("benchreport: no out-of-band regressions")
-		return nil
-	}
-	for _, r := range res.Regressions {
-		fmt.Fprintf(os.Stderr, "benchreport: REGRESSION %s\n", r)
-	}
-	return fmt.Errorf("%d metric(s) regressed beyond their variance band (PDCE_BENCH_TOLERANCE widens the bands on noisy hosts)",
-		len(res.Regressions))
-}
-
-// regenerate rewrites the generated docs from the history.
-func regenerate(h *obs.BenchHistory, matrix *bench.Matrix) error {
 	r := bench.NewRenderer(h, matrix)
 	if *benchDoc != "" {
 		if err := writeIfChanged(*benchDoc, []byte(r.BenchmarksDoc())); err != nil {

@@ -128,6 +128,15 @@ func TestCacheKeyGolden(t *testing.T) {
 	}
 }
 
+// goldenPrograms generated programs are the inputs of TestFormatGolden
+// and TestWorkGolden: structured and irreducible, 10 to 1,000
+// statements.
+const goldenPrograms = 12
+
+func goldenProgram(seed int) *pdce.Program {
+	return pdce.Generate(pdce.GenParams{Seed: int64(seed), Stmts: 10 + 90*seed, Irreducible: seed%3 == 2})
+}
+
 // TestFormatGolden pins Format's bytes beyond the golden-key inputs:
 // structured and irreducible generated programs of 10 to 1,000
 // statements, and their pde and pfe results, whose synthetic blocks
@@ -140,8 +149,8 @@ func TestFormatGolden(t *testing.T) {
 	}
 	h := sha256.New()
 	quoted := 0
-	for seed := 0; seed < 12; seed++ {
-		p := pdce.Generate(pdce.GenParams{Seed: int64(seed), Stmts: 10 + 90*seed, Irreducible: seed%3 == 2})
+	for seed := 0; seed < goldenPrograms; seed++ {
+		p := goldenProgram(seed)
 		texts := []string{p.Format()}
 		for _, mode := range []pdce.Mode{pdce.Dead, pdce.Faint} {
 			opt, _, err := p.Optimize(pdce.Options{Mode: mode})

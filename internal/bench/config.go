@@ -1,9 +1,8 @@
 // Package bench is the experiments-as-config layer of the paper
 // reproduction harness: the experiments.json matrix that cmd/benchpaper
-// executes, the deterministic renderer that cmd/benchreport uses to
+// executes, and the deterministic renderer that cmd/benchreport uses to
 // generate the reproduction documentation from BENCH_paper.json
-// history, and the noise-aware regression gate behind `benchreport
-// -check`.
+// history.
 package bench
 
 import (
@@ -13,13 +12,10 @@ import (
 )
 
 // Matrix is the experiments.json document: the declared experiment
-// matrix plus the regression-gate configuration. Every field has a
-// built-in default, so a missing file behaves like the pre-config
-// hardcoded harness.
+// matrix. Every field has a built-in default, so a missing file
+// behaves like the pre-config hardcoded harness.
 type Matrix struct {
-	Check       CheckConfig `json:"check"`
 	Defaults    Defaults    `json:"defaults"`
-	Smoke       Smoke       `json:"smoke"`
 	Experiments []ExpConfig `json:"experiments,omitempty"`
 }
 
@@ -29,16 +25,6 @@ type Defaults struct {
 	Repeats    int   `json:"repeats,omitempty"`
 	Sizes      []int `json:"sizes,omitempty"`
 	QuickSizes []int `json:"quick_sizes,omitempty"`
-}
-
-// Smoke is the CI-scale matrix behind `make bench-check`: a subset of
-// experiments at reduced size, run with its own seeds/repeats so the
-// gate has variance to measure without a full benchmark run.
-type Smoke struct {
-	Exps    []string `json:"experiments,omitempty"`
-	Seeds   int      `json:"seeds,omitempty"`
-	Repeats int      `json:"repeats,omitempty"`
-	Sizes   []int    `json:"sizes,omitempty"`
 }
 
 // ExpConfig declares one experiment of the matrix. Zero fields fall
@@ -55,37 +41,6 @@ type ExpConfig struct {
 	QuickParams map[string]int `json:"quick_params,omitempty"`
 }
 
-// CheckConfig tunes the regression gate. The band around a baseline
-// metric is max(MADK·spread, RelFloor·|baseline|), where spread is the
-// larger of the baseline window's MAD and the newest run's
-// across-repeat MAD; time-derived metrics (wall clock, throughput,
-// speedups) use TimeRelFloor instead of RelFloor, since they move with
-// the host. Directions overrides or disables the built-in
-// better-direction table per metric ("lower", "higher", "skip").
-type CheckConfig struct {
-	Window       int               `json:"window,omitempty"`
-	MADK         float64           `json:"mad_k,omitempty"`
-	RelFloor     float64           `json:"rel_floor,omitempty"`
-	TimeRelFloor float64           `json:"time_rel_floor,omitempty"`
-	Directions   map[string]string `json:"directions,omitempty"`
-}
-
-func (c CheckConfig) withDefaults() CheckConfig {
-	if c.Window <= 0 {
-		c.Window = 5
-	}
-	if c.MADK <= 0 {
-		c.MADK = 4
-	}
-	if c.RelFloor <= 0 {
-		c.RelFloor = 0.10
-	}
-	if c.TimeRelFloor <= 0 {
-		c.TimeRelFloor = 0.60
-	}
-	return c
-}
-
 // DefaultMatrix mirrors the harness's pre-config behaviour: the full
 // and quick size sweeps and single-repeat runs.
 func DefaultMatrix() *Matrix {
@@ -95,12 +50,6 @@ func DefaultMatrix() *Matrix {
 			Repeats:    1,
 			Sizes:      []int{64, 128, 256, 512, 1024, 2048, 4096},
 			QuickSizes: []int{64, 128, 256, 512},
-		},
-		Smoke: Smoke{
-			Exps:    []string{"C1", "C4"},
-			Seeds:   3,
-			Repeats: 2,
-			Sizes:   []int{64, 128},
 		},
 	}
 }
@@ -132,9 +81,6 @@ func LoadMatrix(path string) (*Matrix, error) {
 	}
 	if len(m.Defaults.QuickSizes) == 0 {
 		m.Defaults.QuickSizes = def.Defaults.QuickSizes
-	}
-	if len(m.Smoke.Exps) == 0 {
-		m.Smoke = def.Smoke
 	}
 	return &m, nil
 }

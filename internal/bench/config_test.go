@@ -15,9 +15,6 @@ func TestLoadMatrixMissingIsDefault(t *testing.T) {
 	if m.Defaults.Seeds != def.Defaults.Seeds || len(m.Defaults.Sizes) != len(def.Defaults.Sizes) {
 		t.Errorf("missing file defaults = %+v", m.Defaults)
 	}
-	if len(m.Smoke.Exps) == 0 {
-		t.Error("missing file has no smoke matrix")
-	}
 }
 
 func TestLoadMatrixBackfillsDefaults(t *testing.T) {
@@ -40,7 +37,7 @@ func TestLoadMatrixBackfillsDefaults(t *testing.T) {
 		t.Errorf("seeds = %d", m.Defaults.Seeds)
 	}
 	// Unset fields backfill from the built-in defaults.
-	if len(m.Defaults.Sizes) == 0 || len(m.Defaults.QuickSizes) == 0 || len(m.Smoke.Exps) == 0 {
+	if len(m.Defaults.Sizes) == 0 || len(m.Defaults.QuickSizes) == 0 {
 		t.Errorf("backfill missing: %+v", m)
 	}
 
@@ -90,17 +87,6 @@ func TestLoadMatrixRejectsBadJSON(t *testing.T) {
 	}
 }
 
-func TestCheckConfigDefaults(t *testing.T) {
-	c := CheckConfig{}.withDefaults()
-	if c.Window != 5 || c.MADK != 4 || c.RelFloor != 0.10 || c.TimeRelFloor != 0.60 {
-		t.Errorf("defaults = %+v", c)
-	}
-	c = CheckConfig{Window: 2, MADK: 1, RelFloor: 0.5, TimeRelFloor: 0.9}.withDefaults()
-	if c.Window != 2 || c.MADK != 1 || c.RelFloor != 0.5 || c.TimeRelFloor != 0.9 {
-		t.Errorf("overrides lost: %+v", c)
-	}
-}
-
 // TestRepoMatrixMatchesBuiltins loads the committed experiments.json
 // and checks it against the harness's built-in workload constants, so
 // the config file and the code defaults can't drift silently.
@@ -121,8 +107,5 @@ func TestRepoMatrixMatchesBuiltins(t *testing.T) {
 				t.Errorf("%s %s = %d, want %d", id, key, got, v)
 			}
 		}
-	}
-	if len(m.Smoke.Exps) == 0 || m.Smoke.Repeats < 2 {
-		t.Errorf("smoke matrix %+v cannot feed the variance gate", m.Smoke)
 	}
 }

@@ -337,10 +337,11 @@ func (r *Renderer) BenchmarksDoc() string {
 	b.WriteString("Every table below is rendered by `cmd/benchreport` from the committed\n")
 	b.WriteString("`BENCH_paper.json` run history (written by `cmd/benchpaper` executing the\n")
 	b.WriteString("`experiments.json` matrix). Numbers are medians across a run's repeats;\n")
-	b.WriteString("±MAD marks the measured variance band, and `benchreport -check` gates\n")
-	b.WriteString("regressions against it. See [EXPERIMENTS-HOWTO.md](EXPERIMENTS-HOWTO.md)\n")
-	b.WriteString("for the workflow and [EXPERIMENTS.md](../EXPERIMENTS.md) for the\n")
-	b.WriteString("interpretation of each experiment against the paper's claims.\n\n")
+	b.WriteString("±MAD marks the spread across repeats. The clock-free numbers of a quick\n")
+	b.WriteString("run are pinned exactly by `TestPaperClaimsGolden` (cmd/benchpaper). See\n")
+	b.WriteString("[EXPERIMENTS-HOWTO.md](EXPERIMENTS-HOWTO.md) for the workflow and\n")
+	b.WriteString("[EXPERIMENTS.md](../EXPERIMENTS.md) for the interpretation of each\n")
+	b.WriteString("experiment against the paper's claims.\n\n")
 
 	b.WriteString("## Run inventory\n\n")
 	b.WriteString("| run | kind | time | seeds | repeats | gomaxprocs | points | note |\n")

@@ -3,11 +3,11 @@
 // cmd/benchpaper executes the experiment matrix declared in
 // experiments.json and appends one BenchRun per invocation to the
 // BENCH_paper.json history; cmd/benchreport consumes the history to
-// regenerate the reproduction documentation and to gate regressions.
-// The shapes here are the contract between the two (pinned by
-// testdata/bench.schema.json): raw per-repeat data points stay in
-// Records, and every number the docs or the gate consume comes from
-// the variance-aware Aggregates computed across repeats.
+// regenerate the reproduction documentation. The shapes here are the
+// contract between the two (pinned by testdata/bench.schema.json): raw
+// per-repeat data points stay in Records, and every number the docs
+// consume comes from the variance-aware Aggregates computed across
+// repeats.
 package obs
 
 import (
@@ -59,12 +59,10 @@ type BenchStat struct {
 // every raw per-repeat point, and the per-series aggregates.
 type BenchRun struct {
 	RunID string `json:"run_id"`
-	// Kind classifies the run for baseline selection and rendering:
-	// "full", "quick", "smoke" (the CI gate's matrix), "legacy" (the
-	// version-1 report the committed history began from), or
-	// "milestone" (a hand-recorded historical data point for the
-	// perf-trajectory docs; never used as a gate baseline or doc table
-	// source).
+	// Kind classifies the run for rendering: "full", "quick",
+	// "legacy" (the version-1 report the committed history began
+	// from), or "milestone" (a hand-recorded historical data point for
+	// the perf-trajectory docs; never a doc table source).
 	Kind       string       `json:"kind"`
 	Time       string       `json:"time,omitempty"`
 	Quick      bool         `json:"quick"`

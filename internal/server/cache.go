@@ -28,11 +28,17 @@ import (
 // before reporting a miss. Spill entries are verified on load — a
 // corrupted file (detected via SHA-256, exercised through the
 // faultinject.ServerCacheLoad seam) is quarantined (removed) and
-// treated as a miss, never served.
+// treated as a miss, never served. An entry that verifies must still
+// pass admit before it is served.
 type Cache struct {
 	shards   [cacheShards]cacheShard
 	perShard int
 	spillDir string
+
+	// admit decides whether a body read back from outside this
+	// process may enter memory (nil admits every body); the server
+	// installs admitResult. rejected counts its refusals.
+	admit func(key string, body []byte) bool
 
 	hits         atomic.Int64
 	misses       atomic.Int64
@@ -40,6 +46,7 @@ type Cache struct {
 	spillHits    atomic.Int64
 	spillCorrupt atomic.Int64
 	spillSwept   atomic.Int64
+	rejected     atomic.Int64
 }
 
 const cacheShards = 16
@@ -184,6 +191,7 @@ func (c *Cache) Metrics() pdce.CacheMetrics {
 		SpillHits:    c.spillHits.Load(),
 		SpillCorrupt: c.spillCorrupt.Load(),
 		SpillSwept:   c.spillSwept.Load(),
+		Rejected:     c.rejected.Load(),
 	}
 	if lookups := m.Hits + m.SpillHits + m.Misses; lookups > 0 {
 		m.HitRate = float64(m.Hits+m.SpillHits) / float64(lookups)
@@ -253,7 +261,20 @@ func (c *Cache) loadSpill(key string) ([]byte, bool) {
 		c.quarantine(path)
 		return nil, false
 	}
+	if !c.admitStored(key, body) {
+		return nil, false
+	}
 	return body, true
+}
+
+// admitStored applies admit to a body read back from storage under
+// key, counting each refusal.
+func (c *Cache) admitStored(key string, body []byte) bool {
+	if c.admit == nil || c.admit(key, body) {
+		return true
+	}
+	c.rejected.Add(1)
+	return false
 }
 
 func (c *Cache) quarantine(path string) {

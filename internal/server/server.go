@@ -202,6 +202,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	cache.admit = admitResult
 	s := &Server{
 		cfg:     cfg,
 		cache:   cache,

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"pdce"
 	"pdce/internal/obs"
 	"pdce/internal/store"
 )
@@ -37,6 +38,23 @@ import (
 // format version (store.VersionedKey), so replicas from different
 // builds sharing one store address disjoint key spaces.
 
+// admitResult reports whether body, read back from outside this
+// process (the spill directory, the L2 store, a peer's push), may
+// answer the L1 key key: it must decode as a pdce.OptimizeResponse
+// whose key is key and whose program parses. Every stored body passes
+// through it before it reaches L1 (Cache.admitStored); a body that
+// fails is counted in cache.rejected and the request solves locally.
+// The check proves a body well-formed and addressed to key, not that
+// its program is the optimum of the request's.
+func admitResult(key string, body []byte) bool {
+	var resp pdce.OptimizeResponse
+	if json.Unmarshal(body, &resp) != nil || resp.Key != key {
+		return false
+	}
+	_, err := pdce.ParseCFG(resp.Program)
+	return err == nil
+}
+
 // storeKey maps a raw L1 cache key to its versioned store key.
 func (s *Server) storeKey(key string) string {
 	return store.VersionedKey(s.cfg.StoreVersion, key)
@@ -57,9 +75,10 @@ func randomOwner() string {
 	return "pdced-" + hex.EncodeToString(b[:])
 }
 
-// l2Get consults the shared store for key after an L1 miss. A hit
-// backfills L1 (memory and spill) so the next request is local. Backend
-// errors are counted and served as misses.
+// l2Get consults the shared store for key after an L1 miss. A hit that
+// admitResult accepts backfills L1 (memory and spill) so the next
+// request is local. Backend errors and rejected bodies are counted and
+// served as misses.
 func (s *Server) l2Get(key string, sp *obs.Span) ([]byte, bool) {
 	if s.cfg.Store == nil {
 		return nil, false
@@ -69,6 +88,9 @@ func (s *Server) l2Get(key string, sp *obs.Span) ([]byte, bool) {
 	body, err := s.cfg.Store.Get(s.storeKey(key))
 	s.storeStats.RecordGetLatency(time.Since(start))
 	switch {
+	case err == nil && !s.cache.admitStored(key, body):
+		gsp.SetError("rejected")
+		gsp.End()
 	case err == nil:
 		s.storeStats.AddL2Hit()
 		gsp.SetAttr("outcome", "hit")
@@ -144,6 +166,13 @@ func (s *Server) l2Flight(ctx context.Context, key string, sp *obs.Span) ([]byte
 		case <-t.C:
 		}
 		body, err := s.cfg.Store.Get(sk)
+		if err == nil && !s.cache.admitStored(key, body) {
+			// Blobs are write-once, so the owner's publish cannot
+			// replace this one: waiting is futile, solve locally.
+			wsp.SetError("rejected")
+			wsp.End()
+			return nil, noRelease
+		}
 		if err == nil {
 			s.storeStats.AddLeaseFetch()
 			wsp.SetAttr("outcome", "fetched")
@@ -253,7 +282,8 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 // handlePeerPut accepts one entry pushed by a peer replica into this
 // replica's L1. The blob is an immutable fact under its content
 // address, so the write-once contract holds: 201 on first store, 200
-// when the entry already exists.
+// when the entry already exists, 400 when admitResult refuses the
+// body.
 func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 	key, ok := s.peerKey(r.PathValue("key"))
 	if !ok {
@@ -267,6 +297,10 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cache.Contains(key) {
 		w.WriteHeader(http.StatusOK)
+		return
+	}
+	if !s.cache.admitStored(key, body) {
+		http.Error(w, "body is not a result for this key", http.StatusBadRequest)
 		return
 	}
 	s.cache.Put(key, body)

@@ -3,6 +3,8 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -367,12 +369,22 @@ func TestPeerCacheServing(t *testing.T) {
 	}
 
 	// A pushed entry lands in L1 under the raw key (write-once: the
-	// second push reports existing).
-	extra := store.VersionedKey(pdce.CacheKeyVersion(), strings.Repeat("cd", 32))
-	if created, err := peer.Put(extra, []byte(`{"pushed":true}`)); err != nil || !created {
+	// second push reports existing). The body must be a result for that
+	// key, so the push re-addresses this replica's own result.
+	var resp pdce.OptimizeResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	resp.Key = strings.Repeat("cd", 32)
+	pushed, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := store.VersionedKey(pdce.CacheKeyVersion(), resp.Key)
+	if created, err := peer.Put(extra, pushed); err != nil || !created {
 		t.Fatalf("peer Put = %v, %v", created, err)
 	}
-	if created, err := peer.Put(extra, []byte(`{"pushed":true}`)); err != nil || created {
+	if created, err := peer.Put(extra, pushed); err != nil || created {
 		t.Fatalf("second peer Put = %v, %v, want false nil", created, err)
 	}
 	if !s.Cache().Contains(strings.Repeat("cd", 32)) {
@@ -388,6 +400,121 @@ func TestPeerCacheServing(t *testing.T) {
 	if st, err := peer.Stats(); err != nil || st.Blobs == 0 {
 		t.Errorf("peer Stats = %+v, %v, want nonzero blobs", st, err)
 	}
+}
+
+// foreignBody is a stored body that answers no request: its key is
+// wrong and its program does not parse.
+var foreignBody = []byte(`{"key":"wrong","program":"garbage"}`)
+
+// TestStoredForeignBodyRejected plants foreignBody under a request's
+// key in every place a replica reads results back from: each L2
+// backend (mem, dir, an in-process blobd, a -peer-cache sibling), the
+// spill directory (behind a valid checksum line), and the store a lease
+// loser polls. Each time the request must solve locally and answer the
+// right bytes, the body must never enter L1, and cache.rejected must
+// count it once.
+func TestStoredForeignBodyRejected(t *testing.T) {
+	_, tsRef, _ := startServer(t, server.Config{})
+	key, want, _ := optimizeOnce(t, tsRef.URL)
+	vkey := store.VersionedKey(pdce.CacheKeyVersion(), key)
+
+	// check sends the request to s and requires a local solve.
+	check := func(t *testing.T, s *server.Server, base string) {
+		t.Helper()
+		_, got, state := optimizeOnce(t, base)
+		if state != string(pdce.CacheMiss) {
+			t.Errorf("cache %q, want miss (a local solve)", state)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("served %s\nwant %s", got, want)
+		}
+		if n := s.Stats().Optimizes(); n != 1 {
+			t.Errorf("optimizer ran %d times, want 1", n)
+		}
+		if n := s.Cache().Metrics().Rejected; n != 1 {
+			t.Errorf("cache.rejected = %d, want 1", n)
+		}
+		resp, err := http.Get(base + "/metrics?format=prom")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prom, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(string(prom), "pdce_cache_rejected 1\n") {
+			t.Error("/metrics does not report pdce_cache_rejected 1")
+		}
+		// L1 now holds the local solve: the repeat is a hit on it.
+		if _, again, state := optimizeOnce(t, base); state != string(pdce.CacheHit) || !bytes.Equal(again, want) {
+			t.Errorf("repeat: cache %q, body %s", state, again)
+		}
+		drainServer(t, s)
+	}
+	plant := func(t *testing.T, b store.Backend) store.Backend {
+		t.Helper()
+		if _, err := b.Put(vkey, foreignBody); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	t.Run("mem", func(t *testing.T) {
+		s, ts, _ := startServer(t, server.Config{Store: plant(t, store.NewMemStore())})
+		check(t, s, ts.URL)
+	})
+	t.Run("dir", func(t *testing.T) {
+		d, err := store.NewDirStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ts, _ := startServer(t, server.Config{Store: plant(t, d)})
+		check(t, s, ts.URL)
+	})
+	t.Run("blobd", func(t *testing.T) {
+		blobd := httptest.NewServer(store.Handler(plant(t, store.NewMemStore())))
+		t.Cleanup(blobd.Close)
+		s, ts, _ := startServer(t, server.Config{Store: store.NewHTTPStore(blobd.URL, nil)})
+		check(t, s, ts.URL)
+	})
+	t.Run("peer", func(t *testing.T) {
+		sib, tsSib, _ := startServer(t, server.Config{PeerCache: true})
+		peer := store.NewHTTPStore(tsSib.URL, nil)
+		// The sibling refuses the body on its PUT surface...
+		if _, err := peer.Put(vkey, foreignBody); err == nil {
+			t.Error("sibling accepted a foreign push")
+		}
+		if sib.Cache().Contains(key) || sib.Cache().Metrics().Rejected != 1 {
+			t.Errorf("foreign push reached the sibling's L1 (rejected = %d)", sib.Cache().Metrics().Rejected)
+		}
+		// ...so put it in its L1 directly, as a faulty sibling holds it.
+		sib.Cache().Put(key, foreignBody)
+		s, ts, _ := startServer(t, server.Config{Store: peer})
+		check(t, s, ts.URL)
+	})
+	t.Run("spill", func(t *testing.T) {
+		dir := t.TempDir()
+		sum := sha256.Sum256(foreignBody)
+		entry := append([]byte(hex.EncodeToString(sum[:])+"\n"), foreignBody...)
+		if err := os.WriteFile(filepath.Join(dir, key+".entry"), entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, ts, _ := startServer(t, server.Config{SpillDir: dir})
+		check(t, s, ts.URL)
+	})
+	t.Run("lease-poll", func(t *testing.T) {
+		// An external replica holds the solve lease and publishes the
+		// foreign body while this replica polls for its result.
+		shared := store.NewMemStore()
+		winner := store.NewLease(shared, "external-winner", time.Minute, nil)
+		if won, err := winner.Acquire(vkey); err != nil || !won {
+			t.Fatalf("external Acquire = %v, %v", won, err)
+		}
+		s, ts, _ := startServer(t, server.Config{Store: shared, LeaseTTL: time.Second})
+		go func() {
+			time.Sleep(100 * time.Millisecond)
+			shared.Put(vkey, foreignBody)
+		}()
+		check(t, s, ts.URL)
+	})
 }
 
 // TestSpillOrphanSweep is the crash-litter regression: tmp-* files a

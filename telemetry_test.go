@@ -119,6 +119,50 @@ func TestTelemetryIncrementalReuse(t *testing.T) {
 	}
 }
 
+// TestWorkGolden pins the driver's work on TestFormatGolden's programs,
+// in pde and pfe: the rounds, and for each analysis the mode runs its
+// solves, full solves, node visits and worklist pushes. The counts are
+// deterministic, so an extra solve, a lost incremental re-seed or a
+// round more or less moves a line even where the output stays the same.
+// A change that means to move them replaces testdata/work.golden with
+// the lines this test prints.
+func TestWorkGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/work.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	work := func(name string, s pdce.SolverMetrics) string {
+		return fmt.Sprintf(" %s solves %d full %d visits %d pushes %d",
+			name, s.Solves, s.FullSolves, s.NodeVisits, s.WorklistPushes)
+	}
+	var got []string
+	for seed := 0; seed < goldenPrograms; seed++ {
+		p := goldenProgram(seed)
+		for _, mode := range []pdce.Mode{pdce.Dead, pdce.Faint} {
+			_, st, err := p.Optimize(pdce.Options{Mode: mode, Telemetry: true})
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, mode, err)
+			}
+			line := fmt.Sprintf("seed %d %s rounds %d", seed, mode, st.Rounds) + work("delay", st.Telemetry.Delay)
+			if mode == pdce.Dead {
+				line += work("dead", st.Telemetry.Dead)
+			} else {
+				line += work("faint", st.Telemetry.Faint)
+			}
+			got = append(got, line)
+		}
+	}
+	for i, line := range got {
+		if i >= len(want) || line != want[i] {
+			t.Errorf("driver work moved; new line:\n%s", line)
+		}
+	}
+	if len(want) > len(got) {
+		t.Errorf("golden file has %d lines, %d computed", len(want), len(got))
+	}
+}
+
 // TestProvenanceSinkThenEliminate is the acceptance walkthrough: in
 // stats.while the loop's sq accumulation is needed on only one exit, so
 // the fixpoint sinks it out of the loop body and then eliminates the
