@@ -3,6 +3,7 @@ package analysis
 import (
 	"testing"
 
+	"pdce/internal/bitvec"
 	"pdce/internal/cfg"
 	"pdce/internal/ir"
 	"pdce/internal/parser"
@@ -402,18 +403,20 @@ edge 5 e
 		"5": {false, false, false, false},
 		"e": {false, false, false, false},
 	}
+	ni, xi := bitvec.New(pt.Len()), bitvec.New(pt.Len())
 	for label, w := range want {
 		n := mustNode(t, g, label)
+		r.Inserts(n, ni, xi)
 		if got := r.NDelayed[n.ID].Get(alpha); got != w.nDel {
 			t.Errorf("N-DELAYED(%s) = %v, want %v", label, got, w.nDel)
 		}
 		if got := r.XDelayed[n.ID].Get(alpha); got != w.xDel {
 			t.Errorf("X-DELAYED(%s) = %v, want %v", label, got, w.xDel)
 		}
-		if got := r.NInsert[n.ID].Get(alpha); got != w.nIns {
+		if got := ni.Get(alpha); got != w.nIns {
 			t.Errorf("N-INSERT(%s) = %v, want %v", label, got, w.nIns)
 		}
-		if got := r.XInsert[n.ID].Get(alpha); got != w.xIns {
+		if got := xi.Get(alpha); got != w.xIns {
 			t.Errorf("X-INSERT(%s) = %v, want %v", label, got, w.xIns)
 		}
 	}
@@ -428,9 +431,12 @@ func TestDelayabilityNoExitInsertAtBranchNodes(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		g := progen.Generate(progen.Params{Seed: seed, Stmts: 50, LoopProb: 0.2, BranchProb: 0.3})
 		cfg.SplitCriticalEdges(g)
-		r := Delayability(g, g.CollectPatterns())
+		pt := g.CollectPatterns()
+		r := Delayability(g, pt)
+		ni, xi := bitvec.New(pt.Len()), bitvec.New(pt.Len())
 		for _, n := range g.Nodes() {
-			if len(n.Succs()) > 1 && !r.XInsert[n.ID].IsZero() {
+			r.Inserts(n, ni, xi)
+			if len(n.Succs()) > 1 && !xi.IsZero() {
 				t.Fatalf("seed %d: X-INSERT at branching node %s", seed, n.Label)
 			}
 		}

@@ -9,7 +9,8 @@ import (
 )
 
 // DelayResult is the greatest solution of the delayability equation
-// system of Table 2, together with the derived insertion predicates:
+// system of Table 2, from which Inserts derives the insertion
+// predicates:
 //
 //	N-DELAYED_n = false                              if n = s
 //	            = ∏_{m ∈ pred(n)} X-DELAYED_m        otherwise
@@ -31,7 +32,6 @@ type DelayResult struct {
 	// NDelayed/XDelayed are indexed by cfg.NodeID, one bit per
 	// pattern.
 	NDelayed, XDelayed []*bitvec.Vector
-	NInsert, XInsert   []*bitvec.Vector
 
 	Stats dataflow.SolverStats
 }
@@ -68,22 +68,21 @@ func Delayability(g *cfg.Graph, pt *ir.PatternTable) *DelayResult {
 	return NewDelaySolver(g, footprintsOf(g, pt)).Solve(nil)
 }
 
-// computeInserts refreshes one block's insertion predicates from the
-// solved system, writing into the preallocated NInsert/XInsert vectors
-// of r.
-func computeInserts(r *DelayResult, n *cfg.Node) {
+// Inserts writes block n's insertion predicates N-INSERT and X-INSERT
+// into ni and xi (Patterns.Len() bits each; overwritten). No result
+// stores them: a reader computes them for the blocks it reads.
+func (r *DelayResult) Inserts(n *cfg.Node, ni, xi *bitvec.Vector) {
 	// N-INSERT ⊆ N-DELAYED and X-INSERT ⊆ X-DELAYED; the delay
 	// solution is sparse (most blocks delay nothing), so an
 	// early-exit zero scan usually replaces the full products.
 	if r.NDelayed[n.ID].IsZero() {
-		r.NInsert[n.ID].ClearAll()
+		ni.ClearAll()
 	} else {
-		r.NInsert[n.ID].AndInto(r.NDelayed[n.ID], r.Locals.LocBlocked[n.ID])
+		ni.AndInto(r.NDelayed[n.ID], r.Locals.LocBlocked[n.ID])
 	}
 
 	// X-INSERT = X-DELAYED · Σ_{m ∈ succ} ¬N-DELAYED_m: some
 	// successor is not delayed. Empty sum (end node) is false.
-	xi := r.XInsert[n.ID]
 	if r.XDelayed[n.ID].IsZero() {
 		xi.ClearAll()
 		return
@@ -128,11 +127,6 @@ type DelaySolver struct {
 	// hot, when non-nil, is the region sinking is confined to; the
 	// locals of every other block stay frozen (Locals.Freeze).
 	hot func(*cfg.Node) bool
-
-	// insStamp/insEpoch dedupe the touched-restricted refresh of the
-	// insertion predicates.
-	insStamp []uint32
-	insEpoch uint32
 }
 
 // NewDelaySolver creates a solver for g over the pattern universe of
@@ -141,21 +135,14 @@ func NewDelaySolver(g *cfg.Graph, fp *Footprints) *DelaySolver {
 	ix := NewPatternIndex(fp)
 	bits := fp.Patterns.Len()
 	s := &DelaySolver{
-		g:        g,
-		index:    ix,
-		locals:   ix.Locals(g),
-		scratch:  bitvec.New(bits),
-		insStamp: make([]uint32, g.NumNodes()),
+		g:       g,
+		index:   ix,
+		locals:  ix.Locals(g),
+		scratch: bitvec.New(bits),
 	}
 	s.solver = dataflow.NewSolver(g, &delayProblem{locals: s.locals, bits: bits})
 	sol := s.solver.Result()
-	s.res = DelayResult{
-		Locals:   s.locals,
-		NDelayed: sol.In,
-		XDelayed: sol.Out,
-		NInsert:  bitvec.Rows(g.NumNodes(), bits),
-		XInsert:  bitvec.Rows(g.NumNodes(), bits),
-	}
+	s.res = DelayResult{Locals: s.locals, NDelayed: sol.In, XDelayed: sol.Out}
 	return s
 }
 
@@ -191,13 +178,12 @@ func (s *DelaySolver) SetCancel(cancel func() bool) { s.solver.SetCancel(cancel)
 func (s *DelaySolver) SetMetrics(m *obs.SolverMetrics) { s.solver.SetMetrics(m) }
 
 // Solve re-solves after the given blocks changed: their local
-// predicates are recomputed (and frozen again outside the region), the
-// fixpoint is re-seeded over the affected region, and the insertion
-// predicates are refreshed where the solution moved (Result.Touched).
-// A nil dirty set on a solved instance returns the cached solution; the
-// first call, and the first after a cancelled one, solves in full. The
-// returned result aliases the solver's storage and is invalidated by
-// the next Solve.
+// predicates are recomputed (and frozen again outside the region) and
+// the fixpoint is re-seeded over the affected region. A nil dirty set
+// on a solved instance returns the cached solution; the first call,
+// and the first after a cancelled one, solves in full. A cancelled
+// solve's partial solution justifies no sinking. The returned result
+// aliases the solver's storage and is invalidated by the next Solve.
 func (s *DelaySolver) Solve(dirty []cfg.NodeID) *DelayResult {
 	for _, id := range dirty {
 		n := s.g.Node(id)
@@ -206,48 +192,7 @@ func (s *DelaySolver) Solve(dirty []cfg.NodeID) *DelayResult {
 	}
 	sol := s.solver.Resolve(dirty)
 	s.res.Stats = sol.Stats
-	// A cancelled solve's partial solution justifies nothing: the
-	// insertion predicates stay stale, and the next solve starts
-	// from scratch.
-	if !sol.Stats.Cancelled {
-		s.refreshInserts(sol.Touched)
-	}
 	return &s.res
-}
-
-// refreshInserts recomputes the insertion predicates after a solve.
-// With no touched-set guarantee every block is refreshed; otherwise
-// only the blocks whose inputs could have moved are: a block's
-// N-INSERT/X-INSERT read its own solution and local predicates (the
-// touched set, which includes every dirty block) and its successors'
-// N-DELAYED (the predecessors of touched blocks).
-func (s *DelaySolver) refreshInserts(touched []cfg.NodeID) {
-	if touched == nil {
-		for _, n := range s.g.Nodes() {
-			computeInserts(&s.res, n)
-		}
-		return
-	}
-	s.insEpoch++
-	if s.insEpoch == 0 {
-		for i := range s.insStamp {
-			s.insStamp[i] = 0
-		}
-		s.insEpoch = 1
-	}
-	refresh := func(n *cfg.Node) {
-		if s.insStamp[n.ID] != s.insEpoch {
-			s.insStamp[n.ID] = s.insEpoch
-			computeInserts(&s.res, n)
-		}
-	}
-	for _, id := range touched {
-		n := s.g.Node(id)
-		refresh(n)
-		for _, p := range n.Preds() {
-			refresh(p)
-		}
-	}
 }
 
 // Stable reports whether the assignment sinking transformation induced
@@ -255,11 +200,11 @@ func (s *DelaySolver) refreshInserts(touched []cfg.NodeID) {
 // termination condition (Section 5.4): every block n satisfies
 // N-INSERT_n = false and X-INSERT_n = LOCDELAYED_n.
 func (r *DelayResult) Stable(g *cfg.Graph) bool {
+	bits := r.Locals.Patterns.Len()
+	ni, xi := bitvec.New(bits), bitvec.New(bits)
 	for _, n := range g.Nodes() {
-		if !r.NInsert[n.ID].IsZero() {
-			return false
-		}
-		if !r.XInsert[n.ID].Equal(r.Locals.LocDelayed[n.ID]) {
+		r.Inserts(n, ni, xi)
+		if !ni.IsZero() || !xi.Equal(r.Locals.LocDelayed[n.ID]) {
 			return false
 		}
 	}

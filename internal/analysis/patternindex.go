@@ -50,9 +50,7 @@ func NewPatternIndex(fp *Footprints) *PatternIndex {
 		p := pt.Pattern(pi)
 		get(ix.defBlocks, p.LHS).Set(pi)
 		get(ix.useBlocks, p.LHS).Set(pi)
-		for v := range pt.RHSVarsAt(pi) {
-			get(ix.defBlocks, v).Set(pi)
-		}
+		ir.ExprVars(pt.RHSExprAt(pi), func(v ir.Var) { get(ix.defBlocks, v).Set(pi) })
 	}
 	return ix
 }

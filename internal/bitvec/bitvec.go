@@ -132,46 +132,47 @@ func (v *Vector) CopyFrom(w *Vector) {
 	copy(v.words, w.words)
 }
 
+// The kernels below re-slice every operand to the source's length, so
+// the compiler drops per-word bounds checks, and OR the word
+// differences into their changed report instead of branching per word.
+
 // And sets v = v AND w and reports whether v changed.
 func (v *Vector) And(w *Vector) bool {
 	v.checkSame(w)
-	changed := false
+	dst := v.words[:len(w.words)]
+	var diff uint64
 	for i, x := range w.words {
-		old := v.words[i]
-		v.words[i] = old & x
-		if v.words[i] != old {
-			changed = true
-		}
+		nw := dst[i] & x
+		diff |= dst[i] ^ nw
+		dst[i] = nw
 	}
-	return changed
+	return diff != 0
 }
 
 // Or sets v = v OR w and reports whether v changed.
 func (v *Vector) Or(w *Vector) bool {
 	v.checkSame(w)
-	changed := false
+	dst := v.words[:len(w.words)]
+	var diff uint64
 	for i, x := range w.words {
-		old := v.words[i]
-		v.words[i] = old | x
-		if v.words[i] != old {
-			changed = true
-		}
+		nw := dst[i] | x
+		diff |= dst[i] ^ nw
+		dst[i] = nw
 	}
-	return changed
+	return diff != 0
 }
 
 // AndNot sets v = v AND NOT w and reports whether v changed.
 func (v *Vector) AndNot(w *Vector) bool {
 	v.checkSame(w)
-	changed := false
+	dst := v.words[:len(w.words)]
+	var diff uint64
 	for i, x := range w.words {
-		old := v.words[i]
-		v.words[i] = old &^ x
-		if v.words[i] != old {
-			changed = true
-		}
+		nw := dst[i] &^ x
+		diff |= dst[i] ^ nw
+		dst[i] = nw
 	}
-	return changed
+	return diff != 0
 }
 
 // AndNotOrInto sets v = (src AND NOT kill) OR gen in a single pass and
@@ -184,15 +185,15 @@ func (v *Vector) AndNotOrInto(src, kill, gen *Vector) bool {
 	v.checkSame(src)
 	v.checkSame(kill)
 	v.checkSame(gen)
-	changed := false
-	for i, x := range src.words {
-		nw := (x &^ kill.words[i]) | gen.words[i]
-		if v.words[i] != nw {
-			v.words[i] = nw
-			changed = true
-		}
+	s := src.words
+	dst, k, g := v.words[:len(s)], kill.words[:len(s)], gen.words[:len(s)]
+	var diff uint64
+	for i, x := range s {
+		nw := (x &^ k[i]) | g[i]
+		diff |= dst[i] ^ nw
+		dst[i] = nw
 	}
-	return changed
+	return diff != 0
 }
 
 // AndInto sets v = a AND b in a single pass — the two-predecessor meet
@@ -200,8 +201,9 @@ func (v *Vector) AndNotOrInto(src, kill, gen *Vector) bool {
 func (v *Vector) AndInto(a, b *Vector) {
 	v.checkSame(a)
 	v.checkSame(b)
+	dst, bw := v.words[:len(a.words)], b.words[:len(a.words)]
 	for i, x := range a.words {
-		v.words[i] = x & b.words[i]
+		dst[i] = x & bw[i]
 	}
 }
 
@@ -212,8 +214,9 @@ func (v *Vector) AndInto(a, b *Vector) {
 func (v *Vector) AndNotInto(a, b *Vector) {
 	v.checkSame(a)
 	v.checkSame(b)
+	dst, bw := v.words[:len(a.words)], b.words[:len(a.words)]
 	for i, x := range a.words {
-		v.words[i] = x &^ b.words[i]
+		dst[i] = x &^ bw[i]
 	}
 }
 
@@ -223,8 +226,9 @@ func (v *Vector) AndNotInto(a, b *Vector) {
 // temporary copy per successor.
 func (v *Vector) OrNot(w *Vector) {
 	v.checkSame(w)
+	dst := v.words[:len(w.words)]
 	for i, x := range w.words {
-		v.words[i] |= ^x
+		dst[i] |= ^x
 	}
 	v.trim()
 }
@@ -243,12 +247,12 @@ func (v *Vector) Equal(w *Vector) bool {
 	if v.n != w.n {
 		return false
 	}
+	ww := w.words[:len(v.words)]
+	var diff uint64
 	for i, x := range v.words {
-		if x != w.words[i] {
-			return false
-		}
+		diff |= x ^ ww[i]
 	}
-	return true
+	return diff == 0
 }
 
 // IsZero reports whether no bit is set.

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"pdce/internal/analysis"
+	"pdce/internal/bitvec"
 	"pdce/internal/cfg"
 	"pdce/internal/ir"
 	"pdce/internal/obs"
@@ -107,14 +108,29 @@ func applySink(g *cfg.Graph, fp *analysis.Footprints, delay *analysis.DelayResul
 	st.SolverVisits = delay.Stats.NodeVisits
 	rank := occurrenceRanks(g, fp)
 	var sc sinkScratch
+	nIns, xIns := bitvec.New(pt.Len()), bitvec.New(pt.Len())
 	for _, n := range g.Nodes() {
-		nIns := delay.NInsert[n.ID]
-		xIns := delay.XInsert[n.ID]
+		// A block that delays nothing has no candidates and no
+		// insertions: it is untouched and emits no trace events.
+		if len(locals.Cands[n.ID]) == 0 && delay.NDelayed[n.ID].IsZero() && delay.XDelayed[n.ID].IsZero() {
+			continue
+		}
+		delay.Inserts(n, nIns, xIns)
+		ld := locals.LocDelayed[n.ID]
 
-		// Fast path: a block with no candidates and no insertions is
-		// untouched (and emits no trace events). Three word scans
-		// with early exit beat the ForEach closures below.
-		if len(locals.Cands[n.ID]) == 0 && nIns.IsZero() && xIns.IsZero() {
+		// Section 5.4's stability condition: with N-INSERT = ∅ and
+		// X-INSERT = LOCDELAYED every candidate fuses (removal and
+		// exit-insertion cancel) and nothing is inserted, so the
+		// block stays as it is. Fuse events go in ascending pattern
+		// order (not Cands order) to keep trace order identical
+		// across drivers. Only the other blocks build the lists below.
+		if nIns.IsZero() && xIns.Equal(ld) {
+			if tr != nil {
+				ld.ForEach(func(pi int) {
+					p := pt.Pattern(pi)
+					tr.Record(obs.KindFuse, n.Label, string(p.LHS), p.String())
+				})
+			}
 			continue
 		}
 
@@ -122,20 +138,16 @@ func applySink(g *cfg.Graph, fp *analysis.Footprints, delay *analysis.DelayResul
 		sc.entryPatterns = sc.entryPatterns[:0]
 		sc.exitPatterns = sc.exitPatterns[:0]
 
-		// A candidate whose pattern has X-INSERT here is fused:
-		// removal and exit-insertion cancel, the occurrence stays.
-		// Each statement is the candidate of at most its own
-		// pattern, so the remove and keep sets cannot collide.
-		// Iterated in ascending pattern order (not Cands order) to
-		// keep trace-event order identical across drivers.
-		locals.LocDelayed[n.ID].ForEach(func(pi int) {
-			if si := locals.Candidate(n.ID, pi); si >= 0 {
-				if !xIns.Get(pi) {
-					sc.removeIdx = append(sc.removeIdx, si)
-				} else if tr != nil {
-					p := pt.Pattern(pi)
-					tr.Record(obs.KindFuse, n.Label, string(p.LHS), p.String())
-				}
+		// A candidate whose pattern has X-INSERT here is fused as
+		// above; the others are removed. Each statement is the
+		// candidate of at most its own pattern, so the remove and
+		// keep sets cannot collide.
+		ld.ForEach(func(pi int) {
+			if !xIns.Get(pi) {
+				sc.removeIdx = append(sc.removeIdx, locals.Candidate(n.ID, pi))
+			} else if tr != nil {
+				p := pt.Pattern(pi)
+				tr.Record(obs.KindFuse, n.Label, string(p.LHS), p.String())
 			}
 		})
 		nIns.ForEach(func(pi int) {
@@ -143,13 +155,10 @@ func applySink(g *cfg.Graph, fp *analysis.Footprints, delay *analysis.DelayResul
 		})
 		// Exit insertions for patterns without a local candidate.
 		xIns.ForEach(func(pi int) {
-			if locals.Candidate(n.ID, pi) < 0 {
+			if !ld.Get(pi) {
 				sc.exitPatterns = append(sc.exitPatterns, pi)
 			}
 		})
-		if len(sc.removeIdx) == 0 && len(sc.entryPatterns) == 0 && len(sc.exitPatterns) == 0 {
-			continue
-		}
 		sortByRank(sc.entryPatterns, rank)
 		sortByRank(sc.exitPatterns, rank)
 

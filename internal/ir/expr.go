@@ -81,9 +81,25 @@ func (Binary) isExpr() {}
 
 func (c Const) Key() string  { return strconv.FormatInt(c.Value, 10) }
 func (v VarRef) Key() string { return string(v.Name) }
-func (u Unary) Key() string  { return "(-" + u.X.Key() + ")" }
-func (b Binary) Key() string {
-	return "(" + b.L.Key() + string(b.Op) + b.R.Key() + ")"
+func (u Unary) Key() string  { return string(AppendKey(nil, u)) }
+func (b Binary) Key() string { return string(AppendKey(nil, b)) }
+
+// AppendKey appends e's Key rendering to dst and returns the extended
+// slice. The pattern table renders its lookup keys with it into a
+// reused buffer, so a lookup allocates nothing.
+func AppendKey(dst []byte, e Expr) []byte {
+	switch x := e.(type) {
+	case Const:
+		return strconv.AppendInt(dst, x.Value, 10)
+	case VarRef:
+		return append(dst, x.Name...)
+	case Unary:
+		return append(AppendKey(append(dst, "(-"...), x.X), ')')
+	case Binary:
+		dst = AppendKey(append(dst, '('), x.L)
+		return append(AppendKey(append(dst, x.Op...), x.R), ')')
+	}
+	panic(fmt.Sprintf("ir: cannot render expression %#v", e))
 }
 
 func (c Const) String() string  { return c.Key() }

@@ -178,7 +178,7 @@ func TestPatternBlocks(t *testing.T) {
 	// α = x := a+b
 	a := Assign{LHS: "x", RHS: Add(V("a"), V("b"))}
 	p, _ := PatternOf(a)
-	rhs := RHSVars(a)
+	rhs := VarsOf(a.RHS)
 
 	cases := []struct {
 		s      Stmt

@@ -1,5 +1,7 @@
 package ir
 
+import "encoding/binary"
+
 // Pattern identifies an assignment pattern α ≡ x := t (Section 2 of the
 // paper): the pair of a left-hand-side variable and a right-hand-side
 // term, independent of where the assignment occurs. The delayability
@@ -49,39 +51,49 @@ func (p Pattern) Blocks(s Stmt, rhsVars map[Var]bool) bool {
 	return UsesVarStmt(s, p.LHS)
 }
 
-// RHSVars returns the set of variables in the pattern's right-hand
-// side, recovered from an occurrence. The pattern itself stores only
-// the canonical key, so callers that need operand sets should use
-// PatternTable, which caches them.
-func RHSVars(a Assign) map[Var]bool { return VarsOf(a.RHS) }
-
 // PatternTable assigns dense indices to the assignment patterns of a
 // program and caches per-pattern operand sets. It is the bit-numbering
 // universe for the delayability analysis.
+//
+// Lookups render the pattern's key into a buffer the table reuses, and
+// operand sets are built on first use, so every method may mutate the
+// table: it is not safe for concurrent use. Each optimization run
+// builds its own table and uses it on one goroutine.
 type PatternTable struct {
 	patterns []Pattern
-	rhsVars  []map[Var]bool
 	rhsExpr  []Expr
-	index    map[Pattern]int
+	rhsVars  []map[Var]bool // nil until RHSVarsAt first asks
+	index    map[string]int // keyed by appendLHS + the RHS key
+	buf      []byte         // the key of the last lookup
 }
 
 // NewPatternTable returns an empty table.
 func NewPatternTable() *PatternTable {
-	return &PatternTable{index: make(map[Pattern]int)}
+	return &PatternTable{index: make(map[string]int)}
+}
+
+// appendLHS renders the LHS half of a pattern's index key into the
+// table's buffer: the length of x, then x, so that no (LHS, RHS) pair
+// renders like another. The caller appends the RHS key.
+func (t *PatternTable) appendLHS(x Var) []byte {
+	return append(binary.AppendUvarint(t.buf[:0], uint64(len(x))), x...)
 }
 
 // Add ensures the pattern of assignment a is in the table and returns
 // its index.
 func (t *PatternTable) Add(a Assign) int {
-	p, _ := PatternOf(a)
-	if i, ok := t.index[p]; ok {
+	buf := t.appendLHS(a.LHS)
+	rhsAt := len(buf)
+	t.buf = AppendKey(buf, a.RHS)
+	if i, ok := t.index[string(t.buf)]; ok {
 		return i
 	}
+	key := string(t.buf)
 	i := len(t.patterns)
-	t.patterns = append(t.patterns, p)
-	t.rhsVars = append(t.rhsVars, RHSVars(a))
+	t.patterns = append(t.patterns, Pattern{LHS: a.LHS, RHS: key[rhsAt:]})
 	t.rhsExpr = append(t.rhsExpr, a.RHS)
-	t.index[p] = i
+	t.rhsVars = append(t.rhsVars, nil)
+	t.index[key] = i
 	return i
 }
 
@@ -91,8 +103,14 @@ func (t *PatternTable) Len() int { return len(t.patterns) }
 // Pattern returns the pattern with index i.
 func (t *PatternTable) Pattern(i int) Pattern { return t.patterns[i] }
 
-// RHSVarsAt returns the operand-variable set of pattern i.
-func (t *PatternTable) RHSVarsAt(i int) map[Var]bool { return t.rhsVars[i] }
+// RHSVarsAt returns the operand-variable set of pattern i, building it
+// on the first call.
+func (t *PatternTable) RHSVarsAt(i int) map[Var]bool {
+	if t.rhsVars[i] == nil {
+		t.rhsVars[i] = VarsOf(t.rhsExpr[i])
+	}
+	return t.rhsVars[i]
+}
 
 // RHSExprAt returns a representative right-hand-side expression of
 // pattern i (all occurrences share the same term, so any occurrence's
@@ -101,23 +119,26 @@ func (t *PatternTable) RHSExprAt(i int) Expr { return t.rhsExpr[i] }
 
 // Index returns the index of pattern p and whether it is present.
 func (t *PatternTable) Index(p Pattern) (int, bool) {
-	i, ok := t.index[p]
+	t.buf = append(t.appendLHS(p.LHS), p.RHS...)
+	i, ok := t.index[string(t.buf)]
 	return i, ok
 }
 
 // IndexOfStmt returns the pattern index of statement s, if s is an
 // assignment whose pattern is in the table.
 func (t *PatternTable) IndexOfStmt(s Stmt) (int, bool) {
-	p, ok := PatternOf(s)
+	a, ok := s.(Assign)
 	if !ok {
 		return 0, false
 	}
-	return t.Index(p)
+	t.buf = AppendKey(t.appendLHS(a.LHS), a.RHS)
+	i, ok := t.index[string(t.buf)]
+	return i, ok
 }
 
 // BlocksIdx reports whether instruction s blocks sinking of pattern i.
 func (t *PatternTable) BlocksIdx(s Stmt, i int) bool {
-	return t.patterns[i].Blocks(s, t.rhsVars[i])
+	return t.patterns[i].Blocks(s, t.RHSVarsAt(i))
 }
 
 // MakeAssign materializes a fresh assignment statement for pattern i,

@@ -143,7 +143,7 @@ func TestQuickPatternBlockSymmetric(t *testing.T) {
 	beta := Assign{LHS: "u", RHS: Add(V("v"), V("w"))}
 	pa, _ := PatternOf(alpha)
 	pb, _ := PatternOf(beta)
-	if pa.Blocks(beta, RHSVars(alpha)) || pb.Blocks(alpha, RHSVars(beta)) {
+	if pa.Blocks(beta, VarsOf(alpha.RHS)) || pb.Blocks(alpha, VarsOf(beta.RHS)) {
 		t.Error("variable-disjoint assignments block each other")
 	}
 }

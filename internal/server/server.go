@@ -43,7 +43,7 @@ import (
 
 // Serving policy every replica shares; no flag or Config field sets it.
 const (
-	maxBodyBytes      = 8 << 20         // cap on every request body
+	maxBodyBytes      = 8 << 20         // cap on every request body but a peer PUT (store.MaxBlobBytes)
 	retryAfterSeconds = 1               // Retry-After on 429 and 503
 	queueMaxBackoff   = 2 * time.Second // cap on the queue's retry delay
 )

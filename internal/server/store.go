@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -78,7 +77,7 @@ func randomOwner() string {
 // l2Get consults the shared store for key after an L1 miss. A hit that
 // admitResult accepts backfills L1 (memory and spill) so the next
 // request is local. Backend errors and rejected bodies are counted and
-// served as misses.
+// served as misses; a rejected body is deleted (dropRefused).
 func (s *Server) l2Get(key string, sp *obs.Span) ([]byte, bool) {
 	if s.cfg.Store == nil {
 		return nil, false
@@ -89,6 +88,7 @@ func (s *Server) l2Get(key string, sp *obs.Span) ([]byte, bool) {
 	s.storeStats.RecordGetLatency(time.Since(start))
 	switch {
 	case err == nil && !s.cache.admitStored(key, body):
+		s.dropRefused(key)
 		gsp.SetError("rejected")
 		gsp.End()
 	case err == nil:
@@ -107,6 +107,18 @@ func (s *Server) l2Get(key string, sp *obs.Span) ([]byte, bool) {
 		gsp.End()
 	}
 	return nil, false
+}
+
+// dropRefused deletes the stored blob under key after admitResult
+// refused it, best-effort, so that the local solve's publish can take
+// its place instead of every replica refusing it again. It loses
+// nothing: the key hashes the program and the options, and a refused
+// body names another key or holds no parseable program, so no writer
+// stored it as the result for this key. When the delete fails (a
+// -peer-cache sibling has no DELETE) the blob stays and is refused on
+// each read, as before.
+func (s *Server) dropRefused(key string) {
+	_ = s.cfg.Store.Delete(s.storeKey(key))
 }
 
 // noRelease is the release func for paths that hold no lease.
@@ -168,7 +180,9 @@ func (s *Server) l2Flight(ctx context.Context, key string, sp *obs.Span) ([]byte
 		body, err := s.cfg.Store.Get(sk)
 		if err == nil && !s.cache.admitStored(key, body) {
 			// Blobs are write-once, so the owner's publish cannot
-			// replace this one: waiting is futile, solve locally.
+			// replace this one: waiting is futile. Delete it and
+			// solve locally; this replica's publish replaces it.
+			s.dropRefused(key)
 			wsp.SetError("rejected")
 			wsp.End()
 			return nil, noRelease
@@ -283,16 +297,15 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 // replica's L1. The blob is an immutable fact under its content
 // address, so the write-once contract holds: 201 on first store, 200
 // when the entry already exists, 400 when admitResult refuses the
-// body.
+// body, 413 beyond store.MaxBlobBytes.
 func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 	key, ok := s.peerKey(r.PathValue("key"))
 	if !ok {
 		http.Error(w, "version mismatch", http.StatusNotFound)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+	body, ok := store.ReadBlob(w, r)
+	if !ok {
 		return
 	}
 	if s.cache.Contains(key) {

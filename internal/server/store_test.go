@@ -402,6 +402,38 @@ func TestPeerCacheServing(t *testing.T) {
 	}
 }
 
+// TestPeerPutBlobCap: the peer PUT surface reads up to the blob wire's
+// cap, store.MaxBlobBytes, not the request cap. A body one byte over it
+// answers 413; a 9 MiB body, over the 8 MiB request cap and under the
+// blob cap, is read whole and refused as not a result (400), counted
+// once in cache.rejected.
+func TestPeerPutBlobCap(t *testing.T) {
+	s, ts, _ := startServer(t, server.Config{PeerCache: true})
+	vkey := store.VersionedKey(pdce.CacheKeyVersion(), strings.Repeat("ab", 32))
+	put := func(n int) (int, string) {
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/cache/"+vkey, bytes.NewReader(make([]byte, n)))
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	if code, msg := put(store.MaxBlobBytes + 1); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("PUT of cap+1 bytes = %d %q, want 413", code, msg)
+	}
+	if n := s.Cache().Metrics().Rejected; n != 0 {
+		t.Errorf("over-cap PUT counted %d rejections, want 0", n)
+	}
+	if code, msg := put(9 << 20); code != http.StatusBadRequest || !strings.Contains(msg, "not a result") {
+		t.Errorf("PUT of 9 MiB = %d %q, want 400 not a result", code, msg)
+	}
+	if n := s.Cache().Metrics().Rejected; n != 1 {
+		t.Errorf("cache.rejected = %d, want 1", n)
+	}
+}
+
 // foreignBody is a stored body that answers no request: its key is
 // wrong and its program does not parse.
 var foreignBody = []byte(`{"key":"wrong","program":"garbage"}`)
@@ -514,6 +546,66 @@ func TestStoredForeignBodyRejected(t *testing.T) {
 			shared.Put(vkey, foreignBody)
 		}()
 		check(t, s, ts.URL)
+	})
+}
+
+// TestStoreRefusedBlobReplaced: a blob that admitResult refuses is
+// deleted before the local solve, so the solve's publish takes its
+// place and a freshly booted replica is served from the store instead
+// of refusing the blob and solving again. Both read paths delete: the
+// L2 lookup after an L1 miss, and a lease loser's poll.
+func TestStoreRefusedBlobReplaced(t *testing.T) {
+	_, tsRef, _ := startServer(t, server.Config{})
+	key, want, _ := optimizeOnce(t, tsRef.URL)
+	vkey := store.VersionedKey(pdce.CacheKeyVersion(), key)
+
+	// check solves on replica A over shared, then asks a fresh
+	// replica B for the same program.
+	check := func(t *testing.T, shared store.Backend, cfg server.Config) {
+		t.Helper()
+		cfg.Store = shared
+		a, tsA, _ := startServer(t, cfg)
+		if _, got, state := optimizeOnce(t, tsA.URL); state != string(pdce.CacheMiss) || !bytes.Equal(got, want) {
+			t.Fatalf("replica A: cache %q, body %s", state, got)
+		}
+		if n := a.Cache().Metrics().Rejected; n != 1 {
+			t.Errorf("replica A: cache.rejected = %d, want 1", n)
+		}
+		drainServer(t, a) // flush the async publish
+
+		b, tsB, _ := startServer(t, server.Config{Store: shared})
+		_, got, state := optimizeOnce(t, tsB.URL)
+		if state != string(pdce.CacheHit) || !bytes.Equal(got, want) {
+			t.Errorf("replica B: cache %q, want hit; body %s", state, got)
+		}
+		if n := b.Stats().Optimizes(); n != 0 {
+			t.Errorf("replica B ran the optimizer %d times, want 0", n)
+		}
+		if n := b.Cache().Metrics().Rejected; n != 0 {
+			t.Errorf("replica B: cache.rejected = %d, want 0", n)
+		}
+	}
+
+	t.Run("get", func(t *testing.T) {
+		shared := store.NewMemStore()
+		if _, err := shared.Put(vkey, foreignBody); err != nil {
+			t.Fatal(err)
+		}
+		check(t, shared, server.Config{})
+	})
+	t.Run("lease-poll", func(t *testing.T) {
+		// An external replica holds the solve lease and publishes the
+		// foreign body while replica A polls for its result.
+		shared := store.NewMemStore()
+		winner := store.NewLease(shared, "external-winner", time.Minute, nil)
+		if won, err := winner.Acquire(vkey); err != nil || !won {
+			t.Fatalf("external Acquire = %v, %v", won, err)
+		}
+		go func() {
+			time.Sleep(100 * time.Millisecond)
+			shared.Put(vkey, foreignBody)
+		}()
+		check(t, shared, server.Config{LeaseTTL: time.Second})
 	})
 }
 

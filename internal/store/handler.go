@@ -7,10 +7,28 @@ import (
 	"net/http"
 )
 
-// maxBlobBytes caps PUT bodies on the blob wire. Cached optimize
-// responses are tens of kilobytes; the cap only exists so a confused
-// or hostile client cannot stream gigabytes into the store.
-const maxBlobBytes = 16 << 20
+// MaxBlobBytes caps PUT bodies on the blob wire, on pdce-blobd and on
+// a -peer-cache replica alike. Cached optimize responses are tens of
+// kilobytes; the cap only exists so a confused or hostile client
+// cannot stream gigabytes into the store.
+const MaxBlobBytes = 16 << 20
+
+// ReadBlob reads a PUT body of at most MaxBlobBytes. When the read
+// fails it answers the request itself — 413 beyond the cap, 400 for
+// any other read error — and reports ok false.
+func ReadBlob(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBlobBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "reading body: "+err.Error(), status)
+		return nil, false
+	}
+	return body, true
+}
 
 // Handler serves a Backend over the blob wire contract (see HTTPStore
 // for the method table). cmd/pdce-blobd mounts it as its whole
@@ -41,9 +59,8 @@ func Handler(b Backend) http.Handler {
 			http.Error(w, "invalid key", http.StatusBadRequest)
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBlobBytes))
-		if err != nil {
-			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+		body, ok := ReadBlob(w, r)
+		if !ok {
 			return
 		}
 		created, err := b.Put(key, body)

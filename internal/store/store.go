@@ -57,8 +57,10 @@ type Backend interface {
 	// Has reports whether key holds a blob, without reading it.
 	Has(key string) (bool, error)
 	// Delete removes key's blob; deleting an absent key is not an
-	// error. It exists for lease expiry and operator cleanup — cached
-	// results are immutable and never deleted by the serving path.
+	// error. It exists for lease expiry, operator cleanup, and the
+	// serving path's removal of a blob it refused as a result (one
+	// that names another key or holds no parseable program) — a
+	// result that passes that check is never deleted.
 	Delete(key string) error
 	// Stats sizes the store's current contents.
 	Stats() (Stats, error)

@@ -265,6 +265,32 @@ func TestHandlerWire(t *testing.T) {
 	}
 }
 
+// TestHandlerBlobCap: a PUT one byte over MaxBlobBytes answers 413 and
+// stores nothing; a PUT of exactly the cap is stored.
+func TestHandlerBlobCap(t *testing.T) {
+	mem := store.NewMemStore()
+	ts := httptest.NewServer(store.Handler(mem))
+	defer ts.Close()
+	put := func(key string, n int) int {
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/cache/"+key, bytes.NewReader(make([]byte, n)))
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := put("over-cap", store.MaxBlobBytes+1); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("PUT of cap+1 bytes = %d, want 413", code)
+	}
+	if ok, err := mem.Has("over-cap"); err != nil || ok {
+		t.Errorf("over-cap blob stored: Has = %v, %v", ok, err)
+	}
+	if code := put("at-cap", store.MaxBlobBytes); code != http.StatusCreated {
+		t.Errorf("PUT of cap bytes = %d, want 201", code)
+	}
+}
+
 // TestOpen pins the -store flag grammar.
 func TestOpen(t *testing.T) {
 	if b, err := store.Open("off"); b != nil || err != nil {

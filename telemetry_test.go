@@ -1,6 +1,7 @@
 package pdce_test
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -124,8 +125,11 @@ func TestTelemetryIncrementalReuse(t *testing.T) {
 // solves, full solves, node visits and worklist pushes. The counts are
 // deterministic, so an extra solve, a lost incremental re-seed or a
 // round more or less moves a line even where the output stays the same.
-// A change that means to move them replaces testdata/work.golden with
-// the lines this test prints.
+// The runs are traced, and each line also holds the count of every
+// provenance event kind and the SHA-256 of the JSON event stream, so a
+// rewrite that keeps the output but drops, adds or reorders an event
+// moves it too. A change that means to move them replaces
+// testdata/work.golden with the lines this test prints.
 func TestWorkGolden(t *testing.T) {
 	golden, err := os.ReadFile("testdata/work.golden")
 	if err != nil {
@@ -140,7 +144,7 @@ func TestWorkGolden(t *testing.T) {
 	for seed := 0; seed < goldenPrograms; seed++ {
 		p := goldenProgram(seed)
 		for _, mode := range []pdce.Mode{pdce.Dead, pdce.Faint} {
-			_, st, err := p.Optimize(pdce.Options{Mode: mode, Telemetry: true})
+			_, st, err := p.Optimize(pdce.Options{Mode: mode, Trace: true})
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, mode, err)
 			}
@@ -150,7 +154,7 @@ func TestWorkGolden(t *testing.T) {
 			} else {
 				line += work("faint", st.Telemetry.Faint)
 			}
-			got = append(got, line)
+			got = append(got, line+events(t, st.Telemetry.Events))
 		}
 	}
 	for i, line := range got {
@@ -161,6 +165,27 @@ func TestWorkGolden(t *testing.T) {
 	if len(want) > len(got) {
 		t.Errorf("golden file has %d lines, %d computed", len(want), len(got))
 	}
+}
+
+// events renders a traced run's provenance stream for TestWorkGolden:
+// the count of each event kind, then the SHA-256 of the stream's JSON.
+func events(t *testing.T, evs []pdce.TraceEvent) string {
+	t.Helper()
+	count := map[string]int{}
+	for _, ev := range evs {
+		count[ev.Kind]++
+	}
+	var sb strings.Builder
+	for _, kind := range []string{pdce.EventSplitEdge, pdce.EventEliminate, pdce.EventSinkRemove,
+		pdce.EventInsertEntry, pdce.EventInsertExit, pdce.EventFuse} {
+		fmt.Fprintf(&sb, " %s %d", kind, count[kind])
+	}
+	js, err := json.Marshal(evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&sb, " events-sha256 %x", sha256.Sum256(js))
+	return sb.String()
 }
 
 // TestProvenanceSinkThenEliminate is the acceptance walkthrough: in
