@@ -20,12 +20,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One pass over the scaling benchmark and the bit-vector kernels:
-# catches bit-rot in the benchmark harness and prints current numbers
-# without a full measurement run.
+# One pass over the scaling benchmark, the bit-vector kernels and a
+# warm pdced hit through the handler: catches bit-rot in the benchmark
+# harness and prints current numbers without a full measurement run.
 bench:
 	$(GO) test -run '^$$' -bench PDEScaling -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench Kernels -benchtime 1x ./internal/bitvec
+	$(GO) test -run '^$$' -bench WarmHit -benchmem -benchtime 1x ./internal/server
 
 # Measurement run: execute the experiments.json matrix at quick scale,
 # append the run (raw per-repeat records plus variance aggregates) to

@@ -95,7 +95,7 @@ func (c *Client) Optimize(ctx context.Context, name, source string, o RequestOpt
 	if err != nil {
 		return nil, "", err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return nil, "", decodeServerError(resp)
 	}
@@ -124,7 +124,7 @@ func (c *Client) OptimizeBatch(ctx context.Context, breq BatchOptimizeRequest) (
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeServerError(resp)
 	}
@@ -173,7 +173,7 @@ func (c *Client) Submit(ctx context.Context, name, source string, o RequestOptio
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
 		return nil, decodeServerError(resp)
 	}
@@ -200,7 +200,7 @@ func (c *Client) Result(ctx context.Context, id string, ack bool) (*JobResult, e
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeServerError(resp)
 	}
@@ -255,7 +255,7 @@ func (c *Client) Health(ctx context.Context) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	// A real pdced answers 200 ("ok") or 503 ("draining"); both carry
 	// the HealthResponse shape. Anything else is not the health
@@ -282,7 +282,7 @@ func (c *Client) Metrics(ctx context.Context) (*ServerMetrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeServerError(resp)
 	}
@@ -318,7 +318,7 @@ func (c *Client) Traces(ctx context.Context, limit int) (*TraceList, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeServerError(resp)
 	}
@@ -342,7 +342,7 @@ func (c *Client) TraceByID(ctx context.Context, id string) (*TraceDump, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeServerError(resp)
 	}
@@ -372,7 +372,7 @@ func (c *Client) PushTraces(ctx context.Context, spans []SpanRecord) (int, error
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return 0, decodeServerError(resp)
 	}
@@ -381,6 +381,19 @@ func (c *Client) PushTraces(ctx context.Context, spans []SpanRecord) (int, error
 		return 0, fmt.Errorf("pdced: decoding ingest response: %w", err)
 	}
 	return out["ingested"], nil
+}
+
+// maxDrain bounds what closeBody reads of an unread response tail.
+const maxDrain = 64 << 10
+
+// closeBody drains what is left of a response body, up to maxDrain
+// bytes, and closes it. A decoder stops at the end of its JSON value,
+// before the body's end (a chunked body's last chunk, say), and net/http
+// reuses a connection only when its body was read to EOF: without the
+// drain every call would dial a new connection.
+func closeBody(resp *http.Response) {
+	io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrain))
+	resp.Body.Close()
 }
 
 // decodeServerError turns a non-2xx response into a *ServerError,

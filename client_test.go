@@ -1,12 +1,16 @@
 package pdce_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pdce"
@@ -57,5 +61,43 @@ func TestHealthDrainingStillDecodes(t *testing.T) {
 	}
 	if status != "draining" {
 		t.Fatalf("status = %q, want draining", status)
+	}
+}
+
+// TestClientReusesConnection: sequential calls share one connection.
+// net/http reuses a connection only once a response body was read to
+// its end, and a JSON decoder stops at the end of its value: here a
+// tail of whitespace follows it, as a chunked response's last chunk can.
+// A client that closes the body where the decoder stopped dials again
+// for every call.
+func TestClientReusesConnection(t *testing.T) {
+	body, err := json.Marshal(pdce.OptimizeResponse{Name: "p", Mode: "pde", Program: "graph \"p\"\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := bytes.Repeat([]byte(" "), 4<<10)
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+		w.Write(tail)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	c := pdce.NewClient(ts.URL)
+	const calls = 20
+	for i := 0; i < calls; i++ {
+		if _, _, err := c.Optimize(context.Background(), "", "out(1)\n", pdce.RequestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("%d sequential calls opened %d connections, want 1", calls, n)
 	}
 }

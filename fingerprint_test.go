@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pdce"
+	"pdce/internal/progen"
 )
 
 // TestCacheKeyProperty is the content-addressing property test: over
@@ -36,8 +37,7 @@ func TestCacheKeyProperty(t *testing.T) {
 		}
 		want := base.CacheKey(opts)
 
-		for pi, perturb := range perturbations {
-			mutated := perturb(src)
+		for pi, mutated := range progen.Reformats(src) {
 			q, err := pdce.ParseCFG(mutated)
 			if err != nil {
 				t.Fatalf("seed %d perturbation %d broke the parse: %v\n%s", seed, pi, err, mutated)
@@ -174,54 +174,6 @@ func TestFormatGolden(t *testing.T) {
 			"testdata/cachekeys.golden and record the new digest "+
 			"(a change to progen alone needs only the new digest)", got, want)
 	}
-}
-
-// perturbations are semantics-preserving rewrites of canonical CFG
-// text. The "graph" header line is left alone — its quoted name is the
-// only token whitespace could leak into.
-var perturbations = []func(string) string{
-	// Interleave comments in both syntaxes.
-	func(s string) string {
-		lines := strings.Split(s, "\n")
-		out := []string{"# leading hash comment", "// leading slash comment"}
-		for i, l := range lines {
-			out = append(out, l)
-			if i%3 == 0 {
-				out = append(out, "  // interleaved comment")
-			}
-		}
-		return strings.Join(out, "\n")
-	},
-	// Blank lines everywhere.
-	func(s string) string {
-		return strings.ReplaceAll(s, "\n", "\n\n")
-	},
-	// Trailing whitespace on every line.
-	func(s string) string {
-		lines := strings.Split(s, "\n")
-		for i := range lines {
-			if lines[i] != "" {
-				lines[i] += "   "
-			}
-		}
-		return strings.Join(lines, "\n")
-	},
-	// Tabs for indentation and doubled interior spacing (skipping the
-	// quoted graph-name line).
-	func(s string) string {
-		lines := strings.Split(s, "\n")
-		for i, l := range lines {
-			if strings.HasPrefix(l, "graph ") {
-				continue
-			}
-			l = strings.ReplaceAll(l, " ", "  ")
-			if strings.HasPrefix(l, "    ") {
-				l = "\t" + strings.TrimLeft(l, " ")
-			}
-			lines[i] = l
-		}
-		return strings.Join(lines, "\n")
-	},
 }
 
 // assignLine matches an assignment statement inside a node body.

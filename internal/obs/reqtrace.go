@@ -492,8 +492,8 @@ func (ts *TraceStore) isSlowLocked(d int64) bool {
 // slowThresholdLocked returns the p99 of the recent root durations;
 // the gate is inactive until slowMinSamples roots have been seen.
 func (ts *TraceStore) slowThresholdLocked() (threshold int64, active bool) {
-	st := ts.roots.stats()
-	return st.p99, st.count >= slowMinSamples
+	p99, count := ts.roots.p99()
+	return p99, count >= slowMinSamples
 }
 
 func appendSpan(e *traceEntry, rec SpanRecord) {

@@ -59,6 +59,37 @@ func (w *window) stats() windowStats {
 	return st
 }
 
+// p99 returns stats().p99 and the lifetime count in one pass over the
+// held samples, with no copy or sort: the nearest-rank p99 of n
+// samples is their k-th largest, k = n - ceil(99n/100) + 1, which is
+// at most 11 for n <= 1,024. The p99-slow gate reads it per request.
+func (w *window) p99() (p99, count int64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	held := w.ring[:min(w.count, int64(len(w.ring)))]
+	if len(held) == 0 {
+		return 0, w.count
+	}
+	k := len(held) - (99*len(held)+99)/100 + 1
+	// top holds the k largest samples seen so far, in descending order.
+	var buf [16]int64
+	top := buf[:0]
+	for _, v := range held {
+		switch {
+		case len(top) < k:
+			top = append(top, v)
+		case v > top[k-1]:
+			top[k-1] = v
+		default:
+			continue
+		}
+		for i := len(top) - 1; i > 0 && top[i-1] < top[i]; i-- {
+			top[i-1], top[i] = top[i], top[i-1]
+		}
+	}
+	return top[k-1], w.count
+}
+
 // NearestRank returns the p-th percentile (0 < p <= 100) of an
 // ascending sample under the nearest-rank definition: the sample at
 // 1-based rank ceil(p/100 · n), so every reported value was actually

@@ -68,3 +68,34 @@ func TestWindowMatchesNaive(t *testing.T) {
 		t.Errorf("empty window stats = %+v", got)
 	}
 }
+
+// TestWindowP99MatchesStats: the p99-slow gate's one-pass p99 equals
+// the sorted summary's p99, and reports the same count, on random
+// windows that are empty, hold fewer than the gate's 64 samples, are
+// exactly full, and have wrapped. Narrow value ranges give ties.
+func TestWindowP99MatchesStats(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 200; trial++ {
+		size := []int{1, 7, 64, 100, latencyWindow}[trial%5]
+		w := &window{size: size}
+		var n int
+		switch trial % 4 {
+		case 0:
+			n = 0
+		case 1:
+			n = 1 + rng.Intn(min(size, 63))
+		case 2:
+			n = size
+		default:
+			n = size + 1 + rng.Intn(3*size)
+		}
+		span := []int64{3, 1000, 1 << 40}[rng.Intn(3)]
+		for i := 0; i < n; i++ {
+			w.record(rng.Int63n(span))
+		}
+		st := w.stats()
+		if p99, count := w.p99(); p99 != st.p99 || count != st.count {
+			t.Fatalf("size %d, %d samples: p99() = %d, %d; stats() = %d, %d", size, n, p99, count, st.p99, st.count)
+		}
+	}
+}

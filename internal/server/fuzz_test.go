@@ -33,8 +33,9 @@ func serveRaw(h http.Handler, path, query, body string) *httptest.ResponseRecord
 // ServerError of kind bad-request or parse; a 200 is an
 // OptimizeResponse whose program parses as CFG text and whose mode
 // echoes the request, and repeating a non-degraded 200 answers a cache
-// hit with the same bytes. The batch endpoint answers 400, or 200 with
-// one entry per program.
+// hit with the same bytes, whose key is the key of the request's own
+// parse (the repeat's key comes from the request memo). The batch
+// endpoint answers 400, or 200 with one entry per program.
 func FuzzOptimizeRequest(f *testing.F) {
 	batch, err := json.Marshal(pdce.BatchOptimizeRequest{
 		Mode: "pde",
@@ -117,6 +118,13 @@ func FuzzOptimizeRequest(f *testing.F) {
 					!bytes.Equal(again.Body.Bytes(), body) {
 					t.Fatalf("repeat: status %d, cache %q, same bytes %v",
 						again.Code, again.Header().Get("X-Pdced-Cache"), bytes.Equal(again.Body.Bytes(), body))
+				}
+				var repeat pdce.OptimizeResponse
+				if err := json.Unmarshal(again.Body.Bytes(), &repeat); err != nil {
+					t.Fatal(err)
+				}
+				if want, err := server.RequestKey(query, src); err != nil || repeat.Key != want {
+					t.Fatalf("repeat key %s, the request's own parse gives %s (%v)", repeat.Key, want, err)
 				}
 			}
 		default:
