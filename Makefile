@@ -20,13 +20,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One pass over the scaling benchmark, the bit-vector kernels and a
-# warm pdced hit through the handler: catches bit-rot in the benchmark
-# harness and prints current numbers without a full measurement run.
+# One pass over the scaling benchmark, the bit-vector kernels, a warm
+# pdced hit through the handler and a warm Client.Optimize round trip:
+# catches bit-rot in the benchmark harness and prints current numbers
+# without a full measurement run.
 bench:
 	$(GO) test -run '^$$' -bench PDEScaling -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench Kernels -benchtime 1x ./internal/bitvec
 	$(GO) test -run '^$$' -bench WarmHit -benchmem -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench ClientOptimizeWarm -benchmem -benchtime 1x .
 
 # Measurement run: execute the experiments.json matrix at quick scale,
 # append the run (raw per-repeat records plus variance aggregates) to
@@ -39,8 +41,10 @@ bench-json:
 
 # Fuzz smoke over the containment contract: SafeOptimize must never
 # panic and must always return a structurally valid program, whatever
-# the input and option combination. Then eight decoders of untrusted
-# bytes: the traceparent header parser, WAL recovery, the serving
+# the input and option combination. Then nine decoders of untrusted
+# bytes: pdce.Client's reader of /optimize replies (which must fail
+# exactly when encoding/json does and otherwise decode the same value),
+# the traceparent header parser, WAL recovery, the serving
 # endpoints' request decoding (POST /optimize answers only 200 or a
 # structured 400, a 200 carries a parseable program and repeats as a
 # byte-identical cache hit; POST /optimize/batch answers 400 or one
@@ -54,6 +58,7 @@ bench-json:
 # verify, otherwise removed).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSafeOptimize -fuzztime 20s .
+	$(GO) test -run '^$$' -fuzz FuzzDecodeOptimizeResponse -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzTraceparent -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzWALRecover -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeRequest -fuzztime 10s ./internal/server

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -99,12 +100,27 @@ func (c *Client) Optimize(ctx context.Context, name, source string, o RequestOpt
 	if resp.StatusCode != http.StatusOK {
 		return nil, "", decodeServerError(resp)
 	}
+	// One buffer, sized from Content-Length, read to EOF so the
+	// connection is reused.
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(resp.ContentLength, 0), maxPresize)) + bytes.MinRead)
+	_, rerr := buf.ReadFrom(resp.Body)
 	var out OptimizeResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decodeOptimizeResponse(buf.Bytes(), &out); err != nil {
+		// A streaming decoder succeeds if the object arrived before a
+		// read failed, and otherwise reports the read's failure.
+		if rerr != nil && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
+			err = rerr
+		}
 		return nil, "", fmt.Errorf("pdced: decoding optimize response: %w", err)
 	}
 	return &out, CacheState(resp.Header.Get("X-Pdced-Cache")), nil
 }
+
+// maxPresize caps what a reply's Content-Length makes Optimize
+// allocate before the bytes arrive; a longer body grows as it is read.
+// It is the largest body the fleet stores (store.MaxBlobBytes).
+const maxPresize = 16 << 20
 
 // OptimizeBatch submits a batch of programs in one request. Per-program
 // failures (parse errors, shed jobs, degraded results) are reported in

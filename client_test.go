@@ -1,11 +1,13 @@
 package pdce_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -99,5 +101,100 @@ func TestClientReusesConnection(t *testing.T) {
 	}
 	if n := dials.Load(); n != 1 {
 		t.Errorf("%d sequential calls opened %d connections, want 1", calls, n)
+	}
+}
+
+// TestClientContentLength: Optimize reads a reply whose Content-Length
+// is wrong as a streaming decode of it does. A longer one succeeds when
+// the whole object arrived before the connection closed; a shorter one
+// succeeds when it cuts only bytes after the object, and fails when it
+// cuts the object.
+func TestClientContentLength(t *testing.T) {
+	obj, err := json.Marshal(pdce.OptimizeResponse{Name: "p", Mode: "pde", Program: "graph \"p\"\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(obj, "\n\n"...)
+	for _, tc := range []struct {
+		name     string
+		sent     []byte
+		declared int
+		wantErr  bool
+	}{
+		{"exact", body, len(body), false},
+		{"longer, whole object sent", body, len(body) + 100, false},
+		{"longer, object cut", obj[:len(obj)-1], len(body), true},
+		{"shorter, cutting the tail", body, len(obj), false},
+		{"shorter, cutting the object", body, len(obj) - 1, true},
+		{"zero", body, 0, true},
+	} {
+		reply := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", tc.declared, tc.sent)
+		addr := replyOnce(t, reply)
+		// Without keep-alives the bytes past a short Content-Length are
+		// not read as a stray reply on an idle connection.
+		c := pdce.NewClient("http://" + addr).WithHTTPClient(&http.Client{Transport: &http.Transport{DisableKeepAlives: true}})
+		_, _, err := c.Optimize(context.Background(), "", "out(1)\n", pdce.RequestOptions{})
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: error %v, want error %v", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// replyOnce listens on a loopback port, answers the first request with
+// the raw bytes reply and closes the connection. It returns the address.
+func replyOnce(t *testing.T, reply string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return // the listener closed first
+		}
+		defer conn.Close()
+		// Read the whole request, so closing sends no reset.
+		if req, err := http.ReadRequest(bufio.NewReader(conn)); err == nil {
+			io.Copy(io.Discard, req.Body)
+			io.WriteString(conn, reply)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	return ln.Addr().String()
+}
+
+// BenchmarkClientOptimizeWarm is one warm Client.Optimize against an
+// in-process pdced over loopback HTTP: the body's bytes were sent
+// before and L1 holds its result, as on pdcebench's serve-warm. It
+// cycles over 16 programs of 512 statements; client and server share
+// the measured time and allocations.
+func BenchmarkClientOptimizeWarm(b *testing.B) {
+	s, err := server.New(server.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := pdce.NewClient(ts.URL)
+	ctx := context.Background()
+	srcs := make([]string, 16)
+	for i := range srcs {
+		srcs[i] = pdce.Generate(pdce.GenParams{Seed: int64(i), Stmts: 512}).Format()
+		if _, _, err := c.Optimize(ctx, "", srcs[i], pdce.RequestOptions{}); err != nil {
+			b.Fatalf("filling: %v", err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, state, err := c.Optimize(ctx, "", srcs[i%len(srcs)], pdce.RequestOptions{}); err != nil || state != pdce.CacheHit {
+			b.Fatalf("request %d: cache %q, error %v; want a hit", i, state, err)
+		}
 	}
 }

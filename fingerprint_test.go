@@ -137,41 +137,69 @@ func goldenProgram(seed int) *pdce.Program {
 	return pdce.Generate(pdce.GenParams{Seed: int64(seed), Stmts: 10 + 90*seed, Irreducible: seed%3 == 2})
 }
 
+// goldenTexts renders each golden program and its pde and pfe results
+// with render, in a fixed order.
+func goldenTexts(t *testing.T, render func(*pdce.Program) string) []string {
+	t.Helper()
+	var texts []string
+	for seed := 0; seed < goldenPrograms; seed++ {
+		p := goldenProgram(seed)
+		texts = append(texts, render(p))
+		for _, mode := range []pdce.Mode{pdce.Dead, pdce.Faint} {
+			opt, _, err := p.Optimize(pdce.Options{Mode: mode})
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, mode, err)
+			}
+			texts = append(texts, render(opt))
+		}
+	}
+	return texts
+}
+
+// goldenDigest is the hex SHA-256 of texts, concatenated, and the
+// digest recorded in testdata/name.
+func goldenDigest(t *testing.T, texts []string, name string) (got, want string) {
+	t.Helper()
+	golden, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, text := range texts {
+		h.Write([]byte(text))
+	}
+	return hex.EncodeToString(h.Sum(nil)), strings.TrimSpace(string(golden))
+}
+
 // TestFormatGolden pins Format's bytes beyond the golden-key inputs:
 // structured and irreducible generated programs of 10 to 1,000
 // statements, and their pde and pfe results, whose synthetic blocks
 // carry quoted labels such as "S4,5". CacheKey hashes these bytes, so
 // they may move only together with cacheKeyVersion.
 func TestFormatGolden(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "format.sha256"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
+	texts := goldenTexts(t, (*pdce.Program).Format)
 	quoted := 0
-	for seed := 0; seed < goldenPrograms; seed++ {
-		p := goldenProgram(seed)
-		texts := []string{p.Format()}
-		for _, mode := range []pdce.Mode{pdce.Dead, pdce.Faint} {
-			opt, _, err := p.Optimize(pdce.Options{Mode: mode})
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, mode, err)
-			}
-			texts = append(texts, opt.Format())
-		}
-		for _, text := range texts {
-			quoted += strings.Count(text, "\nnode \"")
-			h.Write([]byte(text))
-		}
+	for _, text := range texts {
+		quoted += strings.Count(text, "\nnode \"")
 	}
 	if quoted == 0 {
 		t.Error("no quoted node label rendered: the set no longer covers label quoting")
 	}
-	got := hex.EncodeToString(h.Sum(nil))
-	if want := strings.TrimSpace(string(golden)); got != want {
+	if got, want := goldenDigest(t, texts, "format.sha256"); got != want {
 		t.Errorf("Format's bytes moved: digest %s, testdata/format.sha256 has %s. "+
 			"CacheKey hashes these bytes: bump cacheKeyVersion, regenerate "+
 			"testdata/cachekeys.golden and record the new digest "+
+			"(a change to progen alone needs only the new digest)", got, want)
+	}
+}
+
+// TestListingGolden pins String's bytes over the same programs. pdced
+// serves them as the reply's listing, and a stored reply is served
+// again byte for byte, so a renderer that moved them would answer the
+// same request two ways across a restart or a fleet.
+func TestListingGolden(t *testing.T) {
+	if got, want := goldenDigest(t, goldenTexts(t, (*pdce.Program).String), "listing.sha256"); got != want {
+		t.Errorf("String's bytes moved: digest %s, testdata/listing.sha256 has %s "+
 			"(a change to progen alone needs only the new digest)", got, want)
 	}
 }

@@ -424,3 +424,36 @@ func TestTerminator(t *testing.T) {
 		t.Error("Terminator missed trailing branch")
 	}
 }
+
+// TestStringListing pins String's line layout: the label padded to 8
+// runes (not bytes), statements joined by "; ", successors by spaces,
+// and trailing spaces trimmed, which also trims a last successor's.
+func TestStringListing(t *testing.T) {
+	g := New("listing")
+	multi := g.AddNode("näh")
+	eight := g.AddNode("exactly8")
+	long := g.AddNode("longer label")
+	spaced := g.AddNode("x y ")
+	multi.Stmts = []ir.Stmt{
+		ir.Assign{LHS: "x", RHS: ir.Add(ir.V("a"), ir.V("b"))},
+		ir.Out{Arg: ir.V("x")},
+	}
+	eight.Stmts = []ir.Stmt{ir.Skip{}}
+	spaced.Stmts = []ir.Stmt{ir.Branch{Cond: ir.V("c")}}
+	g.AddEdge(g.Start, multi)
+	g.AddEdge(multi, eight)
+	g.AddEdge(multi, spaced)
+	g.AddEdge(eight, long)
+	g.AddEdge(spaced, long)
+	g.AddEdge(spaced, eight)
+	g.AddEdge(long, g.End)
+	want := "s        [] -> näh\n" +
+		"e        [] ->\n" +
+		"näh      [x := a+b; out(x)] -> exactly8 x y\n" +
+		"exactly8 [skip] -> longer label\n" +
+		"longer label [] -> e\n" +
+		"x y      [branch(c)] -> longer label exactly8\n"
+	if got := g.String(); got != want {
+		t.Errorf("String() =\n%s\nwant\n%s", got, want)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"pdce/internal/ir"
 )
@@ -93,22 +94,32 @@ func appendQuoted(dst []byte, s string) []byte {
 // with its statements and successors. Used in error messages and by
 // cmd/figures.
 func (g *Graph) String() string {
-	var sb strings.Builder
+	var dst []byte
 	for _, n := range g.nodes {
-		var parts []string
-		for _, s := range n.Stmts {
-			parts = append(parts, s.String())
+		// The label is padded to 8 runes, not bytes.
+		dst = append(dst, n.Label...)
+		for pad := 8 - utf8.RuneCountInString(n.Label); pad > 0; pad-- {
+			dst = append(dst, ' ')
 		}
-		body := strings.Join(parts, "; ")
-		var succ []string
+		dst = append(dst, " ["...)
+		for i, s := range n.Stmts {
+			if i > 0 {
+				dst = append(dst, "; "...)
+			}
+			dst = ir.AppendStmt(dst, s)
+		}
+		dst = append(dst, "] ->"...)
 		for _, s := range n.succs {
-			succ = append(succ, s.Label)
+			dst = append(append(dst, ' '), s.Label...)
 		}
-		line := fmt.Sprintf("%-8s [%s] -> %s", n.Label, body, strings.Join(succ, " "))
-		sb.WriteString(strings.TrimRight(line, " "))
-		sb.WriteByte('\n')
+		// Trailing spaces are trimmed, a last successor label's
+		// included; the "->" stops the trim.
+		for dst[len(dst)-1] == ' ' {
+			dst = dst[:len(dst)-1]
+		}
+		dst = append(dst, '\n')
 	}
-	return sb.String()
+	return string(dst)
 }
 
 // Snapshot captures the statements of every node keyed by label, for

@@ -22,18 +22,19 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
 	"sync"
 	"time"
+	"unsafe"
 
 	"pdce"
 	"pdce/internal/faultinject"
@@ -44,6 +45,7 @@ import (
 // Serving policy every replica shares; no flag or Config field sets it.
 const (
 	maxBodyBytes      = 8 << 20         // cap on every request body but a peer PUT (store.MaxBlobBytes)
+	maxPresize        = 1 << 20         // most a request's Content-Length allocates before its bytes arrive
 	retryAfterSeconds = 1               // Retry-After on 429 and 503
 	queueMaxBackoff   = 2 * time.Second // cap on the queue's retry delay
 )
@@ -398,12 +400,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "bad-request", perr, "")
 		return
 	}
-	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	src, err := readBody(w, r)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "bad-request", "reading body: "+err.Error(), "")
 		return
 	}
-	l, err := s.lookup(string(src), queryName(r), r.URL.Query().Get("lang"), o, explain, sp)
+	l, err := s.lookup(src, queryName(r), r.URL.Query().Get("lang"), o, explain, sp)
 	if err != nil {
 		s.stats.AddParseFailure()
 		s.httpError(w, http.StatusBadRequest, "parse", err.Error(), "")
@@ -721,12 +723,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"explain is not supported on async submissions", "")
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	src, err := readBody(w, r)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "bad-request", "reading body: "+err.Error(), "")
 		return
 	}
-	src := string(raw)
 	lang := r.URL.Query().Get("lang")
 	l, err := s.lookup(src, queryName(r), lang, o, "", nil)
 	if err != nil {
@@ -861,11 +862,26 @@ func (s *Server) buildResponse(name, key string, o pdce.Options, opt *pdce.Progr
 	return resp
 }
 
-// serve writes a stored response body with its cache state header.
+// serve writes a stored response body with its cache state header and
+// its length, which lets pdce.Client size its read buffer.
 func (s *Server) serve(w http.ResponseWriter, body []byte, state pdce.CacheState) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Pdced-Cache", string(state))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
+}
+
+// readBody reads a request body of at most maxBodyBytes into one buffer
+// presized from its Content-Length and returns it as a string over that
+// buffer, which nothing writes afterwards, so the body is not copied
+// again.
+func readBody(w http.ResponseWriter, r *http.Request) (string, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(r.ContentLength, 0), maxPresize)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return "", err
+	}
+	return unsafe.String(unsafe.SliceData(buf.Bytes()), buf.Len()), nil
 }
 
 // httpError writes the structured error body (pdce.ServerError wire

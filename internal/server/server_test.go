@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -546,3 +547,74 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestOptimizeContentLength: a 200 /optimize reply carries its body's
+// length, on a miss and on a hit, also for a body past the size at
+// which net/http would otherwise chunk it; pdce.Client sizes its read
+// buffer from it.
+func TestOptimizeContentLength(t *testing.T) {
+	_, ts, _ := startServer(t, server.Config{})
+	src := pdce.Generate(pdce.GenParams{Seed: 1, Stmts: 128}).Format()
+	for _, want := range []string{string(pdce.CacheMiss), string(pdce.CacheHit)} {
+		resp, err := http.Post(ts.URL+"/optimize", "text/plain", strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state := resp.Header.Get("X-Pdced-Cache"); resp.StatusCode != http.StatusOK || state != want {
+			t.Fatalf("status %d, cache %q; want 200 %s", resp.StatusCode, state, want)
+		}
+		if len(body) < 8<<10 {
+			t.Fatalf("a %d-byte reply does not test chunking", len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, transfer encoding %v, for a %d-byte body",
+				want, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
+// TestRequestBodyRefused: a request body over the 8 MiB cap, or one
+// whose read fails, answers 400 bad-request on /optimize and
+// /optimize/submit, whatever its Content-Length says.
+func TestRequestBodyRefused(t *testing.T) {
+	s, err := server.New(server.Config{QueueDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	big := strings.Repeat("x", 8<<20+1)
+	const tooLarge = "reading body: http: request body too large"
+	for _, path := range []string{"/optimize", "/optimize/submit"} {
+		for _, tc := range []struct {
+			name     string
+			body     io.Reader
+			declared int64
+			want     string
+		}{
+			{"over the cap", strings.NewReader(big), int64(len(big)), tooLarge},
+			{"over the cap, length unknown", strings.NewReader(big), -1, tooLarge},
+			{"over the cap, length understated", strings.NewReader(big), 16, tooLarge},
+			{"read fails", io.MultiReader(strings.NewReader("out(1)"), failingReader{}), 1 << 30, "reading body: connection lost"},
+		} {
+			req := httptest.NewRequest(http.MethodPost, path, tc.body)
+			req.ContentLength = tc.declared
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			var se pdce.ServerError
+			if err := json.Unmarshal(rec.Body.Bytes(), &se); err != nil || rec.Code != http.StatusBadRequest ||
+				se.Kind != "bad-request" || se.Message != tc.want {
+				t.Errorf("%s %s: status %d, body %s; want 400 bad-request %q", path, tc.name, rec.Code, rec.Body.Bytes(), tc.want)
+			}
+		}
+	}
+}
+
+// failingReader fails every read, as a connection lost mid-body does.
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, errors.New("connection lost") }
