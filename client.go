@@ -57,11 +57,9 @@ type RequestOptions struct {
 	Lang string
 }
 
-// Optimize submits one program and returns the optimized result plus
-// the cache state from the X-Pdced-Cache header. Non-2xx responses
-// return a *ServerError; a Degraded response (deadline, rollback) is
-// returned as a result, not an error — check resp.Degraded.
-func (c *Client) Optimize(ctx context.Context, name, source string, o RequestOptions) (*OptimizeResponse, CacheState, error) {
+// query encodes o and the program name as the query string /optimize
+// and /optimize/submit read.
+func (o RequestOptions) query(name string) string {
 	q := url.Values{}
 	if name != "" {
 		q.Set("name", name)
@@ -85,8 +83,16 @@ func (c *Client) Optimize(ctx context.Context, name, source string, o RequestOpt
 	if o.Lang != "" {
 		q.Set("lang", o.Lang)
 	}
+	return q.Encode()
+}
+
+// Optimize submits one program and returns the optimized result plus
+// the cache state from the X-Pdced-Cache header. Non-2xx responses
+// return a *ServerError; a Degraded response (deadline, rollback) is
+// returned as a result, not an error — check resp.Degraded.
+func (c *Client) Optimize(ctx context.Context, name, source string, o RequestOptions) (*OptimizeResponse, CacheState, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/optimize?"+q.Encode(), strings.NewReader(source))
+		c.base+"/optimize?"+o.query(name), strings.NewReader(source))
 	if err != nil {
 		return nil, "", err
 	}
@@ -158,28 +164,8 @@ func (c *Client) OptimizeBatch(ctx context.Context, breq BatchOptimizeRequest) (
 // the receipt's ID. Explain is rejected by the server on async
 // submissions.
 func (c *Client) Submit(ctx context.Context, name, source string, o RequestOptions) (*SubmitResponse, error) {
-	q := url.Values{}
-	if name != "" {
-		q.Set("name", name)
-	}
-	q.Set("mode", o.Mode.String())
-	if o.MaxRounds > 0 {
-		q.Set("max_rounds", strconv.Itoa(o.MaxRounds))
-	}
-	if o.Deadline > 0 {
-		q.Set("deadline_ms", strconv.FormatInt(o.Deadline.Milliseconds(), 10))
-	}
-	if o.Telemetry {
-		q.Set("telemetry", "1")
-	}
-	if o.Trace {
-		q.Set("trace", "1")
-	}
-	if o.Lang != "" {
-		q.Set("lang", o.Lang)
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/optimize/submit?"+q.Encode(), strings.NewReader(source))
+		c.base+"/optimize/submit?"+o.query(name), strings.NewReader(source))
 	if err != nil {
 		return nil, err
 	}

@@ -66,6 +66,31 @@ func TestHealthDrainingStillDecodes(t *testing.T) {
 	}
 }
 
+// TestClientSubmitExplain: Submit sends Explain like every other option,
+// so the server's 400 bad-request for a provenance report on an async
+// submission reaches the caller, and no job is queued.
+func TestClientSubmitExplain(t *testing.T) {
+	s, err := server.New(server.Config{QueueDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	sub, err := pdce.NewClient(ts.URL).Submit(context.Background(), "demo", "y := a + b\nout(y)\n", pdce.RequestOptions{Explain: "y"})
+	var se *pdce.ServerError
+	if !errors.As(err, &se) {
+		t.Fatalf("Submit with Explain: receipt %+v, error %v; want a *ServerError", sub, err)
+	}
+	if se.Status != http.StatusBadRequest || se.Kind != "bad-request" {
+		t.Fatalf("Submit with Explain: %d %s, want 400 bad-request", se.Status, se.Kind)
+	}
+	if n := s.Queue().Snapshot().Submits; n != 0 {
+		t.Fatalf("a refused submission queued %d jobs", n)
+	}
+}
+
 // TestClientReusesConnection: sequential calls share one connection.
 // net/http reuses a connection only once a response body was read to
 // its end, and a JSON decoder stops at the end of its value: here a

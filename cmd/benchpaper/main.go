@@ -48,6 +48,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -817,7 +818,7 @@ func expBatch() error {
 	var base time.Duration
 	for _, w := range workerCounts {
 		start := time.Now()
-		results := batch.Run(jobs, w)
+		results := batch.Run(context.Background(), jobs, w, nil, nil)
 		d := time.Since(start)
 		if s := batch.Summarize(results); s.Failed > 0 {
 			return fmt.Errorf("workers=%d: %d batch jobs failed", w, s.Failed)

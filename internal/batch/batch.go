@@ -14,7 +14,7 @@
 // Cancelling the context stops dispatch — jobs not yet started report
 // the context's error, in-flight jobs are interrupted through the
 // driver's watchdog and report their best phase-boundary graph — and
-// RunContext still returns a fully-populated, in-order result slice.
+// Run still returns a fully-populated, in-order result slice.
 package batch
 
 import (
@@ -57,33 +57,6 @@ type Result struct {
 	Worker   int
 }
 
-// Run optimizes every job using at most workers concurrent
-// optimizations. It is RunContext with a background context.
-func Run(jobs []Job, workers int) []Result {
-	return RunContext(context.Background(), jobs, workers)
-}
-
-// RunContext optimizes every job using at most workers concurrent
-// optimizations. workers <= 0 selects GOMAXPROCS; the pool never
-// exceeds the number of jobs. The returned slice is indexed like jobs.
-//
-// ctx bounds the whole batch: once it is cancelled no further job is
-// started — skipped jobs report ctx.Err() — and it is forwarded to
-// every job whose options carry no context of their own, so in-flight
-// runs wind down through the driver's watchdog (their results carry an
-// *core.InterruptError plus the best graph reached). RunContext always
-// drains the pool before returning; no worker outlives the call.
-func RunContext(ctx context.Context, jobs []Job, workers int) []Result {
-	return RunObserved(ctx, jobs, workers, nil)
-}
-
-// RunObserved is RunContext with a live progress tracker. tk, when
-// non-nil, is updated as jobs start and finish — the feed behind the
-// batch progress endpoint of cmd/pdce. A nil tracker collects nothing.
-func RunObserved(ctx context.Context, jobs []Job, workers int, tk *Tracker) []Result {
-	return RunGated(ctx, jobs, workers, tk, nil)
-}
-
 // Gate is an admission controller consulted per job. The serving layer
 // passes its global admission here so a batch request cannot
 // monopolize capacity past the server-wide concurrency budget: each
@@ -98,9 +71,22 @@ type Gate interface {
 	Release()
 }
 
-// RunGated is RunObserved with a per-job admission gate (nil gate =
-// admit everything, identical to RunObserved).
-func RunGated(ctx context.Context, jobs []Job, workers int, tk *Tracker, gate Gate) []Result {
+// Run optimizes every job using at most workers concurrent
+// optimizations. workers <= 0 selects GOMAXPROCS; the pool never
+// exceeds the number of jobs. The returned slice is indexed like jobs.
+//
+// ctx bounds the whole batch: once it is cancelled no further job is
+// started — skipped jobs report ctx.Err() — and it is forwarded to
+// every job whose options carry no context of their own, so in-flight
+// runs wind down through the driver's watchdog (their results carry an
+// *core.InterruptError plus the best graph reached). Run always drains
+// the pool before returning; no worker outlives the call.
+//
+// tk, when non-nil, is updated as jobs start and finish — the feed
+// behind the batch progress endpoint of cmd/pdce; a nil tracker
+// collects nothing. gate, when non-nil, admits each job (see Gate); a
+// nil gate admits everything.
+func Run(ctx context.Context, jobs []Job, workers int, tk *Tracker, gate Gate) []Result {
 	results := make([]Result, len(jobs))
 	if len(jobs) == 0 {
 		return results

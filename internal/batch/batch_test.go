@@ -35,7 +35,7 @@ func TestRunIsolatesFailures(t *testing.T) {
 		{Name: "bad", Graph: badGraph(), Options: core.Options{Mode: core.ModeDead}},
 		{Name: "ok1", Graph: goodGraph(1), Options: core.Options{Mode: core.ModeFaint}},
 	}
-	results := Run(jobs, 3)
+	results := Run(context.Background(), jobs, 3, nil, nil)
 	if len(results) != 3 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -64,8 +64,8 @@ func TestRunIsolatesFailures(t *testing.T) {
 }
 
 func TestRunWorkerClamping(t *testing.T) {
-	if got := Run(nil, 4); len(got) != 0 {
-		t.Fatalf("Run(nil) returned %d results", len(got))
+	if got := Run(context.Background(), nil, 4, nil, nil); len(got) != 0 {
+		t.Fatalf("Run of no jobs returned %d results", len(got))
 	}
 	var jobs []Job
 	for i := 0; i < 5; i++ {
@@ -73,7 +73,7 @@ func TestRunWorkerClamping(t *testing.T) {
 	}
 	// More workers than jobs, zero workers (GOMAXPROCS), negative.
 	for _, w := range []int{64, 0, -1} {
-		results := Run(jobs, w)
+		results := Run(context.Background(), jobs, w, nil, nil)
 		for i, r := range results {
 			if r.Err != nil {
 				t.Fatalf("workers=%d job %d: %v", w, i, r.Err)
@@ -98,7 +98,7 @@ func TestRunJobPanicContainment(t *testing.T) {
 		{Name: "boom", Graph: goodGraph(1), Options: core.Options{Mode: core.ModeDead}},
 		{Name: "ok1", Graph: goodGraph(2), Options: core.Options{Mode: core.ModeFaint}},
 	}
-	results := Run(jobs, 3)
+	results := Run(context.Background(), jobs, 3, nil, nil)
 	if results[0].Err != nil || results[2].Err != nil {
 		t.Errorf("healthy jobs failed: %v, %v", results[0].Err, results[2].Err)
 	}
@@ -121,7 +121,7 @@ func TestRunJobPanicContainment(t *testing.T) {
 // in flight by the injection hook while the rest wait for dispatch.
 // After cancellation the pool must drain — the in-flight jobs wind down
 // through the driver's watchdog and report partial results, the
-// untouched jobs report context.Canceled — and RunContext must return a
+// untouched jobs report context.Canceled — and Run must return a
 // fully populated, in-order result slice.
 func TestRunContextCancellation(t *testing.T) {
 	const njobs = 8
@@ -145,7 +145,7 @@ func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan []Result, 1)
-	go func() { done <- RunContext(ctx, jobs, workers) }()
+	go func() { done <- Run(ctx, jobs, workers, nil, nil) }()
 
 	// Both workers are now holding a job inside the hook; the
 	// dispatcher is blocked offering the third. Cancel, then let the

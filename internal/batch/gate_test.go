@@ -7,12 +7,11 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"pdce/internal/cfg"
 	"pdce/internal/core"
 )
 
 // countingGate admits everything while tracking the concurrent-holder
-// peak; it is the RunGated contract check that every admitted job
+// peak; it is the Run contract check that every admitted job
 // pairs Acquire with exactly one Release.
 type countingGate struct {
 	mu      sync.Mutex
@@ -63,7 +62,7 @@ func TestRunGatedPairsAcquireRelease(t *testing.T) {
 		jobs[i] = Job{Name: "j", Graph: goodGraph(int64(i)), Options: core.Options{Mode: core.ModeDead}}
 	}
 	g := &countingGate{}
-	results := RunGated(context.Background(), jobs, 4, nil, g)
+	results := Run(context.Background(), jobs, 4, nil, g)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Errorf("job %d: %v", i, r.Err)
@@ -85,7 +84,7 @@ func TestRunGatedRejectionSkipsJob(t *testing.T) {
 	}
 	g := &rejectAfterGate{limit: 2, err: errShed}
 	// Single worker: jobs run in order, so exactly jobs 0-1 succeed.
-	results := RunGated(context.Background(), jobs, 1, nil, g)
+	results := Run(context.Background(), jobs, 1, nil, g)
 	for i, r := range results {
 		if i < 2 {
 			if r.Err != nil {
@@ -105,26 +104,9 @@ func TestRunGatedRejectionSkipsJob(t *testing.T) {
 	}
 	// Shed jobs are visible to the tracker as skips, not starts.
 	tk := &Tracker{}
-	RunGated(context.Background(), jobs, 1, tk, &rejectAfterGate{limit: 0, err: errShed})
+	Run(context.Background(), jobs, 1, tk, &rejectAfterGate{limit: 0, err: errShed})
 	p := tk.Snapshot()
 	if p.Skipped != int64(len(jobs)) || p.Started != 0 || p.Failed != int64(len(jobs)) {
 		t.Errorf("tracker after full shed: %+v", p)
-	}
-}
-
-func TestRunGatedNilGateMatchesRunObserved(t *testing.T) {
-	jobs := []Job{
-		{Name: "a", Graph: goodGraph(1), Options: core.Options{Mode: core.ModeDead}},
-		{Name: "b", Graph: goodGraph(2), Options: core.Options{Mode: core.ModeFaint}},
-	}
-	gated := RunGated(context.Background(), jobs, 2, nil, nil)
-	plain := RunObserved(context.Background(), jobs, 2, nil)
-	for i := range jobs {
-		if gated[i].Err != nil || plain[i].Err != nil {
-			t.Fatalf("job %d errored: %v / %v", i, gated[i].Err, plain[i].Err)
-		}
-		if !cfg.Equal(gated[i].Graph, plain[i].Graph) {
-			t.Errorf("job %d: gated and plain results differ", i)
-		}
 	}
 }

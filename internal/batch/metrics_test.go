@@ -74,7 +74,7 @@ func TestRunObservedTracker(t *testing.T) {
 		jobs[i] = Job{Name: fmt.Sprint(i), Graph: goodGraph(int64(i)), Options: core.Options{Mode: core.ModeDead}}
 	}
 	var tk Tracker
-	results := RunObserved(context.Background(), jobs, 2, &tk)
+	results := Run(context.Background(), jobs, 2, &tk, nil)
 
 	p := tk.Snapshot()
 	if p.Total != njobs || p.Workers != 2 || p.Started != njobs || p.Done != njobs {
@@ -119,7 +119,7 @@ func TestTrackerCancelledRun(t *testing.T) {
 	defer cancel()
 	var tk Tracker
 	done := make(chan []Result, 1)
-	go func() { done <- RunObserved(ctx, jobs, workers, &tk) }()
+	go func() { done <- Run(ctx, jobs, workers, &tk, nil) }()
 	<-started
 	<-started
 	cancel()

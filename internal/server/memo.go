@@ -71,15 +71,7 @@ func (s *Server) lookup(src, name, lang string, o pdce.Options, explain string, 
 		s.memo.add(mk, l.key)
 	}
 
-	csp := sp.Child("server.cache")
-	l.body, l.hit = s.cache.Get(l.key)
-	if l.hit {
-		csp.SetAttr("outcome", "hit")
-	} else {
-		csp.SetAttr("outcome", "miss")
-	}
-	csp.End()
-
+	l.body, l.hit = s.cacheGet(l.key, sp)
 	if !l.hit && l.prog == nil {
 		// The memo named the key, but L1 no longer holds it: the
 		// solve needs the program. These bytes parsed before.

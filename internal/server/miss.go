@@ -1,0 +1,174 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"time"
+
+	"pdce"
+	"pdce/internal/obs"
+)
+
+// The miss path.
+//
+// A result is a pure function of (canonical program, options)
+// (Theorem 3.7), so a key L1 misses may be answered from L2, by the
+// singleflight leader that just solved it, by the replica holding its
+// lease, or by a solve of its own, and every one of those answers is
+// the same bytes. POST /optimize and the job queue resolve a miss
+// through one ladder: claimMiss runs the steps that can end without a
+// solve, and claim.solve runs the solve. Each caller keeps what is its
+// own: the L1 lookup (the request memo for /optimize, the job's key for
+// a job), admission and the HTTP mapping in the handler, retry, poison
+// and the WAL in the queue.
+
+// cacheGet looks key up in L1 under a server.cache span.
+func (s *Server) cacheGet(key string, sp *obs.Span) ([]byte, bool) {
+	csp := sp.Child("server.cache")
+	body, hit := s.cache.Get(key)
+	if hit {
+		csp.SetAttr("outcome", "hit")
+	} else {
+		csp.SetAttr("outcome", "miss")
+	}
+	csp.End()
+	return body, hit
+}
+
+type flightCall struct{ done chan struct{} }
+
+// joinFlight registers interest in key. The first caller becomes the
+// leader (and must leaveFlight when finished); followers receive the
+// call to wait on.
+func (s *Server) joinFlight(key string) (leader bool, c *flightCall) {
+	s.flightMu.Lock()
+	defer s.flightMu.Unlock()
+	if c, ok := s.flight[key]; ok {
+		return false, c
+	}
+	c = &flightCall{done: make(chan struct{})}
+	s.flight[key] = c
+	return true, c
+}
+
+func (s *Server) leaveFlight(key string, c *flightCall) {
+	s.flightMu.Lock()
+	delete(s.flight, key)
+	s.flightMu.Unlock()
+	close(c.done)
+}
+
+// claim is a caller's hold on a key that no stored result answered,
+// taken by claimMiss. It holds the process singleflight when its caller
+// leads it, and the cluster lease when one was won. The caller finishes
+// it on every exit, whether it solved or not.
+type claim struct {
+	s       *Server
+	key     string
+	sp      *obs.Span
+	call    *flightCall // the singleflight this caller leads; nil for a follower
+	release func()      // frees the lease; noRelease once the L2 publish took it
+}
+
+// claimMiss resolves an L1 miss on key as far as it can without a
+// solve, tracing under sp. It joins the process singleflight, where a
+// follower waits for its leader and serves what the leader put in L1;
+// it reads L2; and it races the fleet for the key's lease, where a lost
+// race waits for the winner's published result. It returns either a
+// body to serve with its cache state (hit from L2, dedup from a leader
+// or a lease winner) or a claim on key; err is ctx's error when ctx
+// ended a follower's wait. It counts an L2 hit in cache_hits, a dedup
+// in dedups, and a key that L2 misses in cache_misses.
+func (s *Server) claimMiss(ctx context.Context, key string, sp *obs.Span) ([]byte, pdce.CacheState, *claim, error) {
+	c := &claim{s: s, key: key, sp: sp, release: noRelease}
+	leader, call := s.joinFlight(key)
+	if leader {
+		c.call = call
+	} else {
+		wsp := sp.Child("server.flight.wait")
+		select {
+		case <-call.done:
+			wsp.End()
+		case <-ctx.Done():
+			wsp.SetError("canceled")
+			wsp.End()
+			return nil, "", nil, ctx.Err()
+		}
+		if body, ok := s.cache.Get(key); ok {
+			s.stats.AddDedup()
+			return body, pdce.CacheDedup, nil, nil
+		}
+		// The leader failed and cached nothing: go on alone.
+	}
+	if body, ok := s.l2Get(key, sp); ok {
+		c.finish()
+		s.stats.AddCacheHit()
+		return body, pdce.CacheHit, nil, nil
+	}
+	s.stats.AddCacheMiss()
+	body, release := s.l2Flight(ctx, key, sp)
+	if body != nil {
+		c.finish()
+		s.stats.AddDedup()
+		return body, pdce.CacheDedup, nil, nil
+	}
+	c.release = release
+	return nil, "", c, nil
+}
+
+// finish ends c: it frees a lease the L2 publish did not take and wakes
+// the singleflight's followers, which serve what c put in L1 or, finding
+// nothing, go on alone.
+func (c *claim) finish() {
+	c.release()
+	if c.call != nil {
+		c.s.leaveFlight(c.key, c.call)
+	}
+}
+
+// solve runs prog under c. It bounds ctx by deadline (0 takes the
+// server's default), completes o with the server's round budget, repro
+// directory and a solve span, runs SafeOptimize and encodes the
+// response once, and counts the run in optimizes. It returns the body
+// and the run's error. A nil error is a clean result, put in L1 and
+// published to L2, which takes c's lease. A body with an error is
+// degraded: correct but partial, marked so in the body and never
+// stored. No body is a contained panic (*pdce.PanicError), which
+// touched no cache, or a failed encode.
+func (c *claim) solve(ctx context.Context, prog *pdce.Program, o pdce.Options, deadline time.Duration, explain string) ([]byte, error) {
+	s := c.s
+	ctx, cancel := s.withDeadline(ctx, deadline)
+	defer cancel()
+	o.Context = ctx
+	o.RoundBudget = s.cfg.RoundBudget
+	o.ReproDir = s.cfg.ReproDir
+	ssp := c.sp.Child("solve")
+	o.Span = ssp
+
+	s.stats.AddOptimize()
+	opt, st, err := prog.SafeOptimize(o)
+	if err != nil {
+		ssp.SetError(errorKind(err))
+	}
+	ssp.End()
+	if errors.As(err, new(*pdce.PanicError)) {
+		return nil, err
+	}
+	resp := s.buildResponse(prog.Name(), c.key, o, opt, st, explain)
+	if err != nil {
+		resp.Degraded = true
+		resp.Error = err.Error()
+		resp.ErrorKind = errorKind(err)
+	}
+	body, merr := json.Marshal(resp)
+	if merr != nil {
+		return nil, merr
+	}
+	if err == nil {
+		s.cache.Put(c.key, body)
+		s.l2Put(c.key, body, c.sp, c.release)
+		c.release = noRelease
+	}
+	return body, err
+}

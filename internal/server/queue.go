@@ -39,10 +39,9 @@ type Queue struct {
 	wal   *WAL
 	stats *obs.QueueStats
 
-	retries  int
-	workers  int
-	backoff  time.Duration
-	deadline time.Duration
+	retries int
+	workers int
+	backoff time.Duration
 
 	submitMu sync.Mutex // serializes Submit's check-log-admit sequence
 
@@ -109,18 +108,17 @@ func newQueue(srv *Server, cfg Config) (*Queue, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &Queue{
-		srv:      srv,
-		wal:      wal,
-		stats:    &obs.QueueStats{},
-		retries:  cfg.QueueRetries,
-		workers:  cfg.QueueWorkers,
-		backoff:  cfg.QueueBackoff,
-		deadline: cfg.DefaultDeadline,
-		jobs:     make(map[string]*qjob),
-		notify:   make(chan struct{}, 64),
-		drainc:   make(chan struct{}),
-		ctx:      ctx,
-		cancel:   cancel,
+		srv:     srv,
+		wal:     wal,
+		stats:   &obs.QueueStats{},
+		retries: cfg.QueueRetries,
+		workers: cfg.QueueWorkers,
+		backoff: cfg.QueueBackoff,
+		jobs:    make(map[string]*qjob),
+		notify:  make(chan struct{}, 64),
+		drainc:  make(chan struct{}),
+		ctx:     ctx,
+		cancel:  cancel,
 	}
 	q.fold(recs)
 	if rst.TornBytes > 0 {
@@ -562,112 +560,30 @@ func (q *Queue) retryDelay(attempts int) time.Duration {
 	return d
 }
 
-// execute produces the job's serialized response. The result path
-// mirrors the interactive handler: cache first, then the server-wide
-// singleflight (an identical interactive request or a sibling replica
-// of this job computes once), then a contained optimizer run.
+// execute produces the job's serialized response through the miss
+// path POST /optimize takes (miss.go): L1, then claimMiss, then the
+// job's parse and one solve under the claim. A degraded result is
+// terminal for the job (a re-run would hit the same bound); a contained
+// panic or a parse failure is an error the caller retries.
 func (q *Queue) execute(j *qjob, xsp *obs.Span) (body []byte, degraded bool, err error) {
-	csp := xsp.Child("server.cache")
-	if body, ok := q.srv.cache.Get(j.id); ok {
-		csp.SetAttr("outcome", "hit")
-		csp.End()
+	if body, ok := q.srv.cacheGet(j.id, xsp); ok {
 		return body, false, nil
 	}
-	csp.SetAttr("outcome", "miss")
-	csp.End()
-	leader, call := q.srv.joinFlight(j.id)
-	if !leader {
-		wsp := xsp.Child("server.flight.wait")
-		select {
-		case <-call.done:
-			wsp.End()
-		case <-q.ctx.Done():
-			wsp.SetError("killed")
-			wsp.End()
-			return nil, false, q.ctx.Err()
-		}
-		if body, ok := q.srv.cache.Get(j.id); ok {
-			return body, false, nil
-		}
-		// The leader failed and cached nothing; compute for ourselves.
-	} else {
-		defer q.srv.leaveFlight(j.id, call)
+	body, _, c, err := q.srv.claimMiss(q.ctx, j.id, xsp)
+	if c == nil {
+		return body, false, err
 	}
-
-	// Shared L2, then the cluster singleflight — the same ladder as the
-	// interactive handler: a sibling replica's published result is this
-	// job's result, and a key some replica is already solving is waited
-	// out rather than re-solved.
-	if body, ok := q.srv.l2Get(j.id, xsp); ok {
-		return body, false, nil
+	defer c.finish()
+	o := pdce.Options{MaxRounds: j.maxRounds, Telemetry: j.telemetry, Trace: j.trace, RequestTag: j.requestID}
+	prog, err := parseProgram(j.source, j.name, j.lang)
+	if err == nil {
+		o.Mode, err = parseMode(j.mode)
 	}
-	fetched, release := q.srv.l2Flight(q.ctx, j.id, xsp)
-	if fetched != nil {
-		return fetched, false, nil
+	if err != nil {
+		return nil, false, err
 	}
-	published := false
-	defer func() {
-		if !published {
-			release()
-		}
-	}()
-
-	prog, perr := parseProgram(j.source, j.name, j.lang)
-	if perr != nil {
-		return nil, false, perr
+	if body, err = c.solve(q.ctx, prog, o, j.deadline, ""); body != nil {
+		return body, err != nil, nil
 	}
-	o := pdce.Options{MaxRounds: j.maxRounds, Telemetry: j.telemetry, Trace: j.trace}
-	if j.mode == "pfe" {
-		o.Mode = pdce.Faint
-	}
-	ctx := q.ctx
-	deadline := q.deadline
-	if j.deadline > 0 {
-		deadline = j.deadline
-	}
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-	o.Context = ctx
-	o.RoundBudget = q.srv.cfg.RoundBudget
-	o.ReproDir = q.srv.cfg.ReproDir
-	o.RequestTag = j.requestID
-	ssp := xsp.Child("solve")
-	o.Span = ssp
-
-	opt, st, oerr := prog.SafeOptimize(o)
-	if oerr != nil {
-		ssp.SetError(errorKind(oerr))
-	}
-	ssp.End()
-	resp := q.srv.buildResponse(j.name, j.id, o, opt, st, "")
-	switch {
-	case oerr == nil:
-		b, merr := json.Marshal(resp)
-		if merr != nil {
-			return nil, false, merr
-		}
-		q.srv.cache.Put(j.id, b)
-		q.srv.l2Put(j.id, b, xsp, release)
-		published = true
-		return b, false, nil
-	default:
-		var pe *pdce.PanicError
-		if errors.As(oerr, &pe) || opt == nil {
-			return nil, false, oerr
-		}
-		// Watchdog or verified-mode degradation: correct but partial.
-		// Terminal for the job (a re-run would hit the same bound), but
-		// marked degraded and never cached.
-		resp.Degraded = true
-		resp.Error = oerr.Error()
-		resp.ErrorKind = errorKind(oerr)
-		b, merr := json.Marshal(resp)
-		if merr != nil {
-			return nil, false, merr
-		}
-		return b, true, nil
-	}
+	return nil, false, err
 }

@@ -435,6 +435,31 @@ func TestMetricsJobQueueSection(t *testing.T) {
 	}
 }
 
+// TestSubmitCountsSolve: a job's execution takes the miss path
+// /optimize takes, so its solve is counted where an interactive one is:
+// one submitted job polled to done reads optimizes 1 and cache_misses 1
+// in /metrics.
+func TestSubmitCountsSolve(t *testing.T) {
+	s, _, c := startServer(t, queueConfig(t))
+	defer s.Drain(context.Background())
+	sub, err := c.Submit(context.Background(), "demo", demoSource, pdce.RequestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if res, err := c.Poll(ctx, sub.ID, time.Millisecond); err != nil || res.State != pdce.JobDone {
+		t.Fatalf("poll: %+v, %v", res, err)
+	}
+	m, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Server.Optimizes != 1 || m.Server.CacheMisses != 1 {
+		t.Fatalf("after one job: optimizes %d, cache_misses %d, want 1 and 1", m.Server.Optimizes, m.Server.CacheMisses)
+	}
+}
+
 // truncateFile chops path to size (the chaos crash model: unsynced
 // bytes vanish).
 func truncateFile(path string, size int64) error {

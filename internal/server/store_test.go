@@ -99,6 +99,53 @@ func TestStoreL2Backfill(t *testing.T) {
 	}
 }
 
+// TestStoreBatchL2: /optimize/batch uses L2 as /optimize does. Replica
+// A solves a batch and publishes the result; after A drains, a fresh
+// replica B on the same store answers /optimize for the program as a
+// hit, and a fresh replica C answers the same batch from L2, both with
+// no solve.
+func TestStoreBatchL2(t *testing.T) {
+	shared := store.NewMemStore()
+	breq := pdce.BatchOptimizeRequest{Programs: []pdce.BatchProgram{{Name: "demo", Source: demoSource}}}
+
+	a, _, cA := startServer(t, server.Config{Store: shared})
+	first, err := cA.OptimizeBatch(context.Background(), breq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := first.Results[0]; e.Error != "" || e.Cached {
+		t.Fatalf("cold batch entry: error %q, cached %v", e.Error, e.Cached)
+	}
+	drainServer(t, a)
+
+	b, tsB, _ := startServer(t, server.Config{Store: shared})
+	status, body, state := rawOptimize(t, tsB.URL, "name=demo", demoSource)
+	if status != http.StatusOK || state != string(pdce.CacheHit) {
+		t.Fatalf("replica B: status %d, cache %q, want a hit from L2", status, state)
+	}
+	want, err := json.Marshal(first.Results[0].OptimizeResponse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("replica B's body differs from the batch entry:\n%s\nvs\n%s", body, want)
+	}
+
+	c, _, cC := startServer(t, server.Config{Store: shared})
+	again, err := cC.OptimizeBatch(context.Background(), breq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := again.Results[0]; !e.Cached || again.Metrics != nil {
+		t.Fatalf("replica C's batch: cached %v, pool metrics %v, want an L2 hit that skips the pool", e.Cached, again.Metrics)
+	}
+	for name, s := range map[string]*server.Server{"B": b, "C": c} {
+		if n := s.Stats().Optimizes(); n != 0 {
+			t.Errorf("replica %s ran %d solves, want 0", name, n)
+		}
+	}
+}
+
 // fleetPass boots four replicas, each on its own backend from mk (nil
 // mk = no L2), sends one pass over sources through a Pool with 16
 // concurrent callers, then drains and closes the fleet — the

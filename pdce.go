@@ -414,7 +414,7 @@ func OptimizeAllGated(programs []*Program, o Options, workers int, tk *BatchTrac
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	res := batch.RunGated(ctx, jobs, workers, tk, gate)
+	res := batch.Run(ctx, jobs, workers, tk, gate)
 	out := make([]BatchResult, len(res))
 	for i, r := range res {
 		out[i] = BatchResult{Name: r.Name, Duration: r.Duration, Worker: r.Worker}
