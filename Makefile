@@ -80,10 +80,13 @@ smoke-telemetry:
 # optimize a corpus file through the client twice (the second request
 # must be a content-addressed cache hit), then drain it cleanly with a
 # synthesized SIGTERM. The server-package end-to-end tests (cache
-# byte-identity, 429 shedding, graceful drain) ride along.
+# byte-identity, 429 shedding, graceful drain, the serving-path
+# differential, a queue solve's counters) and the client's refused
+# async explain ride along.
 smoke-server:
 	$(GO) test -race -count=1 -run 'TestServeSmoke' ./cmd/pdced
-	$(GO) test -race -count=1 -run 'TestCacheHitByteIdentical|TestQueueSaturation|TestGracefulDrain|TestPanic500NeverPoisonsCache' ./internal/server
+	$(GO) test -race -count=1 -run 'TestCacheHitByteIdentical|TestQueueSaturation|TestGracefulDrain|TestPanic500NeverPoisonsCache|TestServingPathsAgree|TestSubmitCountsSolve' ./internal/server
+	$(GO) test -race -count=1 -run 'TestClientSubmitExplain' .
 
 # Tracing smoke: boot a real pdced, push one request through a traced
 # pdce.Pool, and assert the daemon ends up holding the single merged
@@ -109,7 +112,8 @@ chaos-smoke:
 # Store smoke: the shared L2 persistence tier under the race detector —
 # the blobd daemon's serve loop, the server wiring (L2 backfill, lease
 # loser fetch, expiry takeover, outage degradation, the fleet restart
-# drill, peer serving, spill orphan sweep), the mixed-version key-space
+# drill, batch L2 reads and publishes, peer serving, spill orphan sweep,
+# the L2 hit of the serving-path differential), the mixed-version key-space
 # isolation property, and one fixed-seed chaos schedule with store
 # outages, slow backends, and lease owners crashing mid-solve in the
 # fault deck.
@@ -117,7 +121,7 @@ chaos-smoke:
 smoke-store:
 	$(GO) test -race -count=1 ./internal/store
 	$(GO) test -race -count=1 -run 'TestServeSmoke' ./cmd/pdce-blobd
-	$(GO) test -race -count=1 -run 'TestStore|TestPeerCacheServing|TestSpillOrphanSweep' ./internal/server
+	$(GO) test -race -count=1 -run 'TestStore|TestPeerCacheServing|TestSpillOrphanSweep|TestServingPathsAgree' ./internal/server
 	$(GO) test -race -count=1 -run 'TestStoreKeyVersionIsolation' .
 	$(GO) test -race -count=1 -run 'TestChaosStoreSmoke' ./internal/chaos
 

@@ -16,8 +16,11 @@ import (
 // coalesced onto a concurrent identical computation (Dedups), shed at
 // admission (ShedQueueFull) or during drain (ShedDraining), or actually
 // optimized (Optimizes — the only counter whose increment means solver
-// work happened). Panics and Degraded track the containment layer's
-// outcomes; ParseFailures the inputs that never reached the optimizer.
+// work happened). An async job's execution counts from its L2 read on,
+// as a request's miss does: in CacheHits on an L2 hit, then in
+// CacheMisses, Dedups and Optimizes. Panics and Degraded track the
+// containment layer's outcomes; ParseFailures the inputs that never
+// reached the optimizer.
 type ServerStats struct {
 	requests      atomic.Int64
 	batchRequests atomic.Int64
@@ -124,8 +127,9 @@ func (s *ServerStats) Optimizes() int64 {
 type ServerSnapshot struct {
 	Requests      int64 `json:"requests"`
 	BatchRequests int64 `json:"batch_requests"`
-	// Optimizes counts actual optimizer runs; every other request was
-	// answered from the cache, coalesced, or shed.
+	// Optimizes counts actual optimizer runs, async job executions
+	// included; every other request was answered from the cache,
+	// coalesced, or shed.
 	Optimizes   int64 `json:"optimizes"`
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
