@@ -128,7 +128,8 @@ type ServerCounters = obs.ServerSnapshot
 // internal/obs.StoreSnapshot for field semantics.
 type StoreMetrics = obs.StoreSnapshot
 
-// CacheMetrics is the result-cache section of /metrics.
+// CacheMetrics is the result-cache section of /metrics, and the
+// declaration of the cache's counters: its obs.Count fields.
 type CacheMetrics struct {
 	// Entries/Capacity are the in-memory LRU's current and maximum
 	// entry counts across all shards.
@@ -137,19 +138,19 @@ type CacheMetrics struct {
 	// Hits/Misses/Evictions are lifetime in-memory lookup outcomes;
 	// SpillHits counts misses recovered from the disk-spill directory,
 	// SpillCorrupt corrupted spill entries detected and quarantined.
-	Hits         int64 `json:"hits"`
-	Misses       int64 `json:"misses"`
-	Evictions    int64 `json:"evictions"`
-	SpillHits    int64 `json:"spill_hits"`
-	SpillCorrupt int64 `json:"spill_corrupt"`
+	Hits         obs.Count `json:"hits"`
+	Misses       obs.Count `json:"misses"`
+	Evictions    obs.Count `json:"evictions"`
+	SpillHits    obs.Count `json:"spill_hits"`
+	SpillCorrupt obs.Count `json:"spill_corrupt"`
 	// SpillSwept counts orphaned temp files (crash litter from torn
 	// spill writes) removed at boot.
-	SpillSwept int64 `json:"spill_swept"`
+	SpillSwept obs.Count `json:"spill_swept"`
 	// Rejected counts stored bodies refused on their way into L1: a
 	// spill entry, an L2 read or a peer push that does not decode as
 	// a result for its key, or whose program does not parse. The
 	// request behind each one solves locally.
-	Rejected int64 `json:"rejected"`
+	Rejected obs.Count `json:"rejected"`
 	// HitRate is (memory + spill hits)/lookups.
 	HitRate float64 `json:"hit_rate"`
 }

@@ -106,7 +106,7 @@ func TestRunGatedRejectionSkipsJob(t *testing.T) {
 	tk := &Tracker{}
 	Run(context.Background(), jobs, 1, tk, &rejectAfterGate{limit: 0, err: errShed})
 	p := tk.Snapshot()
-	if p.Skipped != int64(len(jobs)) || p.Started != 0 || p.Failed != int64(len(jobs)) {
+	if int64(p.Skipped) != int64(len(jobs)) || p.Started != 0 || int64(p.Failed) != int64(len(jobs)) {
 		t.Errorf("tracker after full shed: %+v", p)
 	}
 }

@@ -17,12 +17,7 @@ import (
 // cmd/pdce reads snapshots while the run is in flight. A tracker may be
 // reused across runs — begin resets it.
 type Tracker struct {
-	total   atomic.Int64
-	workers atomic.Int64
-	started atomic.Int64
-	done    atomic.Int64
-	failed  atomic.Int64
-	skipped atomic.Int64
+	p       Progress     // the counters; Snapshot adds ElapsedMS
 	beganAt atomic.Int64 // unix nanoseconds
 }
 
@@ -30,18 +25,18 @@ func (t *Tracker) begin(jobs, workers int) {
 	if t == nil {
 		return
 	}
-	t.total.Store(int64(jobs))
-	t.workers.Store(int64(workers))
-	t.started.Store(0)
-	t.done.Store(0)
-	t.failed.Store(0)
-	t.skipped.Store(0)
+	t.p.Total.Store(int64(jobs))
+	t.p.Workers.Store(int64(workers))
+	t.p.Started.Store(0)
+	t.p.Done.Store(0)
+	t.p.Failed.Store(0)
+	t.p.Skipped.Store(0)
 	t.beganAt.Store(time.Now().UnixNano())
 }
 
 func (t *Tracker) jobStarted() {
 	if t != nil {
-		t.started.Add(1)
+		t.p.Started.Add(1)
 	}
 }
 
@@ -49,9 +44,9 @@ func (t *Tracker) jobDone(failed bool) {
 	if t == nil {
 		return
 	}
-	t.done.Add(1)
+	t.p.Done.Add(1)
 	if failed {
-		t.failed.Add(1)
+		t.p.Failed.Add(1)
 	}
 }
 
@@ -59,8 +54,8 @@ func (t *Tracker) jobSkipped() {
 	if t == nil {
 		return
 	}
-	t.skipped.Add(1)
-	t.failed.Add(1)
+	t.p.Skipped.Add(1)
+	t.p.Failed.Add(1)
 }
 
 // Progress is a point-in-time view of a tracked batch run.
@@ -70,13 +65,13 @@ type Progress struct {
 	// those with an error), Skipped the jobs the pool never started
 	// because the batch context was cancelled. ElapsedMS is the wall
 	// time since the run began.
-	Total     int64 `json:"total"`
-	Workers   int64 `json:"workers"`
-	Started   int64 `json:"started"`
-	Done      int64 `json:"done"`
-	Failed    int64 `json:"failed"`
-	Skipped   int64 `json:"skipped"`
-	ElapsedMS int64 `json:"elapsed_ms"`
+	Total     obs.Count `json:"total"`
+	Workers   obs.Count `json:"workers"`
+	Started   obs.Count `json:"started"`
+	Done      obs.Count `json:"done"`
+	Failed    obs.Count `json:"failed"`
+	Skipped   obs.Count `json:"skipped"`
+	ElapsedMS int64     `json:"elapsed_ms"`
 }
 
 // Snapshot freezes the tracker. Nil-safe.
@@ -84,14 +79,7 @@ func (t *Tracker) Snapshot() Progress {
 	if t == nil {
 		return Progress{}
 	}
-	p := Progress{
-		Total:   t.total.Load(),
-		Workers: t.workers.Load(),
-		Started: t.started.Load(),
-		Done:    t.done.Load(),
-		Failed:  t.failed.Load(),
-		Skipped: t.skipped.Load(),
-	}
+	p := obs.Freeze(&t.p)
 	if began := t.beganAt.Load(); began > 0 {
 		p.ElapsedMS = (time.Now().UnixNano() - began) / int64(time.Millisecond)
 	}

@@ -13,6 +13,13 @@
 // sequential anyway; the lock is for OptimizeAll callers that share a
 // collector, which is legal but attributes events to one stream).
 //
+// Only those solve-path collectors (Collector, SolverMetrics, Trace)
+// and the request-trace layer (Span, TraceStore) are nil-safe. The
+// serving tiers' counters (ServerStats, StoreStats, ClientStats, and
+// the queue's and L1 cache's sections) are not: their owners always
+// build them. Each such counter is declared once, as a Count field of
+// the struct its /metrics section encodes, and read with Freeze.
+//
 // Three layers:
 //
 //   - SolverMetrics — per-analysis counters (node visits, worklist

@@ -107,8 +107,8 @@ func TestWritePromSanitizesNames(t *testing.T) {
 // the Prometheus surface.
 func TestWritePromRealSnapshot(t *testing.T) {
 	stats := &ServerStats{}
-	stats.AddRequest()
-	stats.AddCacheHit()
+	stats.Requests.Add(1)
+	stats.CacheHits.Add(1)
 	ts := NewTraceStore(8, 1.0, 42)
 	ts.StartSpan("server.optimize", "pdced", SpanContext{}).End()
 	payload := struct {

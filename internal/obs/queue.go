@@ -1,11 +1,10 @@
 package obs
 
-import "sync/atomic"
-
-// QueueStats accumulates the counters of the durable async job queue
-// (internal/server's WAL-backed queue). Like the other collectors in
-// this package it is nil-safe — every method does nothing on a nil
-// receiver — and safe for concurrent use.
+// QueueSnapshot is the "job_queue" section of pdced's /metrics payload
+// and the declaration of the durable async job queue's counters
+// (internal/server's WAL-backed queue). The queue holds one, bumps its
+// Count fields in place, and fills the gauges — depth, running and
+// terminal jobs, oldest queued age, log size — on the frozen copy.
 //
 // The counters split into three groups: the submission path (Submits,
 // DupSubmits — duplicate submissions collapsed onto an existing job by
@@ -14,122 +13,12 @@ import "sync/atomic"
 // and crash recovery (ReplayedJobs — jobs re-enqueued from the log on
 // boot, TornRecords — incomplete log tails truncated at recovery,
 // CorruptRecords — mid-log checksum failures quarantined while later
-// records were still replayed, and FsyncFailures). Gauges that only
-// the live queue knows — depth, running jobs, oldest queued age — are
-// passed into Snapshot by the caller.
-type QueueStats struct {
-	submits        atomic.Int64
-	dupSubmits     atomic.Int64
-	completions    atomic.Int64
-	degraded       atomic.Int64
-	retries        atomic.Int64
-	poisoned       atomic.Int64
-	acks           atomic.Int64
-	replayedJobs   atomic.Int64
-	tornRecords    atomic.Int64
-	corruptRecords atomic.Int64
-	fsyncFailures  atomic.Int64
-}
-
-// Nil-safe counter increments, one per queue event.
-
-func (s *QueueStats) AddSubmit() {
-	if s != nil {
-		s.submits.Add(1)
-	}
-}
-
-func (s *QueueStats) AddDupSubmit() {
-	if s != nil {
-		s.dupSubmits.Add(1)
-	}
-}
-
-func (s *QueueStats) AddCompletion() {
-	if s != nil {
-		s.completions.Add(1)
-	}
-}
-
-func (s *QueueStats) AddDegraded() {
-	if s != nil {
-		s.degraded.Add(1)
-	}
-}
-
-func (s *QueueStats) AddRetry() {
-	if s != nil {
-		s.retries.Add(1)
-	}
-}
-
-func (s *QueueStats) AddPoisoned() {
-	if s != nil {
-		s.poisoned.Add(1)
-	}
-}
-
-func (s *QueueStats) AddAck() {
-	if s != nil {
-		s.acks.Add(1)
-	}
-}
-
-func (s *QueueStats) AddReplayedJobs(n int) {
-	if s != nil {
-		s.replayedJobs.Add(int64(n))
-	}
-}
-
-func (s *QueueStats) AddTornRecords(n int) {
-	if s != nil {
-		s.tornRecords.Add(int64(n))
-	}
-}
-
-func (s *QueueStats) AddCorruptRecords(n int) {
-	if s != nil {
-		s.corruptRecords.Add(int64(n))
-	}
-}
-
-func (s *QueueStats) AddFsyncFailure() {
-	if s != nil {
-		s.fsyncFailures.Add(1)
-	}
-}
-
-// Poisoned returns the poison-quarantine count — the counter operators
-// alert on (a poisoned job means N consecutive attempts failed).
-func (s *QueueStats) Poisoned() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.poisoned.Load()
-}
-
-// QueueGauges is the instantaneous state only the live queue can
-// report, passed into Snapshot alongside the lifetime counters.
-type QueueGauges struct {
-	// Depth is the number of jobs waiting to run (ready + backing
-	// off); Running the jobs currently executing; Done/Failed the
-	// retained terminal jobs awaiting acknowledgement.
-	Depth   int
-	Running int
-	Done    int
-	Failed  int
-	// OldestAgeMS is the age of the oldest non-terminal job in
-	// milliseconds (0 when none).
-	OldestAgeMS int64
-	// WALRecords/WALBytes size the live write-ahead log.
-	WALRecords int64
-	WALBytes   int64
-}
-
-// QueueSnapshot is the frozen, JSON-taggable view of QueueStats — the
-// "job_queue" section of pdced's /metrics payload.
+// records were still replayed, and FsyncFailures).
 type QueueSnapshot struct {
-	// Instantaneous queue state.
+	// Instantaneous queue state: jobs waiting to run (ready + backing
+	// off), jobs executing, retained terminal jobs awaiting
+	// acknowledgement, the age of the oldest non-terminal job (0 when
+	// none), and the live write-ahead log's size.
 	Depth       int   `json:"depth"`
 	Running     int   `json:"running"`
 	Done        int   `json:"done"`
@@ -140,52 +29,22 @@ type QueueSnapshot struct {
 
 	// Lifetime submission counters: accepted submissions and duplicate
 	// submissions collapsed onto an existing job by content address.
-	Submits    int64 `json:"submits"`
-	DupSubmits int64 `json:"dup_submits"`
+	Submits    Count `json:"submits"`
+	DupSubmits Count `json:"dup_submits"`
 	// Execution outcomes: completed jobs (Degraded the subset cut
 	// short by the containment layer), retries scheduled after failed
 	// attempts, jobs poisoned after exhausting the retry budget, and
 	// client acknowledgements of terminal results.
-	Completions int64 `json:"completions"`
-	Degraded    int64 `json:"queue_degraded"`
-	Retries     int64 `json:"retries"`
-	Poisoned    int64 `json:"poisoned"`
-	Acks        int64 `json:"acks"`
+	Completions Count `json:"completions"`
+	Degraded    Count `json:"queue_degraded"`
+	Retries     Count `json:"retries"`
+	Poisoned    Count `json:"poisoned"`
+	Acks        Count `json:"acks"`
 	// Crash recovery: jobs re-enqueued from the log on boot, torn log
 	// tails truncated, corrupt mid-log records quarantined, and fsync
 	// failures surfaced to submitters.
-	ReplayedJobs   int64 `json:"replayed_jobs"`
-	TornRecords    int64 `json:"torn_records"`
-	CorruptRecords int64 `json:"corrupt_records"`
-	FsyncFailures  int64 `json:"fsync_failures"`
-}
-
-// Snapshot freezes the counters together with the caller-supplied
-// gauges. Nil-safe: a nil receiver yields a snapshot of the gauges
-// alone.
-func (s *QueueStats) Snapshot(g QueueGauges) QueueSnapshot {
-	snap := QueueSnapshot{
-		Depth:       g.Depth,
-		Running:     g.Running,
-		Done:        g.Done,
-		Failed:      g.Failed,
-		OldestAgeMS: g.OldestAgeMS,
-		WALRecords:  g.WALRecords,
-		WALBytes:    g.WALBytes,
-	}
-	if s == nil {
-		return snap
-	}
-	snap.Submits = s.submits.Load()
-	snap.DupSubmits = s.dupSubmits.Load()
-	snap.Completions = s.completions.Load()
-	snap.Degraded = s.degraded.Load()
-	snap.Retries = s.retries.Load()
-	snap.Poisoned = s.poisoned.Load()
-	snap.Acks = s.acks.Load()
-	snap.ReplayedJobs = s.replayedJobs.Load()
-	snap.TornRecords = s.tornRecords.Load()
-	snap.CorruptRecords = s.corruptRecords.Load()
-	snap.FsyncFailures = s.fsyncFailures.Load()
-	return snap
+	ReplayedJobs   Count `json:"replayed_jobs"`
+	TornRecords    Count `json:"torn_records"`
+	CorruptRecords Count `json:"corrupt_records"`
+	FsyncFailures  Count `json:"fsync_failures"`
 }

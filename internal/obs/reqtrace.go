@@ -24,7 +24,7 @@ import (
 // ends, so error, shed, poisoned, and p99-slow traces are always
 // retained while unremarkable ones are down-sampled.
 //
-// Like everything in this package, the span layer is nil-safe: every
+// Like the solver's collectors, the span layer is nil-safe: every
 // method on a nil *Span or nil *TraceStore is a no-op, so a server or
 // pool running with tracing disabled pays a single nil check per
 // boundary and allocates nothing.

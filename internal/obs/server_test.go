@@ -6,39 +6,17 @@ import (
 	"time"
 )
 
-func TestServerStatsNilSafe(t *testing.T) {
-	var s *ServerStats
-	s.AddRequest()
-	s.AddBatchRequest()
-	s.AddOptimize()
-	s.AddCacheHit()
-	s.AddCacheMiss()
-	s.AddDedup()
-	s.AddShedQueueFull()
-	s.AddShedDraining()
-	s.AddPanic()
-	s.AddDegraded()
-	s.AddParseFailure()
-	s.RecordLatency(time.Millisecond)
-	if s.Optimizes() != 0 {
-		t.Error("nil Optimizes != 0")
-	}
-	if snap := s.Snapshot(); snap != (ServerSnapshot{}) {
-		t.Errorf("nil snapshot is non-zero: %+v", snap)
-	}
-}
-
 func TestServerStatsCountersAndHitRate(t *testing.T) {
 	s := &ServerStats{}
 	for i := 0; i < 3; i++ {
-		s.AddRequest()
-		s.AddCacheHit()
+		s.Requests.Add(1)
+		s.CacheHits.Add(1)
 	}
-	s.AddRequest()
-	s.AddCacheMiss()
-	s.AddOptimize()
-	s.AddPanic()
-	s.AddDegraded()
+	s.Requests.Add(1)
+	s.CacheMisses.Add(1)
+	s.Optimizes.Add(1)
+	s.Panics.Add(1)
+	s.Degraded.Add(1)
 	snap := s.Snapshot()
 	if snap.Requests != 4 || snap.CacheHits != 3 || snap.CacheMisses != 1 {
 		t.Errorf("counters: %+v", snap)
@@ -100,8 +78,8 @@ func TestServerStatsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				s.AddRequest()
-				s.AddCacheHit()
+				s.Requests.Add(1)
+				s.CacheHits.Add(1)
 				s.RecordLatency(time.Duration(i))
 			}
 		}()

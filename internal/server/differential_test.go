@@ -113,7 +113,7 @@ func TestServingPathsAgree(t *testing.T) {
 			t.Fatalf("%s: the L2 hit differs from /optimize's:\n%s\nvs\n%s", c.name, body, c.body)
 		}
 	}
-	if got := d.Stats().Optimizes(); got != 0 {
+	if got := d.Stats().Optimizes.Load(); got != 0 {
 		t.Fatalf("replica D ran %d solves, want 0", got)
 	}
 }

@@ -98,7 +98,7 @@ func TestMemoKeyProperty(t *testing.T) {
 	if failures < 2*200+2 {
 		t.Fatalf("only %d refused requests: the parse-failure half of the property is undertested", failures)
 	}
-	if got := s.Stats().Snapshot().ParseFailures; got != failures {
+	if got := int64(s.Stats().Snapshot().ParseFailures); got != failures {
 		t.Errorf("parse failures counted %d, want %d", got, failures)
 	}
 }

@@ -96,21 +96,21 @@ func (s *Server) claimMiss(ctx context.Context, key string, sp *obs.Span) ([]byt
 			return nil, "", nil, ctx.Err()
 		}
 		if body, ok := s.cache.Get(key); ok {
-			s.stats.AddDedup()
+			s.stats.Dedups.Add(1)
 			return body, pdce.CacheDedup, nil, nil
 		}
 		// The leader failed and cached nothing: go on alone.
 	}
 	if body, ok := s.l2Get(key, sp); ok {
 		c.finish()
-		s.stats.AddCacheHit()
+		s.stats.CacheHits.Add(1)
 		return body, pdce.CacheHit, nil, nil
 	}
-	s.stats.AddCacheMiss()
+	s.stats.CacheMisses.Add(1)
 	body, release := s.l2Flight(ctx, key, sp)
 	if body != nil {
 		c.finish()
-		s.stats.AddDedup()
+		s.stats.Dedups.Add(1)
 		return body, pdce.CacheDedup, nil, nil
 	}
 	c.release = release
@@ -146,7 +146,7 @@ func (c *claim) solve(ctx context.Context, prog *pdce.Program, o pdce.Options, d
 	ssp := c.sp.Child("solve")
 	o.Span = ssp
 
-	s.stats.AddOptimize()
+	s.stats.Optimizes.Add(1)
 	opt, st, err := prog.SafeOptimize(o)
 	if err != nil {
 		ssp.SetError(errorKind(err))

@@ -220,7 +220,7 @@ func TestQueueRetryAndPoison(t *testing.T) {
 	if !strings.Contains(res.Error, "injected") {
 		t.Fatalf("poisoned job error %q does not carry the cause", res.Error)
 	}
-	if got := s.Queue().Stats().Poisoned(); got != 1 {
+	if got := s.Queue().Snapshot().Poisoned; got != 1 {
 		t.Fatalf("poisoned counter %d, want 1", got)
 	}
 	snap := s.Queue().Snapshot()

@@ -73,7 +73,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatalf("cache hit is not byte-identical:\nfirst:  %s\nsecond: %s", first, second)
 	}
-	if got := s.Stats().Optimizes(); got != 1 {
+	if got := s.Stats().Optimizes.Load(); got != 1 {
 		t.Errorf("optimizer ran %d times, want 1 (the hit must do no solver work)", got)
 	}
 	snap := s.Stats().Snapshot()
@@ -385,7 +385,7 @@ func TestSingleflightDedup(t *testing.T) {
 	if counts[string(pdce.CacheMiss)] != 1 {
 		t.Errorf("outcomes %v: want exactly one miss", counts)
 	}
-	if got := s.Stats().Optimizes(); got != 1 {
+	if got := s.Stats().Optimizes.Load(); got != 1 {
 		t.Errorf("optimizer ran %d times for %d identical requests", got, followers+1)
 	}
 }
@@ -409,7 +409,7 @@ func TestSpillSurvivesRestart(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Error("spill-recovered response differs from the original")
 	}
-	if s2.Stats().Optimizes() != 0 {
+	if s2.Stats().Optimizes.Load() != 0 {
 		t.Error("restarted server recomputed a spilled result")
 	}
 	if m := s2.Cache().Metrics(); m.SpillHits != 1 {
@@ -447,7 +447,7 @@ func TestSpillCorruptionQuarantined(t *testing.T) {
 	if m := s2.Cache().Metrics(); m.SpillCorrupt != 1 {
 		t.Errorf("spill corrupt counter = %d, want 1", m.SpillCorrupt)
 	}
-	if s2.Stats().Optimizes() != 1 {
+	if s2.Stats().Optimizes.Load() != 1 {
 		t.Error("corrupted entry was served instead of recomputed")
 	}
 }

@@ -59,8 +59,8 @@ func (s *Server) storeKey(key string) string {
 	return store.VersionedKey(s.cfg.StoreVersion, key)
 }
 
-// StoreStats exposes the L2 counters (tests, cmd/pdced logging); nil
-// when no store is configured.
+// StoreStats exposes the L2 counters (tests, cmd/pdced logging); they
+// stay zero when no store is configured.
 func (s *Server) StoreStats() *obs.StoreStats { return s.storeStats }
 
 // randomOwner derives a boot-unique lease owner id. A restarted
@@ -92,17 +92,17 @@ func (s *Server) l2Get(key string, sp *obs.Span) ([]byte, bool) {
 		gsp.SetError("rejected")
 		gsp.End()
 	case err == nil:
-		s.storeStats.AddL2Hit()
+		s.storeStats.L2Hits.Add(1)
 		gsp.SetAttr("outcome", "hit")
 		gsp.End()
 		s.cache.Put(key, body)
 		return body, true
 	case errors.Is(err, store.ErrNotFound):
-		s.storeStats.AddL2Miss()
+		s.storeStats.L2Misses.Add(1)
 		gsp.SetAttr("outcome", "miss")
 		gsp.End()
 	default:
-		s.storeStats.AddGetFailure()
+		s.storeStats.GetFailures.Add(1)
 		gsp.SetError("backend")
 		gsp.End()
 	}
@@ -140,18 +140,18 @@ func (s *Server) l2Flight(ctx context.Context, key string, sp *obs.Span) ([]byte
 	asp := sp.Child("lease.acquire")
 	won, err := s.lease.Acquire(sk)
 	if err != nil {
-		s.storeStats.AddLeaseError()
+		s.storeStats.LeaseErrors.Add(1)
 		asp.SetError("backend")
 		asp.End()
 		return nil, noRelease
 	}
 	if won {
-		s.storeStats.AddLeaseWin()
+		s.storeStats.LeaseWins.Add(1)
 		asp.SetAttr("outcome", "won")
 		asp.End()
 		return nil, func() { s.lease.Release(sk) }
 	}
-	s.storeStats.AddLeaseLoss()
+	s.storeStats.LeaseLosses.Add(1)
 	asp.SetAttr("outcome", "lost")
 	asp.End()
 
@@ -188,28 +188,28 @@ func (s *Server) l2Flight(ctx context.Context, key string, sp *obs.Span) ([]byte
 			return nil, noRelease
 		}
 		if err == nil {
-			s.storeStats.AddLeaseFetch()
+			s.storeStats.LeaseFetches.Add(1)
 			wsp.SetAttr("outcome", "fetched")
 			wsp.End()
 			s.cache.Put(key, body)
 			return body, noRelease
 		}
 		if !errors.Is(err, store.ErrNotFound) {
-			s.storeStats.AddGetFailure()
+			s.storeStats.GetFailures.Add(1)
 			wsp.SetError("backend")
 			wsp.End()
 			return nil, noRelease
 		}
 		won, err := s.lease.Acquire(sk)
 		if err != nil {
-			s.storeStats.AddLeaseError()
+			s.storeStats.LeaseErrors.Add(1)
 			wsp.SetError("backend")
 			wsp.End()
 			return nil, noRelease
 		}
 		if won {
 			// The owner died before publishing; the solve is ours now.
-			s.storeStats.AddLeaseWin()
+			s.storeStats.LeaseWins.Add(1)
 			wsp.SetAttr("outcome", "took-over")
 			wsp.End()
 			return nil, func() { s.lease.Release(sk) }
@@ -234,10 +234,10 @@ func (s *Server) l2Put(key string, body []byte, sp *obs.Span, release func()) {
 		defer s.l2wg.Done()
 		defer release()
 		if _, err := s.cfg.Store.Put(s.storeKey(key), body); err != nil {
-			s.storeStats.AddPutFailure()
+			s.storeStats.PutFailures.Add(1)
 			return
 		}
-		s.storeStats.AddPut()
+		s.storeStats.Puts.Add(1)
 	}()
 }
 
@@ -247,12 +247,10 @@ func (s *Server) storeSnapshot() *obs.StoreSnapshot {
 	if s.cfg.Store == nil {
 		return nil
 	}
-	var g obs.StoreGauges
+	snap := s.storeStats.Snapshot()
 	if st, err := s.cfg.Store.Stats(); err == nil {
-		g.Blobs = st.Blobs
-		g.Bytes = st.Bytes
+		snap.Blobs, snap.Bytes = st.Blobs, st.Bytes
 	}
-	snap := s.storeStats.Snapshot(g)
 	return &snap
 }
 

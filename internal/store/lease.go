@@ -40,8 +40,12 @@ type Lease struct {
 
 // NewLease builds a lease arbiter. owner must be unique per replica
 // (pdced defaults it to a random id per boot — a restarted replica
-// must not inherit its dead predecessor's leases). stats may be nil.
+// must not inherit its dead predecessor's leases). A nil stats counts
+// into a StoreStats of the lease's own.
 func NewLease(b Backend, owner string, ttl time.Duration, stats *obs.StoreStats) *Lease {
+	if stats == nil {
+		stats = &obs.StoreStats{}
+	}
 	return &Lease{b: b, owner: owner, ttl: ttl, stats: stats, now: time.Now}
 }
 
@@ -101,7 +105,7 @@ func (l *Lease) Acquire(key string) (won bool, err error) {
 		if held.ExpiresMS <= l.now().UnixMilli() {
 			// The owner died (or stalled past its TTL). Reclaim: delete
 			// the corpse and race for the empty slot on the next round.
-			l.stats.AddLeaseExpiry()
+			l.stats.LeaseExpiries.Add(1)
 			l.b.Delete(lk)
 			continue
 		}

@@ -100,7 +100,7 @@ func TestLeaseExpiryReclaim(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if stats.LeaseExpiries() == 0 {
+	if stats.LeaseExpiries.Load() == 0 {
 		t.Fatal("reclaim was not counted as a lease expiry")
 	}
 }

@@ -257,7 +257,7 @@ func (p *Pool) affinityKey(name, source string, o RequestOptions) string {
 		prog, err = ParseSource(name, source)
 	}
 	if err != nil {
-		p.stats.AddParseFallback()
+		p.stats.ParseFallbacks.Add(1)
 		sum := sha256.Sum256([]byte(lang + "\x00" + name + "\x00" + source))
 		return hex.EncodeToString(sum[:])
 	}
@@ -344,10 +344,10 @@ func (p *Pool) Optimize(ctx context.Context, name, source string, o RequestOptio
 		if err == nil {
 			p.stats.RecordLatency(time.Since(start))
 			if winner == home {
-				p.stats.AddAffinityHit()
+				p.stats.AffinityHits.Add(1)
 				root.SetAttr("affinity", "hit")
 			} else {
-				p.stats.AddAffinityMiss()
+				p.stats.AffinityMisses.Add(1)
 				root.SetAttr("affinity", "miss")
 			}
 			root.SetAttr("replica", winner.base)
@@ -370,7 +370,7 @@ func (p *Pool) Optimize(ctx context.Context, name, source string, o RequestOptio
 			return nil, "", err
 		}
 		lastErr = err
-		p.stats.AddFailover()
+		p.stats.Failovers.Add(1)
 	}
 	return nil, "", fmt.Errorf("pdce: all %d attempts failed: %w", p.opts.Retry.MaxAttempts, lastErr)
 }
@@ -507,7 +507,7 @@ func (p *Pool) attempt(ctx context.Context, primary, hedge *member, budget *reqB
 			outstanding--
 			if r.err == nil {
 				if hedged && r.m == hedge {
-					p.stats.AddHedgeWin()
+					p.stats.HedgesWon.Add(1)
 				}
 				return r.resp, r.cs, r.m, nil
 			}
@@ -520,7 +520,7 @@ func (p *Pool) attempt(ctx context.Context, primary, hedge *member, budget *reqB
 			}
 			hedged = true
 			faultinject.Fire(faultinject.ClientHedge, hedge.base)
-			p.stats.AddHedge()
+			p.stats.Hedges.Add(1)
 			outstanding++
 			hsp := root.Child("client.hedge")
 			hsp.SetAttr("replica", hedge.base)
@@ -539,7 +539,7 @@ func (p *Pool) attempt(ctx context.Context, primary, hedge *member, budget *reqB
 // server-side subtree.
 func (p *Pool) send(ctx context.Context, m *member, sp *obs.Span, name, source string, o RequestOptions) attemptResult {
 	faultinject.Fire(faultinject.ClientDial, m.base)
-	p.stats.AddAttempt(m.base)
+	p.stats.Replica(m.base).Attempts.Add(1)
 	resp, cs, err := m.client.Optimize(obs.ContextWithSpan(ctx, sp), name, source, o)
 	if err != nil {
 		if ctx.Err() == nil {
@@ -552,7 +552,7 @@ func (p *Pool) send(ctx context.Context, m *member, sp *obs.Span, name, source s
 }
 
 func (p *Pool) applyFailure(m *member, err error) {
-	p.stats.AddFailure(m.base)
+	p.stats.Replica(m.base).Failures.Add(1)
 	dec := classify(err)
 	if dec.eject {
 		p.eject(m)
@@ -574,14 +574,14 @@ func (p *Pool) hedgeDelay() time.Duration {
 
 func (p *Pool) eject(m *member) {
 	if m.healthy.CompareAndSwap(true, false) {
-		p.stats.AddEjection(m.base)
+		p.stats.Replica(m.base).Ejections.Add(1)
 	}
 }
 
 func (p *Pool) readmit(m *member) {
 	if m.healthy.CompareAndSwap(false, true) {
 		m.cooldown.Store(0)
-		p.stats.AddReadmission(m.base)
+		p.stats.Replica(m.base).Readmissions.Add(1)
 	}
 }
 
@@ -675,7 +675,7 @@ func (p *Pool) Submit(ctx context.Context, name, source string, o RequestOptions
 				p.opts.Retry.MaxTotalRequests, lastErr)
 		}
 		faultinject.Fire(faultinject.ClientDial, m.base)
-		p.stats.AddAttempt(m.base)
+		p.stats.Replica(m.base).Attempts.Add(1)
 		asp := root.Child("client.attempt")
 		asp.SetAttr("replica", m.base)
 		asp.SetInt("attempt", int64(attempt))
@@ -702,7 +702,7 @@ func (p *Pool) Submit(ctx context.Context, name, source string, o RequestOptions
 			return nil, "", err
 		}
 		lastErr = err
-		p.stats.AddFailover()
+		p.stats.Failovers.Add(1)
 	}
 	return nil, "", fmt.Errorf("pdce: all %d attempts failed: %w", p.opts.Retry.MaxAttempts, lastErr)
 }

@@ -235,7 +235,7 @@ func TestPoolFleetDrill(t *testing.T) {
 	}
 	var solves int64
 	for _, s := range servers {
-		solves += s.Stats().Optimizes()
+		solves += s.Stats().Optimizes.Load()
 	}
 	if solves != programs {
 		t.Fatalf("fleet solved %d times for %d programs: a warm request or a sibling replica re-solved", solves, programs)

@@ -153,10 +153,7 @@ func TestQueueStatsSchema(t *testing.T) {
 		t.Fatal("golden schema has no queue_stats block")
 	}
 
-	var stats obs.QueueStats
-	stats.AddSubmit()
-	stats.AddCompletion()
-	snap := stats.Snapshot(obs.QueueGauges{Depth: 1, WALRecords: 2, WALBytes: 64})
+	snap := obs.QueueSnapshot{Depth: 1, WALRecords: 2, WALBytes: 64, Submits: 1, Completions: 1}
 	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -190,11 +187,12 @@ func TestStoreStatsSchema(t *testing.T) {
 	}
 
 	var stats obs.StoreStats
-	stats.AddL2Hit()
-	stats.AddL2Miss()
-	stats.AddLeaseWin()
+	stats.L2Hits.Add(1)
+	stats.L2Misses.Add(1)
+	stats.LeaseWins.Add(1)
 	stats.RecordGetLatency(time.Millisecond)
-	snap := stats.Snapshot(obs.StoreGauges{Blobs: 3, Bytes: 4096})
+	snap := stats.Snapshot()
+	snap.Blobs, snap.Bytes = 3, 4096
 	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
