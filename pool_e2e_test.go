@@ -29,6 +29,68 @@ func newTestReplica(t *testing.T) (*server.Server, *httptest.Server) {
 	return s, ts
 }
 
+// TestAffinityKeyIsServedKey: the key a Pool routes a request by is the
+// key a pdced replica serves its result under, so a repeated request
+// lands on the replica whose cache holds its answer. Over progen
+// programs, structured and irreducible, and a WHILE program, under each
+// option a request can carry, with and without a name, the routing key
+// must equal the reply's key, and no key may come from the raw-bytes
+// fallback.
+func TestAffinityKeyIsServedKey(t *testing.T) {
+	_, ts := newTestReplica(t)
+	p, err := pdce.NewPool([]string{ts.URL}, pdce.PoolOptions{ProbeInterval: -1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	c := pdce.NewClient(ts.URL)
+
+	type input struct{ src, lang string }
+	inputs := []input{{poolTestSource, "while"}}
+	for seed := int64(0); seed < 2; seed++ {
+		for _, irreducible := range []bool{false, true} {
+			src := pdce.Generate(pdce.GenParams{Seed: seed, Stmts: 24, Irreducible: irreducible}).Format()
+			inputs = append(inputs, input{src, "cfg"})
+		}
+	}
+	variants := []struct {
+		name      string
+		o         pdce.RequestOptions
+		forceLang bool
+	}{
+		{"default", pdce.RequestOptions{}, false},
+		{"pfe", pdce.RequestOptions{Mode: pdce.Faint}, false},
+		{"max_rounds=1", pdce.RequestOptions{MaxRounds: 1}, false},
+		{"telemetry", pdce.RequestOptions{Telemetry: true}, false},
+		{"trace", pdce.RequestOptions{Trace: true}, false},
+		{"explain=y", pdce.RequestOptions{Explain: "y"}, false},
+		{"lang", pdce.RequestOptions{}, true},
+		{"deadline", pdce.RequestOptions{Deadline: time.Minute}, false},
+	}
+	ctx := context.Background()
+	for i, in := range inputs {
+		for _, v := range variants {
+			o := v.o
+			if v.forceLang {
+				o.Lang = in.lang
+			}
+			for _, name := range []string{"", "named"} {
+				want := p.AffinityKey(name, in.src, o)
+				resp, _, err := c.Optimize(ctx, name, in.src, o)
+				if err != nil {
+					t.Fatalf("input %d %s name %q: %v", i, v.name, name, err)
+				}
+				if resp.Key != want {
+					t.Errorf("input %d %s name %q: the pool routes by %s, the replica serves %s", i, v.name, name, want, resp.Key)
+				}
+			}
+		}
+	}
+	if n := p.Stats().Snapshot().ParseFallbacks; n != 0 {
+		t.Errorf("%d routing keys came from the raw-bytes fallback", n)
+	}
+}
+
 // The optimizer's determinism is what makes replica choice an
 // affinity-only decision: every replica must answer a given request
 // with the same bytes, and the pool must return that same answer no
