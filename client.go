@@ -3,6 +3,8 @@ package pdce
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -86,19 +88,59 @@ func (o RequestOptions) query(name string) string {
 	return q.Encode()
 }
 
+// The request key. A pdced result is a pure function of (canonical
+// program, options) (Theorem 3.7), so pdced caches it under a content
+// address and Pool routes each request to the replica that holds it.
+// Parse, Options and Key are that address's one derivation: pdced
+// serves by them, Pool routes by them and cmd/pdce parses by them, so
+// the routing key is the served key.
+
+// Parse parses source in the language o.Lang names: "" detects it
+// (DetectLang), "cfg" and "while" force it, and anything else is an
+// error. name names a WHILE program's graph ("" names it "request",
+// pdced's default); a CFG program names itself.
+func (o RequestOptions) Parse(name, source string) (*Program, error) {
+	lang := o.Lang
+	if lang == "" {
+		lang = DetectLang(source)
+	}
+	switch lang {
+	case "cfg":
+		return ParseCFG(source)
+	case "while":
+		if name == "" {
+			name = "request"
+		}
+		return ParseSource(name, source)
+	}
+	return nil, fmt.Errorf("unknown lang %q (want cfg or while)", lang)
+}
+
+// Options are the library options o's program runs under. A provenance
+// report needs the event stream, so Explain implies Trace.
+func (o RequestOptions) Options() Options {
+	return Options{Mode: o.Mode, MaxRounds: o.MaxRounds, Telemetry: o.Telemetry, Trace: o.Trace || o.Explain != ""}
+}
+
+// Key is the content address prog's result under o is cached and
+// routed by: prog.CacheKey(o.Options()), hashed again with the explain
+// variable when one is set, since explain selects a different body from
+// the same run.
+func (o RequestOptions) Key(prog *Program) string {
+	key := prog.CacheKey(o.Options())
+	if o.Explain == "" {
+		return key
+	}
+	sum := sha256.Sum256([]byte(key + "|explain=" + o.Explain))
+	return hex.EncodeToString(sum[:])
+}
+
 // Optimize submits one program and returns the optimized result plus
 // the cache state from the X-Pdced-Cache header. Non-2xx responses
 // return a *ServerError; a Degraded response (deadline, rollback) is
 // returned as a result, not an error — check resp.Degraded.
 func (c *Client) Optimize(ctx context.Context, name, source string, o RequestOptions) (*OptimizeResponse, CacheState, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/optimize?"+o.query(name), strings.NewReader(source))
-	if err != nil {
-		return nil, "", err
-	}
-	req.Header.Set("Content-Type", "text/plain")
-	injectTraceContext(ctx, req)
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, "/optimize?"+o.query(name), "text/plain", strings.NewReader(source))
 	if err != nil {
 		return nil, "", err
 	}
@@ -136,25 +178,7 @@ func (c *Client) OptimizeBatch(ctx context.Context, breq BatchOptimizeRequest) (
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/optimize/batch", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeServerError(resp)
-	}
-	var out BatchOptimizeResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("pdced: decoding batch response: %w", err)
-	}
-	return &out, nil
+	return do[BatchOptimizeResponse](ctx, c, "/optimize/batch", "application/json", bytes.NewReader(body))
 }
 
 // Submit enqueues one program on the server's durable async queue
@@ -164,53 +188,18 @@ func (c *Client) OptimizeBatch(ctx context.Context, breq BatchOptimizeRequest) (
 // the receipt's ID. Explain is rejected by the server on async
 // submissions.
 func (c *Client) Submit(ctx context.Context, name, source string, o RequestOptions) (*SubmitResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/optimize/submit?"+o.query(name), strings.NewReader(source))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "text/plain")
-	injectTraceContext(ctx, req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return nil, decodeServerError(resp)
-	}
-	var out SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("pdced: decoding submit response: %w", err)
-	}
-	return &out, nil
+	return do[SubmitResponse](ctx, c, "/optimize/submit?"+o.query(name), "text/plain", strings.NewReader(source))
 }
 
 // Result fetches one async job's state (GET /optimize/result/{id}).
 // With ack true a terminal job is acknowledged — the server may then
 // forget it, so ack only after the result is safely consumed.
 func (c *Client) Result(ctx context.Context, id string, ack bool) (*JobResult, error) {
-	u := c.base + "/optimize/result/" + url.PathEscape(id)
+	path := "/optimize/result/" + url.PathEscape(id)
 	if ack {
-		u += "?ack=1"
+		path += "?ack=1"
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeServerError(resp)
-	}
-	var out JobResult
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("pdced: decoding job result: %w", err)
-	}
-	return &out, nil
+	return do[JobResult](ctx, c, path, "", nil)
 }
 
 // Poll polls Result every interval until the job reaches a terminal
@@ -249,11 +238,7 @@ func (c *Client) Poll(ctx context.Context, id string, interval time.Duration) (*
 // proxy's 502 with an HTML body — is returned as a *ServerError, never
 // misreported as a JSON decode failure.
 func (c *Client) Health(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, "/healthz", "", nil)
 	if err != nil {
 		return "", err
 	}
@@ -276,83 +261,24 @@ func (c *Client) Health(ctx context.Context) (string, error) {
 
 // Metrics fetches GET /metrics.
 func (c *Client) Metrics(ctx context.Context) (*ServerMetrics, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeServerError(resp)
-	}
-	var m ServerMetrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, fmt.Errorf("pdced: decoding metrics response: %w", err)
-	}
-	return &m, nil
-}
-
-// injectTraceContext propagates the span attached to ctx (via
-// ContextWithSpan) as the W3C traceparent header, so the server-side
-// root span joins the caller's trace instead of starting a fresh one.
-// Without a span on the context the request goes out unmarked.
-func injectTraceContext(ctx context.Context, req *http.Request) {
-	if sc := SpanFromContext(ctx).Context(); sc.Valid() {
-		req.Header.Set("Traceparent", sc.Traceparent())
-	}
+	return do[ServerMetrics](ctx, c, "/metrics", "", nil)
 }
 
 // Traces lists the server's retained request traces, newest first
 // (GET /debug/traces). limit bounds the listing (0 = server default).
 func (c *Client) Traces(ctx context.Context, limit int) (*TraceList, error) {
-	u := c.base + "/debug/traces"
+	path := "/debug/traces"
 	if limit > 0 {
-		u += "?limit=" + strconv.Itoa(limit)
+		path += "?limit=" + strconv.Itoa(limit)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeServerError(resp)
-	}
-	var out TraceList
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("pdced: decoding trace list: %w", err)
-	}
-	return &out, nil
+	return do[TraceList](ctx, c, path, "", nil)
 }
 
 // TraceByID fetches one retained trace's span tree
 // (GET /debug/traces/{id}). A 404 — never recorded, sampled out, or
 // evicted — is returned as a *ServerError with Kind "not-found".
 func (c *Client) TraceByID(ctx context.Context, id string) (*TraceDump, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.base+"/debug/traces/"+url.PathEscape(id), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeServerError(resp)
-	}
-	var out TraceDump
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("pdced: decoding trace: %w", err)
-	}
-	return &out, nil
+	return do[TraceDump](ctx, c, "/debug/traces/"+url.PathEscape(id), "", nil)
 }
 
 // PushTraces exports locally-recorded spans to the server's trace
@@ -364,25 +290,53 @@ func (c *Client) PushTraces(ctx context.Context, spans []SpanRecord) (int, error
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/debug/traces", bytes.NewReader(body))
+	out, err := do[map[string]int](ctx, c, "/debug/traces", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
+	return (*out)["ingested"], nil
+}
+
+// send is the request half every call shares: one request to path,
+// bound to ctx and carrying the span ctx holds (ContextWithSpan) as its
+// W3C traceparent header, so the server's root span joins the caller's
+// trace. A nil body is a GET, any other a POST of type ctype.
+func (c *Client) send(ctx context.Context, path, ctype string, body io.Reader) (*http.Response, error) {
+	method := http.MethodPost
+	if body == nil {
+		method = http.MethodGet
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return 0, err
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", ctype)
+	}
+	if sc := SpanFromContext(ctx).Context(); sc.Valid() {
+		req.Header.Set("Traceparent", sc.Traceparent())
+	}
+	return c.hc.Do(req)
+}
+
+// do is one JSON round trip: send, then a status other than 200 or 202
+// comes back as a *ServerError, and otherwise the reply decodes as a T.
+// The body is drained and closed either way.
+func do[T any](ctx context.Context, c *Client, path, ctype string, body io.Reader) (*T, error) {
+	resp, err := c.send(ctx, path, ctype, body)
+	if err != nil {
+		return nil, err
 	}
 	defer closeBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		return 0, decodeServerError(resp)
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+		return nil, decodeServerError(resp)
 	}
-	var out map[string]int
+	var out T
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, fmt.Errorf("pdced: decoding ingest response: %w", err)
+		route, _, _ := strings.Cut(path, "?")
+		return nil, fmt.Errorf("pdced: decoding %s response: %w", route, err)
 	}
-	return out["ingested"], nil
+	return &out, nil
 }
 
 // maxDrain bounds what closeBody reads of an unread response tail.

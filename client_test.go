@@ -11,9 +11,11 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pdce"
 	"pdce/internal/server"
@@ -88,6 +90,57 @@ func TestClientSubmitExplain(t *testing.T) {
 	}
 	if n := s.Queue().Snapshot().Submits; n != 0 {
 		t.Fatalf("a refused submission queued %d jobs", n)
+	}
+}
+
+// TestClientPropagatesTraceparent: each call of the optimize family
+// sends the traceparent of the span its context carries, so pdced's
+// root span for each of the four routes joins the caller's trace.
+func TestClientPropagatesTraceparent(t *testing.T) {
+	s, err := server.New(server.Config{QueueDir: t.TempDir(), QueueBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := pdce.NewClient(ts.URL)
+
+	caller := pdce.NewTraceStore(8, 1, 1).StartSpan("caller", "test", pdce.SpanContext{})
+	defer caller.End()
+	ctx := pdce.ContextWithSpan(context.Background(), caller)
+	if _, _, err := c.Optimize(ctx, "p", "y := a + b\nout(y)\n", pdce.RequestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	batch := pdce.BatchOptimizeRequest{Programs: []pdce.BatchProgram{{Name: "b", Source: "y := a + c\nout(y)\n"}}}
+	if _, err := c.OptimizeBatch(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := c.Submit(ctx, "q", "y := a + d\nout(y)\n", pdce.RequestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Result(ctx, sub.ID, false); err != nil {
+		t.Fatal(err)
+	}
+
+	// A root span ends as its handler returns, which can be after the
+	// reply reached the client.
+	routes := []string{"server.optimize", "server.optimize.batch", "server.optimize.submit", "server.optimize.result"}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		dump, _ := s.Traces().Get(caller.TraceID())
+		var missing []string
+		for _, route := range routes {
+			if !slices.ContainsFunc(dump.Spans, func(sp pdce.SpanRecord) bool { return sp.Name == route }) {
+				missing = append(missing, route)
+			}
+		}
+		if len(missing) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the caller's trace %s lacks pdced's root spans for %v", caller.TraceID(), missing)
+		}
 	}
 }
 

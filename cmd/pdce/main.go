@@ -155,13 +155,6 @@ func run() error {
 		// and exit non-zero afterwards.
 		fmt.Fprintf(os.Stderr, "pdce: %s: %v\n", progName, degraded)
 	}
-	if *passes != "" {
-		opt, err = prog.Passes(strings.Split(*passes, ",")...)
-		if err != nil {
-			return err
-		}
-		st = nil
-	}
 
 	if *stats {
 		fmt.Fprintf(os.Stderr, "blocks: %d -> %d   statements: %d -> %d\n",
@@ -575,40 +568,24 @@ func readInput(paths []string) (src, progName string, err error) {
 	return string(data), progBase(paths[0]), nil
 }
 
+// parse reads src in the -lang language ("auto" detects it) through
+// the parser pdced and pdce.Pool use.
 func parse(src, progName string) (*pdce.Program, error) {
-	language := *lang
-	if language == "auto" {
-		language = detect(src)
+	o := pdce.RequestOptions{Lang: *lang}
+	if o.Lang == "auto" {
+		o.Lang = ""
 	}
-	switch language {
-	case "cfg":
-		return pdce.ParseCFG(src)
-	case "while":
-		return pdce.ParseSource(progName, src)
-	default:
-		return nil, fmt.Errorf("unknown -lang %q (want auto, cfg, or while)", language)
-	}
+	return o.Parse(progName, src)
 }
 
-// detect sniffs the input language: the CFG format opens every
-// construct with one of three keywords.
-func detect(src string) string {
-	for _, line := range strings.Split(src, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "//") || strings.HasPrefix(line, "#") {
-			continue
-		}
-		for _, kw := range []string{"graph", "node", "edge"} {
-			if strings.HasPrefix(line, kw+" ") || strings.HasPrefix(line, kw+"\t") {
-				return "cfg"
-			}
-		}
-		return "while"
-	}
-	return "while"
-}
-
+// transform runs the -passes pipeline when one is given, and otherwise
+// the -mode transformation: pde and pfe through SafeOptimize, with
+// stats, and each baseline as a one-pass pipeline.
 func transform(prog *pdce.Program) (*pdce.Program, *pdce.Stats, error) {
+	if *passes != "" {
+		opt, err := prog.Passes(strings.Split(*passes, ",")...)
+		return opt, nil, err
+	}
 	switch *mode {
 	case "pde", "pfe":
 		o, cancel := pdeOptions()
@@ -622,37 +599,13 @@ func transform(prog *pdce.Program) (*pdce.Program, *pdce.Stats, error) {
 				fmt.Fprintf(os.Stderr, "-- round %d %s:\n%s", round, phase, snapshot)
 			}
 		}
+		// SafeOptimize always hands back a usable program; on an error
+		// the caller prints it and reports the degradation.
 		opt, st, err := prog.SafeOptimize(o)
-		if err != nil {
-			// SafeOptimize always hands back a usable program; the
-			// caller prints it and reports the degradation.
-			return opt, &st, err
-		}
-		return opt, &st, nil
-	case "dce":
-		opt, _ := prog.DeadCodeElimination()
-		return opt, nil, nil
-	case "fce":
-		opt, _ := prog.FaintCodeElimination()
-		return opt, nil, nil
-	case "ssadce":
-		opt, _ := prog.SSADeadCodeElimination()
-		return opt, nil, nil
-	case "dudce":
-		opt, _ := prog.DefUseDCE()
-		return opt, nil, nil
-	case "lcm":
-		opt, _, _, err := prog.LazyCodeMotion()
-		return opt, nil, err
-	case "copyprop":
-		opt, _ := prog.CopyPropagation()
-		return opt, nil, nil
-	case "hoist":
-		opt, err := prog.HoistAssignments()
-		return opt, nil, err
+		return opt, &st, err
 	case "none":
 		return prog, nil, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown -mode %q", *mode)
 	}
+	opt, err := prog.Passes(*mode)
+	return opt, nil, err
 }

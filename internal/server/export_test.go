@@ -7,20 +7,20 @@ import (
 )
 
 // RequestKey is the key the slow path gives one POST /optimize with
-// this raw query and body: requestKey over the request's own parse. It
-// returns an error when the query or the body is refused.
+// this raw query and body: RequestOptions.Key over the request's own
+// parse. It returns an error when the query or the body is refused.
 func RequestKey(query, src string) (string, error) {
 	r := httptest.NewRequest(http.MethodPost, "/optimize", nil)
 	r.URL.RawQuery = query
-	o, explain, perr := optionsFromQuery(r)
+	o, name, perr := optionsFromQuery(r)
 	if perr != "" {
 		return "", errors.New(perr)
 	}
-	prog, err := parseProgram(src, queryName(r), r.URL.Query().Get("lang"))
+	prog, err := o.Parse(name, src)
 	if err != nil {
 		return "", err
 	}
-	return requestKey(prog, o, explain), nil
+	return o.Key(prog), nil
 }
 
 // MemoLen is the request memo's entry count.

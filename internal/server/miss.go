@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"time"
 
 	"pdce"
 	"pdce/internal/obs"
@@ -127,19 +126,22 @@ func (c *claim) finish() {
 	}
 }
 
-// solve runs prog under c. It bounds ctx by deadline (0 takes the
-// server's default), completes o with the server's round budget, repro
-// directory and a solve span, runs SafeOptimize and encodes the
+// solve runs prog under c with the options ro maps to, tagged with the
+// request id tag. It bounds ctx by ro.Deadline (0 takes the server's
+// default), completes the options with the server's round budget,
+// repro directory and a solve span, runs SafeOptimize and encodes the
 // response once, and counts the run in optimizes. It returns the body
 // and the run's error. A nil error is a clean result, put in L1 and
 // published to L2, which takes c's lease. A body with an error is
 // degraded: correct but partial, marked so in the body and never
 // stored. No body is a contained panic (*pdce.PanicError), which
 // touched no cache, or a failed encode.
-func (c *claim) solve(ctx context.Context, prog *pdce.Program, o pdce.Options, deadline time.Duration, explain string) ([]byte, error) {
+func (c *claim) solve(ctx context.Context, prog *pdce.Program, ro pdce.RequestOptions, tag string) ([]byte, error) {
 	s := c.s
-	ctx, cancel := s.withDeadline(ctx, deadline)
+	ctx, cancel := s.withDeadline(ctx, ro.Deadline)
 	defer cancel()
+	o := ro.Options()
+	o.RequestTag = tag
 	o.Context = ctx
 	o.RoundBudget = s.cfg.RoundBudget
 	o.ReproDir = s.cfg.ReproDir
@@ -155,7 +157,7 @@ func (c *claim) solve(ctx context.Context, prog *pdce.Program, o pdce.Options, d
 	if errors.As(err, new(*pdce.PanicError)) {
 		return nil, err
 	}
-	resp := s.buildResponse(prog.Name(), c.key, o, opt, st, explain)
+	resp := s.buildResponse(prog.Name(), c.key, o, opt, st, ro.Explain)
 	if err != nil {
 		resp.Degraded = true
 		resp.Error = err.Error()

@@ -24,8 +24,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -378,7 +376,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	defer s.end(start)
 	sp := obs.SpanFromContext(r.Context())
 
-	o, explain, perr := optionsFromQuery(r)
+	o, name, perr := optionsFromQuery(r)
 	if perr != "" {
 		s.httpError(w, http.StatusBadRequest, "bad-request", perr, "")
 		return
@@ -388,7 +386,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "bad-request", "reading body: "+err.Error(), "")
 		return
 	}
-	l, err := s.lookup(src, queryName(r), r.URL.Query().Get("lang"), o, explain, sp)
+	l, err := s.lookup(src, name, o, sp)
 	if err != nil {
 		s.stats.ParseFailures.Add(1)
 		s.httpError(w, http.StatusBadRequest, "parse", err.Error(), "")
@@ -429,8 +427,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	defer s.adm.Release()
 	faultinject.Fire(faultinject.ServerRequest, l.prog.Name())
 
-	o.RequestTag = requestIDFrom(r.Context())
-	body, err = c.solve(r.Context(), l.prog, o, queryDeadline(r), explain)
+	body, err = c.solve(r.Context(), l.prog, o, requestIDFrom(r.Context()))
 	var pe *pdce.PanicError
 	switch {
 	case err == nil:
@@ -478,7 +475,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "bad-request", err.Error(), "")
 		return
 	}
-	o := pdce.Options{Mode: mode, MaxRounds: breq.MaxRounds, Telemetry: breq.Telemetry}
+	ro := pdce.RequestOptions{Mode: mode, MaxRounds: breq.MaxRounds, Telemetry: breq.Telemetry}
+	o := ro.Options()
 	// The batch's pool jobs trace as "batch.job" children of the
 	// request's root span, one per cache miss.
 	sp := obs.SpanFromContext(r.Context())
@@ -495,7 +493,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		entries[i].Name = name
 		entries[i].Mode = o.Mode.String()
-		l, err := s.lookup(bp.Source, name, "", o, "", nil)
+		l, err := s.lookup(bp.Source, name, ro, nil)
 		if err == nil && !l.hit {
 			l.body, l.hit = s.l2Get(l.key, sp)
 		}
@@ -510,7 +508,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// A stored body that does not decode is solved again,
 			// which needs the program a memo hit did not parse.
 			if l.prog == nil {
-				l.prog, err = parseProgram(bp.Source, name, "")
+				l.prog, err = ro.Parse(name, bp.Source)
 			}
 		}
 		if err != nil {
@@ -604,12 +602,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.end(start)
 
-	o, explain, perr := optionsFromQuery(r)
+	o, name, perr := optionsFromQuery(r)
 	if perr != "" {
 		s.httpError(w, http.StatusBadRequest, "bad-request", perr, "")
 		return
 	}
-	if explain != "" {
+	if o.Explain != "" {
 		s.httpError(w, http.StatusBadRequest, "bad-request",
 			"explain is not supported on async submissions", "")
 		return
@@ -619,8 +617,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "bad-request", "reading body: "+err.Error(), "")
 		return
 	}
-	lang := r.URL.Query().Get("lang")
-	l, err := s.lookup(src, queryName(r), lang, o, "", nil)
+	l, err := s.lookup(src, name, o, nil)
 	if err != nil {
 		s.stats.ParseFailures.Add(1)
 		s.httpError(w, http.StatusBadRequest, "parse", err.Error(), "")
@@ -639,7 +636,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	state, dup, err := s.queue.Submit(l.key, l.prog.Name(), src, lang, o, queryDeadline(r), sp, requestIDFrom(r.Context()))
+	state, dup, err := s.queue.Submit(l.key, l.prog.Name(), src, o, sp, requestIDFrom(r.Context()))
 	if err != nil {
 		s.httpError(w, http.StatusInternalServerError, "queue",
 			"submission not accepted: "+err.Error(), "")
@@ -801,19 +798,11 @@ func (s *Server) withDeadline(ctx context.Context, d time.Duration) (context.Con
 	return context.WithTimeout(ctx, d)
 }
 
-// queryDeadline parses the deadline_ms query parameter: 0 when it is
-// absent or not a positive integer.
-func queryDeadline(r *http.Request) time.Duration {
-	ms, err := strconv.ParseInt(r.URL.Query().Get("deadline_ms"), 10, 64)
-	if err != nil || ms <= 0 {
-		return 0
-	}
-	return time.Duration(ms) * time.Millisecond
-}
-
-// optionsFromQuery maps query parameters to pdce.Options; the string
-// return is a user-facing validation error ("" = ok).
-func optionsFromQuery(r *http.Request) (o pdce.Options, explain string, perr string) {
+// optionsFromQuery maps a request's query parameters to its options
+// and program name; perr is a user-facing validation error ("" = ok).
+// A deadline_ms that is absent or not a positive integer leaves the
+// server's default deadline.
+func optionsFromQuery(r *http.Request) (o pdce.RequestOptions, name, perr string) {
 	q := r.URL.Query()
 	var err error
 	if o.Mode, err = parseMode(q.Get("mode")); err != nil {
@@ -826,13 +815,14 @@ func optionsFromQuery(r *http.Request) (o pdce.Options, explain string, perr str
 		}
 		o.MaxRounds = n
 	}
+	if ms, err := strconv.ParseInt(q.Get("deadline_ms"), 10, 64); err == nil && ms > 0 {
+		o.Deadline = time.Duration(ms) * time.Millisecond
+	}
 	o.Telemetry = q.Get("telemetry") == "1" || q.Get("telemetry") == "true"
 	o.Trace = q.Get("trace") == "1" || q.Get("trace") == "true"
-	explain = q.Get("explain")
-	if explain != "" {
-		o.Trace = true // the provenance report needs the event stream
-	}
-	return o, explain, ""
+	o.Explain = q.Get("explain")
+	o.Lang = q.Get("lang")
+	return o, q.Get("name"), ""
 }
 
 // parseMode maps a request's mode name to its pdce.Mode: "" and "pde"
@@ -845,44 +835,6 @@ func parseMode(name string) (pdce.Mode, error) {
 		return pdce.Faint, nil
 	}
 	return pdce.Dead, fmt.Errorf("unknown mode %q (want pde or pfe)", name)
-}
-
-// queryName resolves the name query parameter a WHILE program is
-// parsed under (default "request").
-func queryName(r *http.Request) string {
-	if name := r.URL.Query().Get("name"); name != "" {
-		return name
-	}
-	return "request"
-}
-
-// parseProgram mirrors cmd/pdce's front end: lang forces the language,
-// otherwise the CFG format's keywords are sniffed.
-func parseProgram(src, name, lang string) (*pdce.Program, error) {
-	if lang == "" {
-		lang = pdce.DetectLang(src)
-	}
-	switch lang {
-	case "cfg":
-		return pdce.ParseCFG(src)
-	case "while":
-		return pdce.ParseSource(name, src)
-	default:
-		return nil, fmt.Errorf("unknown lang %q (want cfg or while)", lang)
-	}
-}
-
-// requestKey derives the cache key for one request: the program's
-// content address, further hashed with the explain variable when one
-// is requested (explain selects a different response body from the
-// same telemetry, so it must address a distinct entry).
-func requestKey(prog *pdce.Program, o pdce.Options, explain string) string {
-	key := prog.CacheKey(o)
-	if explain == "" {
-		return key
-	}
-	h := sha256.Sum256([]byte(key + "|explain=" + explain))
-	return hex.EncodeToString(h[:])
 }
 
 // errorKind classifies a degraded result's error for the wire.

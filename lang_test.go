@@ -30,6 +30,14 @@ func TestDetectLang(t *testing.T) {
 		{"edge", "while"},
 		{"nodes := 1\nnode 1 {}", "while"},
 		{"x := 1\ngraph \"g\"", "while"},
+		{"graph \"g\"\nnode 1 {}\n", "cfg"},
+		{"node 1 { x := 1 }", "cfg"},
+		{"// comment\n# another\nnode 1 {}", "cfg"},
+		{"x := a + b\nout(x)", "while"},
+		{"if * { out(1) }", "while"},
+		{"// only comments", "while"},
+		{"nodes := 1\nout(nodes)", "while"},
+		{"edges := 2\nout(edges)", "while"},
 	} {
 		if got := pdce.DetectLang(c.src); got != c.want {
 			t.Errorf("DetectLang(%q) = %q, want %q", c.src, got, c.want)
