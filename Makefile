@@ -81,23 +81,26 @@ smoke-telemetry:
 # must be a content-addressed cache hit), then drain it cleanly with a
 # synthesized SIGTERM. The server-package end-to-end tests (cache
 # byte-identity, 429 shedding, graceful drain, the serving-path
-# differential, a queue solve's counters) and the client's refused
-# async explain ride along.
+# differential with its pool rows, a queue solve's counters), the
+# client's refused async explain, the pool's routing key checked against
+# the served key, and the retry tests over Pool.Optimize and Pool.Submit
+# ride along.
 smoke-server:
 	$(GO) test -race -count=1 -run 'TestServeSmoke' ./cmd/pdced
 	$(GO) test -race -count=1 -run 'TestCacheHitByteIdentical|TestQueueSaturation|TestGracefulDrain|TestPanic500NeverPoisonsCache|TestServingPathsAgree|TestSubmitCountsSolve' ./internal/server
-	$(GO) test -race -count=1 -run 'TestClientSubmitExplain' .
+	$(GO) test -race -count=1 -run 'TestClientSubmitExplain|TestAffinityKeyIsServedKey|TestRetryHonorsRetryAfter|TestNoRetryOnDeterministicFailure|TestRetryBudgetCapsTotalRequests|TestTransportFailureFailsOver' .
 
 # Tracing smoke: boot a real pdced, push one request through a traced
 # pdce.Pool, and assert the daemon ends up holding the single merged
 # span tree (client root, attempt, server subtree down to the solver
 # rounds) plus the Prometheus text exposition of the trace-store
 # counters. The pool-retry, queue-span, WAL-replay-link, and
-# request-id-to-solver-rounds end-to-end tests ride along, as does the
-# -debug-addr pprof listener drill.
+# request-id-to-solver-rounds end-to-end tests ride along, as do the
+# client's traceparent on all four optimize routes and the -debug-addr
+# pprof listener drill.
 smoke-trace:
 	$(GO) test -race -count=1 -run 'TestSmokeTrace|TestDebugListenerShutdown' ./cmd/pdced
-	$(GO) test -race -count=1 -run 'TestPoolTraceEndToEnd' .
+	$(GO) test -race -count=1 -run 'TestPoolTraceEndToEnd|TestClientPropagatesTraceparent' .
 	$(GO) test -race -count=1 -run 'TestQueueTraceSpans|TestQueueReplayTraceLink|TestTraceJoinAndSpanTree|TestTraceRecoversSolverRounds' ./internal/server
 
 # Chaos smoke: one fixed-seed schedule of the cluster chaos harness

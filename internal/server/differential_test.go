@@ -25,6 +25,9 @@ import (
 //   - POST /optimize/submit polled to done on replica B;
 //   - POST /optimize/batch on replica C, the entry's OptimizeResponse
 //     marshalled again;
+//   - pdce.Pool.Optimize over two fresh replicas, the response
+//     marshalled again;
+//   - pdce.Pool.Submit and PollResult over two replicas with queues;
 //   - POST /optimize on a fresh replica D on A's store after A drained,
 //     which must answer hit and run no solve;
 //   - Program.Optimize in the library, whose Format and String must be
@@ -35,6 +38,8 @@ func TestServingPathsAgree(t *testing.T) {
 	b, tsB, cB := startServer(t, queueConfig(t))
 	defer b.Drain(context.Background())
 	_, _, cC := startServer(t, server.Config{})
+	pool := newPool(t, server.Config{}, server.Config{})
+	queued := newPool(t, queueConfig(t), queueConfig(t))
 
 	variants := []struct {
 		query string
@@ -98,6 +103,22 @@ func TestServingPathsAgree(t *testing.T) {
 				if !bytes.Equal(got, body) {
 					t.Fatalf("%s: the batch entry differs from /optimize's:\n%s\nvs\n%s", name, got, body)
 				}
+
+				ro := pdce.RequestOptions{Mode: v.opts.Mode, MaxRounds: v.opts.MaxRounds, Telemetry: v.opts.Telemetry}
+				presp, _, err := pool.Optimize(context.Background(), "", src, ro)
+				if err != nil {
+					t.Fatalf("%s: pool: %v", name, err)
+				}
+				if got, err = json.Marshal(presp); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, body) {
+					t.Fatalf("%s: the pool's answer differs from /optimize's:\n%s\nvs\n%s", name, got, body)
+				}
+
+				if got := poolSubmitAndPoll(t, queued, ro, src); !bytes.Equal(got, body) {
+					t.Fatalf("%s: the pool's job result differs from /optimize's:\n%s\nvs\n%s", name, got, body)
+				}
 			}
 		}
 	}
@@ -116,6 +137,46 @@ func TestServingPathsAgree(t *testing.T) {
 	if got := d.Stats().Optimizes.Load(); got != 0 {
 		t.Fatalf("replica D ran %d solves, want 0", got)
 	}
+}
+
+// newPool starts one replica per config and returns a pool over them.
+// A replica with a queue is drained when the test ends.
+func newPool(t *testing.T, cfgs ...server.Config) *pdce.Pool {
+	t.Helper()
+	var urls []string
+	for _, cfg := range cfgs {
+		s, ts, _ := startServer(t, cfg)
+		if cfg.QueueDir != "" {
+			t.Cleanup(func() { s.Drain(context.Background()) })
+		}
+		urls = append(urls, ts.URL)
+	}
+	p, err := pdce.NewPool(urls, pdce.PoolOptions{ProbeInterval: -1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	return p
+}
+
+// poolSubmitAndPoll submits src through p under o, polls the job to
+// done on the replica that took it and returns its result body.
+func poolSubmitAndPoll(t *testing.T, p *pdce.Pool, o pdce.RequestOptions, src string) []byte {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sub, replica, err := p.Submit(ctx, "", src, o)
+	if err != nil {
+		t.Fatalf("pool submit: %v", err)
+	}
+	res, err := p.PollResult(ctx, replica, sub.ID, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.State != pdce.JobDone {
+		t.Fatalf("job state %q, error %q, want done", res.State, res.Error)
+	}
+	return res.Result
 }
 
 // submitAndPoll posts src to /optimize/submit under query, polls the

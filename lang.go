@@ -4,10 +4,9 @@ import "strings"
 
 // DetectLang guesses which front end parses src: "cfg" when the first
 // significant line opens with one of the low-level format's keywords
-// (graph, node, edge), "while" otherwise. It is the auto-detection rule
-// of cmd/pdce and the pdced server's lang=auto path; Pool uses it
-// client-side so the affinity key is computed over the same parse the
-// server will perform.
+// (graph, node, edge), "while" otherwise. RequestOptions.Parse applies
+// it when no language is forced, so cmd/pdce, pdced and Pool detect
+// alike.
 func DetectLang(src string) string {
 	for rest := src; rest != ""; {
 		var line string

@@ -51,9 +51,8 @@ func NewTraceStore(capacity int, sample float64, seed int64) *TraceStore {
 // ParseTraceparent decodes a W3C traceparent header value.
 func ParseTraceparent(s string) (SpanContext, bool) { return obs.ParseTraceparent(s) }
 
-// ContextWithSpan attaches a span to a context; Client.Optimize and
-// Client.Submit propagate the span's identity as the request's
-// traceparent header.
+// ContextWithSpan attaches a span to a context; every Client call
+// propagates the span's identity as the request's traceparent header.
 func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 	return obs.ContextWithSpan(ctx, s)
 }
