@@ -56,7 +56,7 @@ func admitResult(key string, body []byte) bool {
 
 // storeKey maps a raw L1 cache key to its versioned store key.
 func (s *Server) storeKey(key string) string {
-	return store.VersionedKey(s.cfg.StoreVersion, key)
+	return store.VersionedKey(pdce.CacheKeyVersion(), key)
 }
 
 // StoreStats exposes the L2 counters (tests, cmd/pdced logging); they
@@ -266,7 +266,7 @@ func (s *Server) storeSnapshot() *obs.StoreSnapshot {
 // peerKey strips this build's version prefix from a wire key, ok false
 // when the key belongs to a different key-format version.
 func (s *Server) peerKey(wire string) (string, bool) {
-	return strings.CutPrefix(wire, s.cfg.StoreVersion+"-")
+	return strings.CutPrefix(wire, pdce.CacheKeyVersion()+"-")
 }
 
 // handlePeerGet serves one L1 entry to a peer replica (GET and HEAD).
