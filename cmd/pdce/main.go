@@ -85,10 +85,14 @@ var (
 func main() {
 	flag.Parse()
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "pdce:", err)
+		fmt.Fprintln(os.Stderr, "pdce:", message(err))
 		os.Exit(1)
 	}
 }
+
+// message is err's text for a line that already starts with "pdce: ",
+// without the "pdce: " the pdce package's errors start with.
+func message(err error) string { return strings.TrimPrefix(err.Error(), "pdce: ") }
 
 func run() error {
 	if *cpuProfile != "" {
@@ -153,7 +157,7 @@ func run() error {
 		// A contained failure: opt is the degraded result (the best
 		// partial program, or the input unchanged). Print it anyway
 		// and exit non-zero afterwards.
-		fmt.Fprintf(os.Stderr, "pdce: %s: %v\n", progName, degraded)
+		fmt.Fprintf(os.Stderr, "pdce: %s: %s\n", progName, message(degraded))
 	}
 
 	if *stats {
@@ -420,7 +424,7 @@ func runBatch(paths []string) error {
 		}
 		if err, bad := parseErrs[path]; bad {
 			failed++
-			fmt.Fprintf(os.Stderr, "pdce: %s: %v\n", path, err)
+			fmt.Fprintf(os.Stderr, "pdce: %s: %s\n", path, message(err))
 			if *metricsJSON != "" {
 				reports = append(reports, pdce.MakeReport(progBase(path), modeOf(), pdce.Stats{}, 0, err))
 			}
@@ -434,7 +438,7 @@ func runBatch(paths []string) error {
 		}
 		if r.Err != nil {
 			failed++
-			fmt.Fprintf(os.Stderr, "pdce: %s: %v\n", path, r.Err)
+			fmt.Fprintf(os.Stderr, "pdce: %s: %s\n", path, message(r.Err))
 			if r.Program == nil {
 				continue
 			}
