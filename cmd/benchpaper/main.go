@@ -48,7 +48,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -60,9 +59,9 @@ import (
 	"strings"
 	"time"
 
+	"pdce"
 	"pdce/internal/analysis"
 	"pdce/internal/baseline"
-	"pdce/internal/batch"
 	"pdce/internal/bench"
 	"pdce/internal/cfg"
 	"pdce/internal/core"
@@ -794,13 +793,9 @@ func expBatch() error {
 	fmt.Println()
 	nProgs := cfgInt("programs", 32, 12)
 	stmts := cfgInt("stmts", 256, 128)
-	jobs := make([]batch.Job, nProgs)
-	for i := range jobs {
-		jobs[i] = batch.Job{
-			Name:    fmt.Sprintf("p%02d", i),
-			Graph:   progen.Generate(progen.Params{Seed: int64(i), Stmts: stmts}),
-			Options: core.Options{Mode: core.ModeDead},
-		}
+	progs := make([]*pdce.Program, nProgs)
+	for i := range progs {
+		progs[i] = pdce.FromGraph(progen.Generate(progen.Params{Seed: int64(i), Stmts: stmts}))
 	}
 	fmt.Printf("%d programs x %d statements, GOMAXPROCS=%d\n\n", nProgs, stmts, runtime.GOMAXPROCS(0))
 	fmt.Println("| workers | wall time | programs/s | speedup vs 1 |")
@@ -818,10 +813,10 @@ func expBatch() error {
 	var base time.Duration
 	for _, w := range workerCounts {
 		start := time.Now()
-		results := batch.Run(context.Background(), jobs, w, nil, nil)
+		_, m := pdce.OptimizeAllObserved(progs, pdce.Options{Mode: pdce.Dead}, w, nil)
 		d := time.Since(start)
-		if s := batch.Summarize(results); s.Failed > 0 {
-			return fmt.Errorf("workers=%d: %d batch jobs failed", w, s.Failed)
+		if m.Failed > 0 {
+			return fmt.Errorf("workers=%d: %d batch jobs failed", w, m.Failed)
 		}
 		if base == 0 {
 			base = d

@@ -116,3 +116,21 @@ func (e *MiscompileError) Error() string {
 }
 
 func (e *MiscompileError) Unwrap() error { return ErrMiscompile }
+
+// ErrorKind names err's class in the words pdced's error_kind, its
+// solve and batch.job span errors and BatchMetrics' failure classes
+// use: "deadline", "miscompile" or "panic" for the taxonomy's
+// containment errors, "error" for any other failure, "" for nil.
+func ErrorKind(err error) string {
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, ErrDeadline):
+		return "deadline"
+	case errors.Is(err, ErrMiscompile):
+		return "miscompile"
+	case errors.Is(err, ErrPanic):
+		return "panic"
+	}
+	return "error"
+}

@@ -2,181 +2,80 @@ package batch
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"testing"
-
-	"pdce/internal/cfg"
-	"pdce/internal/core"
-	"pdce/internal/faultinject"
-	"pdce/internal/parser"
-	"pdce/internal/progen"
+	"time"
 )
 
-func goodGraph(seed int64) *cfg.Graph {
-	return progen.Generate(progen.Params{Seed: seed, Stmts: 40})
-}
-
-// badGraph is structurally invalid (a node unreachable from start,
-// with no path to end), so core.Transform rejects it.
-func badGraph() *cfg.Graph {
-	g := parser.MustParseCFG(`
-node a { out(1) }
-edge s a
-edge a e
-`)
-	g.AddNode("orphan")
-	return g
-}
-
+// TestRunIsolatesFailures: every job runs and reports its own class,
+// whatever the others report, and results keep job order although
+// later jobs finish first.
 func TestRunIsolatesFailures(t *testing.T) {
-	jobs := []Job{
-		{Name: "ok0", Graph: goodGraph(0), Options: core.Options{Mode: core.ModeDead}},
-		{Name: "bad", Graph: badGraph(), Options: core.Options{Mode: core.ModeDead}},
-		{Name: "ok1", Graph: goodGraph(1), Options: core.Options{Mode: core.ModeFaint}},
+	classes := []string{"", "error", "", "panic", "deadline", ""}
+	results := Run(context.Background(), len(classes), 3, nil, func(i, _ int) string {
+		time.Sleep(time.Duration(len(classes)-i) * time.Millisecond)
+		return classes[i]
+	})
+	if len(results) != len(classes) {
+		t.Fatalf("got %d results for %d jobs", len(results), len(classes))
 	}
-	results := Run(context.Background(), jobs, 3, nil, nil)
-	if len(results) != 3 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i, want := range []string{"ok0", "bad", "ok1"} {
-		if results[i].Name != want {
-			t.Errorf("result %d is %q, want %q (order must match jobs)", i, results[i].Name, want)
+	for i, r := range results {
+		if r.Class != classes[i] {
+			t.Errorf("result %d has class %q, want %q (order must match jobs)", i, r.Class, classes[i])
 		}
-	}
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Errorf("good jobs failed: %v, %v", results[0].Err, results[2].Err)
-	}
-	if results[1].Err == nil {
-		t.Error("invalid graph did not produce an error")
-	}
-	if results[1].Graph != nil {
-		t.Error("failed job carries a graph")
-	}
-
-	s := Summarize(results)
-	if s.Programs != 3 || s.Failed != 1 {
-		t.Errorf("Summarize = %+v, want 3 programs / 1 failed", s)
-	}
-	if s.Rounds != results[0].Stats.Rounds+results[2].Stats.Rounds {
-		t.Errorf("Summarize.Rounds = %d, want sum of successful runs", s.Rounds)
+		if r.Worker < 0 || r.Worker > 2 || r.Duration <= 0 {
+			t.Errorf("result %d: worker %d, duration %v", i, r.Worker, r.Duration)
+		}
 	}
 }
 
 func TestRunWorkerClamping(t *testing.T) {
-	if got := Run(context.Background(), nil, 4, nil, nil); len(got) != 0 {
+	if got := Run(context.Background(), 0, 4, nil, nil); len(got) != 0 {
 		t.Fatalf("Run of no jobs returned %d results", len(got))
 	}
-	var jobs []Job
-	for i := 0; i < 5; i++ {
-		jobs = append(jobs, Job{Name: fmt.Sprint(i), Graph: goodGraph(int64(i)), Options: core.Options{Mode: core.ModeDead}})
-	}
 	// More workers than jobs, zero workers (GOMAXPROCS), negative.
+	const n = 5
 	for _, w := range []int{64, 0, -1} {
-		results := Run(context.Background(), jobs, w, nil, nil)
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("workers=%d job %d: %v", w, i, r.Err)
+		var tk Tracker
+		ran := make([]bool, n)
+		Run(context.Background(), n, w, &tk, func(i, _ int) string {
+			ran[i] = true
+			return ""
+		})
+		for i, ok := range ran {
+			if !ok {
+				t.Errorf("workers=%d: job %d never ran", w, i)
 			}
 		}
-	}
-}
-
-// TestRunJobPanicContainment injects a panic into one job and checks
-// the pool survives: the panicking job reports a *core.PanicError with
-// the panic value and stack, every other job completes normally.
-func TestRunJobPanicContainment(t *testing.T) {
-	restore := faultinject.Set(func(p faultinject.Point, payload any) {
-		if p == faultinject.BatchJob && payload == "boom" {
-			panic("injected job fault")
+		if p := tk.Snapshot(); p.Workers < 1 || p.Workers > n {
+			t.Errorf("workers=%d: pool of %d", w, p.Workers)
 		}
-	})
-	defer restore()
-
-	jobs := []Job{
-		{Name: "ok0", Graph: goodGraph(0), Options: core.Options{Mode: core.ModeDead}},
-		{Name: "boom", Graph: goodGraph(1), Options: core.Options{Mode: core.ModeDead}},
-		{Name: "ok1", Graph: goodGraph(2), Options: core.Options{Mode: core.ModeFaint}},
-	}
-	results := Run(context.Background(), jobs, 3, nil, nil)
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Errorf("healthy jobs failed: %v, %v", results[0].Err, results[2].Err)
-	}
-	var pe *core.PanicError
-	if !errors.As(results[1].Err, &pe) {
-		t.Fatalf("panicking job error = %v, want *core.PanicError", results[1].Err)
-	}
-	if pe.Value != "injected job fault" {
-		t.Errorf("panic value = %v", pe.Value)
-	}
-	if len(pe.Stack) == 0 {
-		t.Error("panic error carries no stack")
-	}
-	if results[1].Graph != nil {
-		t.Error("panicking job carries a graph")
 	}
 }
 
 // TestRunContextCancellation cancels a batch mid-run: two jobs are held
-// in flight by the injection hook while the rest wait for dispatch.
-// After cancellation the pool must drain — the in-flight jobs wind down
-// through the driver's watchdog and report partial results, the
-// untouched jobs report context.Canceled — and Run must return a
-// fully populated, in-order result slice.
+// in flight while the rest wait for dispatch. After cancellation the
+// pool must drain — the in-flight jobs finish and report, the untouched
+// jobs report Worker -1 — and Run must return a fully populated,
+// in-order result slice.
 func TestRunContextCancellation(t *testing.T) {
-	const njobs = 8
-	const workers = 2
-
-	started := make(chan struct{}, njobs)
-	release := make(chan struct{})
-	restore := faultinject.Set(func(p faultinject.Point, _ any) {
-		if p == faultinject.BatchJob {
-			started <- struct{}{}
-			<-release
-		}
-	})
-	defer restore()
-
-	jobs := make([]Job, njobs)
-	for i := range jobs {
-		jobs[i] = Job{Name: fmt.Sprint(i), Graph: goodGraph(int64(i)), Options: core.Options{Mode: core.ModeDead}}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan []Result, 1)
-	go func() { done <- Run(ctx, jobs, workers, nil, nil) }()
-
-	// Both workers are now holding a job inside the hook; the
-	// dispatcher is blocked offering the third. Cancel, then let the
-	// in-flight jobs proceed into the (already expired) watchdog.
-	<-started
-	<-started
-	cancel()
-	close(release)
-	results := <-done
+	const njobs, workers = 8, 2
+	results, _ := runCancelled(t, njobs, workers)
 
 	if len(results) != njobs {
 		t.Fatalf("got %d results for %d jobs", len(results), njobs)
 	}
 	var inflight, untouched int
 	for i, r := range results {
-		if r.Name != jobs[i].Name {
-			t.Errorf("result %d is %q, want %q", i, r.Name, jobs[i].Name)
-		}
 		switch {
-		case r.Graph != nil:
-			// An in-flight job: interrupted at a phase boundary with
-			// its best graph, or finished before the cancellation won
-			// the race. Either way the result must be coherent.
+		case r.Worker >= 0:
 			inflight++
-			if r.Err != nil && !core.Partial(r.Err) {
-				t.Errorf("job %d: graph alongside non-partial error %v", i, r.Err)
+			if r.Class != "deadline" {
+				t.Errorf("in-flight job %d has class %q", i, r.Class)
 			}
 		default:
 			untouched++
-			if !errors.Is(r.Err, context.Canceled) {
-				t.Errorf("job %d: err = %v, want context.Canceled", i, r.Err)
+			if r.Class != "" || r.Duration != 0 {
+				t.Errorf("skipped job %d: class %q, duration %v", i, r.Class, r.Duration)
 			}
 		}
 	}
@@ -186,4 +85,32 @@ func TestRunContextCancellation(t *testing.T) {
 	if untouched != njobs-workers {
 		t.Errorf("%d untouched results, want %d", untouched, njobs-workers)
 	}
+}
+
+// runCancelled runs njobs jobs on workers workers and cancels the batch
+// while the first workers jobs are held in flight; each in-flight job
+// then reports class "deadline", as a run its context stopped does.
+func runCancelled(t *testing.T, njobs, workers int) ([]Result, *Tracker) {
+	t.Helper()
+	started := make(chan struct{}, njobs)
+	release := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var tk Tracker
+	done := make(chan []Result, 1)
+	go func() {
+		done <- Run(ctx, njobs, workers, &tk, func(int, int) string {
+			started <- struct{}{}
+			<-release
+			return "deadline"
+		})
+	}()
+	// Both workers are now holding a job; the dispatcher is blocked
+	// offering the third. Cancel, then let the in-flight jobs finish.
+	for i := 0; i < workers; i++ {
+		<-started
+	}
+	cancel()
+	close(release)
+	return <-done, &tk
 }

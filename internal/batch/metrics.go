@@ -1,13 +1,10 @@
 package batch
 
 import (
-	"context"
-	"errors"
 	"slices"
 	"sync/atomic"
 	"time"
 
-	"pdce/internal/core"
 	"pdce/internal/obs"
 )
 
@@ -98,10 +95,10 @@ type Metrics struct {
 	Jobs   int `json:"jobs"`
 	Failed int `json:"failed"`
 
-	// Failure classes: Panics counts contained *core.PanicError
-	// results, Interrupted watchdog/context *core.InterruptError
-	// results (which still carry a usable graph), Skipped jobs the
-	// pool never started.
+	// Failure classes: Panics counts jobs of class "panic" (a
+	// contained panic), Interrupted those of class "deadline" (a
+	// watchdog or context stop, which still carry a usable program),
+	// Skipped jobs the pool never started.
 	Panics      int `json:"panics"`
 	Interrupted int `json:"interrupted"`
 	Skipped     int `json:"skipped"`
@@ -131,23 +128,19 @@ func ComputeMetrics(results []Result) Metrics {
 		m.PerWorker = make([]WorkerStats, maxWorker+1)
 	}
 	for _, r := range results {
-		if r.Err != nil {
-			m.Failed++
-			var pe *core.PanicError
-			var ie *core.InterruptError
-			switch {
-			case errors.As(r.Err, &pe):
-				m.Panics++
-			case errors.As(r.Err, &ie):
-				m.Interrupted++
-			case errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded):
-				if r.Worker < 0 {
-					m.Skipped++
-				}
-			}
-		}
 		if r.Worker < 0 {
+			m.Failed++
+			m.Skipped++
 			continue
+		}
+		if r.Class != "" {
+			m.Failed++
+		}
+		switch r.Class {
+		case "panic":
+			m.Panics++
+		case "deadline":
+			m.Interrupted++
 		}
 		durs = append(durs, r.Duration)
 		m.TotalNS += int64(r.Duration)

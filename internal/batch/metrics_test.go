@@ -2,29 +2,25 @@ package batch
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
-	"pdce/internal/core"
-	"pdce/internal/faultinject"
 	"pdce/internal/obs"
 )
 
 func TestComputeMetricsAggregation(t *testing.T) {
 	results := []Result{
-		{Name: "a", Worker: 0, Duration: 10 * time.Millisecond},
-		{Name: "b", Worker: 1, Duration: 20 * time.Millisecond},
-		{Name: "c", Worker: 0, Duration: 30 * time.Millisecond},
-		{Name: "d", Worker: 1, Duration: 40 * time.Millisecond,
-			Err: &core.PanicError{Value: "boom"}},
-		{Name: "e", Worker: -1, Err: context.Canceled},
+		{Worker: 0, Duration: 10 * time.Millisecond},
+		{Worker: 1, Duration: 20 * time.Millisecond, Class: "deadline"},
+		{Worker: 0, Duration: 30 * time.Millisecond, Class: "queue-full"},
+		{Worker: 1, Duration: 40 * time.Millisecond, Class: "panic"},
+		{Worker: -1},
 	}
 	m := ComputeMetrics(results)
-	if m.Jobs != 5 || m.Failed != 2 {
-		t.Errorf("jobs/failed = %d/%d, want 5/2", m.Jobs, m.Failed)
+	if m.Jobs != 5 || m.Failed != 4 {
+		t.Errorf("jobs/failed = %d/%d, want 5/4", m.Jobs, m.Failed)
 	}
-	if m.Panics != 1 || m.Interrupted != 0 || m.Skipped != 1 {
+	if m.Panics != 1 || m.Interrupted != 1 || m.Skipped != 1 {
 		t.Errorf("failure classes = %+v", m)
 	}
 	// Four jobs ran: sorted durations 10,20,30,40ms. Nearest-rank
@@ -69,19 +65,21 @@ func TestNearestRank(t *testing.T) {
 // the final snapshot and the per-result worker/duration stamps.
 func TestRunObservedTracker(t *testing.T) {
 	const njobs = 6
-	jobs := make([]Job, njobs)
-	for i := range jobs {
-		jobs[i] = Job{Name: fmt.Sprint(i), Graph: goodGraph(int64(i)), Options: core.Options{Mode: core.ModeDead}}
-	}
 	var tk Tracker
-	results := Run(context.Background(), jobs, 2, &tk, nil)
+	results := Run(context.Background(), njobs, 2, &tk, func(i, _ int) string {
+		time.Sleep(time.Millisecond)
+		if i == 3 {
+			return "error"
+		}
+		return ""
+	})
 
 	p := tk.Snapshot()
 	if p.Total != njobs || p.Workers != 2 || p.Started != njobs || p.Done != njobs {
 		t.Errorf("progress = %+v", p)
 	}
-	if p.Failed != 0 || p.Skipped != 0 {
-		t.Errorf("unexpected failures: %+v", p)
+	if p.Failed != 1 || p.Skipped != 0 {
+		t.Errorf("failures = %+v, want 1 failed, 0 skipped", p)
 	}
 	for i, r := range results {
 		if r.Worker < 0 || r.Worker > 1 {
@@ -92,49 +90,27 @@ func TestRunObservedTracker(t *testing.T) {
 		}
 	}
 	m := ComputeMetrics(results)
-	if m.Jobs != njobs || m.Failed != 0 || m.P50NS <= 0 || m.P95NS < m.P50NS {
+	if m.Jobs != njobs || m.Failed != 1 || m.P50NS <= 0 || m.P95NS < m.P50NS {
 		t.Errorf("metrics = %+v", m)
 	}
 }
 
 // TestTrackerCancelledRun pins the skipped accounting: jobs never
-// dispatched count as skipped and failed in the live snapshot.
+// dispatched count as skipped and failed in the live snapshot and in
+// the metrics.
 func TestTrackerCancelledRun(t *testing.T) {
 	const njobs, workers = 8, 2
-	started := make(chan struct{}, njobs)
-	release := make(chan struct{})
-	restore := faultinject.Set(func(p faultinject.Point, _ any) {
-		if p == faultinject.BatchJob {
-			started <- struct{}{}
-			<-release
-		}
-	})
-	defer restore()
-
-	jobs := make([]Job, njobs)
-	for i := range jobs {
-		jobs[i] = Job{Name: fmt.Sprint(i), Graph: goodGraph(int64(i)), Options: core.Options{Mode: core.ModeDead}}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var tk Tracker
-	done := make(chan []Result, 1)
-	go func() { done <- Run(ctx, jobs, workers, &tk, nil) }()
-	<-started
-	<-started
-	cancel()
-	close(release)
-	results := <-done
+	results, tk := runCancelled(t, njobs, workers)
 
 	p := tk.Snapshot()
-	if p.Skipped != njobs-workers {
-		t.Errorf("skipped = %d, want %d", p.Skipped, njobs-workers)
+	if p.Skipped != njobs-workers || p.Failed != njobs {
+		t.Errorf("skipped/failed = %d/%d, want %d/%d", p.Skipped, p.Failed, njobs-workers, njobs)
 	}
 	if p.Started != workers || p.Done != workers {
 		t.Errorf("started/done = %d/%d, want %d each", p.Started, p.Done, workers)
 	}
 	m := ComputeMetrics(results)
-	if m.Skipped != njobs-workers {
-		t.Errorf("metrics skipped = %d, want %d", m.Skipped, njobs-workers)
+	if m.Skipped != njobs-workers || m.Interrupted != workers {
+		t.Errorf("metrics skipped/interrupted = %d/%d, want %d/%d", m.Skipped, m.Interrupted, njobs-workers, workers)
 	}
 }

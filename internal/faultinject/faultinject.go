@@ -1,9 +1,10 @@
 // Package faultinject is the optimizer's fault-injection seam: a
 // process-global hook consulted at a small number of instrumented
-// points inside the solver, the driver's phases, and the batch worker
-// pool. Production runs never install a hook, so the only cost is one
-// atomic nil-check per site; tests install hooks that panic, stall, or
-// deliberately miscompile to exercise the containment machinery
+// points inside the solver, the driver's phases, pdced's request path,
+// cache and job queue, and the pool client. Production runs never
+// install a hook, so the only cost is one atomic nil-check per site;
+// tests install hooks that panic, stall, or deliberately miscompile to
+// exercise the containment machinery
 // (pdce.SafeOptimize's panic recovery, the fixpoint watchdog, and
 // verified-mode rollback) under `go test -race`.
 //
@@ -36,15 +37,12 @@ const (
 	// working *cfg.Graph — a hook that corrupts it simulates a
 	// miscompile for verified mode to catch.
 	SinkPhase Point = "core/sink"
-	// BatchJob fires in a worker goroutine before a batch job runs.
-	// Payload: the job name (string). Panicking here exercises the
-	// pool's per-job containment.
-	BatchJob Point = "batch/job"
-	// ServerRequest fires inside an admitted optimize request of the
-	// serving layer, after the admission slot is held and before the
-	// optimizer runs. Payload: the program name (string). Stalling
-	// here keeps the slot busy, filling the queue behind it — the seam
-	// for queue-saturation and graceful-drain tests.
+	// ServerRequest fires inside each request the serving layer admits
+	// (a POST /optimize or an /optimize/batch entry that L1 missed),
+	// after the admission slot is held and before the optimizer runs.
+	// Payload: the program name (string). Stalling here keeps the slot
+	// busy, filling the queue behind it — the seam for
+	// queue-saturation and graceful-drain tests.
 	ServerRequest Point = "server/request"
 	// ServerCacheLoad fires after a disk-spilled cache entry is read
 	// back, before its checksum is verified. Payload: *[]byte (the

@@ -23,15 +23,15 @@ func TestSetFireRestore(t *testing.T) {
 	if !Enabled() {
 		t.Fatal("hook installed, Enabled() = false")
 	}
-	Fire(BatchJob, "payload")
+	Fire(ServerRequest, "payload")
 	Fire(SinkPhase, "payload")
 	restore()
 	if Enabled() {
 		t.Fatal("restore left a hook installed")
 	}
-	Fire(BatchJob, "ignored")
-	if len(got) != 2 || got[0] != BatchJob || got[1] != SinkPhase {
-		t.Fatalf("hook saw %v, want [BatchJob SinkPhase]", got)
+	Fire(ServerRequest, "ignored")
+	if len(got) != 2 || got[0] != ServerRequest || got[1] != SinkPhase {
+		t.Fatalf("hook saw %v, want [ServerRequest SinkPhase]", got)
 	}
 }
 
@@ -49,8 +49,8 @@ func TestSetRestoresPreviousHook(t *testing.T) {
 }
 
 // TestConcurrentFire runs Fire from many goroutines while the hook is
-// installed — the seam itself must be race-free (the batch pool fires
-// it from every worker).
+// installed — the seam itself must be race-free (a batch fires it from
+// every pool worker).
 func TestConcurrentFire(t *testing.T) {
 	var mu sync.Mutex
 	count := 0
@@ -65,7 +65,7 @@ func TestConcurrentFire(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				Fire(BatchJob, "x")
+				Fire(ServerRequest, "x")
 			}
 		}()
 	}

@@ -16,10 +16,10 @@ var ErrQueueFull = errors.New("pdced: work queue full")
 // one, and everything beyond that is shed immediately with
 // ErrQueueFull. Shedding at admission keeps a saturated server
 // responsive — rejecting a request costs microseconds, queueing it
-// unboundedly costs memory and every client's latency.
-//
-// It implements batch.Gate, so a server-embedded batch run shares the
-// same global budget as single requests instead of adding its own.
+// unboundedly costs memory and every client's latency. Every POST
+// /optimize and every /optimize/batch entry that L1 misses takes its
+// slot here (resolveMiss), so a batch shares the server-wide budget
+// instead of adding its own.
 type Admission struct {
 	slots    chan struct{}
 	queued   atomic.Int64

@@ -40,7 +40,6 @@ package pdce
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -337,11 +336,11 @@ func (p *Program) Optimize(o Options) (*Program, Stats, error) {
 type BatchResult struct {
 	// Name is the program's name; results preserve input order.
 	Name string
-	// Program is the optimized program. With a non-nil Err it is the
-	// degraded result of the containment layer: the best partial
-	// program for ErrDeadline/ErrMiscompile, the unchanged input for
-	// ErrPanic, and nil only for jobs never started (a cancelled
-	// batch, Err matching the context's error).
+	// Program is the optimized program. With a non-nil Err it is
+	// SafeOptimize's degraded result: the best partial program for
+	// ErrDeadline/ErrMiscompile, the unchanged input for ErrPanic and
+	// any other failure, and nil only for jobs never started (a
+	// cancelled batch, Err matching the context's error).
 	Program *Program
 	Stats   Stats
 	Err     error
@@ -360,12 +359,13 @@ type BatchResult struct {
 // Observe additionally receives interleaved events from different
 // programs, so most batch callers leave it nil.
 //
-// The batch is fault-contained with SafeOptimize's semantics per job:
-// a panicking job is recovered (repro bundle in Options.ReproDir, if
-// set) and reports the input unchanged; watchdog and verified-mode
-// stops report partial programs. Cancelling Options.Context stops
-// dispatch — jobs not yet started report the context's error with a
-// nil Program — and the worker pool always drains before returning.
+// Each job is SafeOptimize on its program: a panicking job is
+// recovered (repro bundle in Options.ReproDir, if set) and reports the
+// input unchanged; watchdog and verified-mode stops report partial
+// programs. Cancelling Options.Context stops dispatch — jobs not yet
+// started report the context's error with a nil Program — and the
+// worker pool always drains before returning. Options.Span is
+// ignored: no job runs under a span.
 func OptimizeAll(programs []*Program, o Options, workers int) []BatchResult {
 	results, _ := OptimizeAllObserved(programs, o, workers, nil)
 	return results
@@ -380,60 +380,21 @@ func OptimizeAll(programs []*Program, o Options, workers int) []BatchResult {
 // are created per job, never shared, so per-program Stats.Telemetry is
 // exact even under full concurrency.
 func OptimizeAllObserved(programs []*Program, o Options, workers int, tk *BatchTracker) ([]BatchResult, BatchMetrics) {
-	return OptimizeAllGated(programs, o, workers, tk, nil)
-}
-
-// AdmissionGate is a per-job admission controller for OptimizeAllGated;
-// see internal/batch.Gate for the contract.
-type AdmissionGate = batch.Gate
-
-// OptimizeAllGated is OptimizeAllObserved with a per-job admission
-// gate: each pool worker acquires a slot from gate before running a
-// job and releases it after, so a batch embedded in a larger system
-// (the pdced server) shares that system's global concurrency budget
-// instead of adding its own. A job rejected by the gate reports the
-// gate's error with a nil Program, like a job the pool never started.
-// A nil gate admits everything.
-func OptimizeAllGated(programs []*Program, o Options, workers int, tk *BatchTracker, gate AdmissionGate) ([]BatchResult, BatchMetrics) {
-	jobs := make([]batch.Job, len(programs))
-	for i, p := range programs {
-		copt := o.coreOptions()
-		if o.Verify {
-			copt.RoundCheck = verifyRoundCheck(p.g, o.VerifyRuns)
-		}
-		if o.Span != nil {
-			// One child span per job; the pool worker that runs the
-			// job ends it (covering panic and interrupt paths).
-			js := o.Span.Child("batch.job")
-			js.SetAttr("program", p.Name())
-			copt.Span = js
-		}
-		jobs[i] = batch.Job{Name: p.Name(), Graph: p.g, Options: copt}
-	}
 	ctx := o.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	res := batch.Run(ctx, jobs, workers, tk, gate)
-	out := make([]BatchResult, len(res))
+	o.Span = nil
+	out := make([]BatchResult, len(programs))
+	res := batch.Run(ctx, len(programs), workers, tk, func(i, _ int) string {
+		r := &out[i]
+		r.Program, r.Stats, r.Err = programs[i].SafeOptimize(o)
+		return ErrorKind(r.Err)
+	})
 	for i, r := range res {
-		out[i] = BatchResult{Name: r.Name, Duration: r.Duration, Worker: r.Worker}
-		if r.Graph != nil {
-			out[i].Program = &Program{g: r.Graph}
-			out[i].Stats = fromCoreStats(r.Stats)
-		}
-		if r.Err == nil {
-			continue
-		}
-		var pe *core.PanicError
-		switch {
-		case errors.As(r.Err, &pe):
-			e := &PanicError{Value: pe.Value, Stack: string(pe.Stack)}
-			e.Bundle, e.BundleErr = writeReproBundle(o.ReproDir, programs[i], o, pe.Value, pe.Stack)
-			out[i].Err = e
-			out[i].Program = programs[i] // degrade to the unchanged input
-		default:
-			out[i].Err = mapCoreError(r.Err)
+		out[i].Name, out[i].Duration, out[i].Worker = programs[i].Name(), r.Duration, r.Worker
+		if r.Worker < 0 {
+			out[i].Err = ctx.Err()
 		}
 	}
 	return out, batch.ComputeMetrics(res)

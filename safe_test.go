@@ -289,7 +289,7 @@ func TestOptimizeAllPanicContainment(t *testing.T) {
 	progs := batchPrograms(6)
 	victim := progs[2].Name()
 	restore := faultinject.Set(func(pt faultinject.Point, payload any) {
-		if pt == faultinject.BatchJob && payload == victim {
+		if g, ok := payload.(*cfg.Graph); ok && pt == faultinject.EliminatePhase && g.Name == victim {
 			panic("injected batch fault")
 		}
 	})
