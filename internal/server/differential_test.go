@@ -32,6 +32,10 @@ import (
 //     which must answer hit and run no solve;
 //   - Program.Optimize in the library, whose Format and String must be
 //     the body's program and listing.
+//
+// The body's program must also pass Program.Check against its input
+// (outputs preserved, no execution impaired); every other path is held
+// to the same bytes, so the check covers them all.
 func TestServingPathsAgree(t *testing.T) {
 	shared := store.NewMemStore()
 	a, tsA, _ := startServer(t, server.Config{Store: shared})
@@ -80,6 +84,13 @@ func TestServingPathsAgree(t *testing.T) {
 				}
 				if opt.Format() != resp.Program || opt.String() != resp.Listing {
 					t.Fatalf("%s: the library's result differs from /optimize's:\n%s\nvs\n%s", name, opt.Format(), resp.Program)
+				}
+				served, err := pdce.ParseCFG(resp.Program)
+				if err != nil {
+					t.Fatalf("%s: /optimize's program does not parse: %v", name, err)
+				}
+				if err := prog.Check(served, 32); err != nil {
+					t.Fatalf("%s: /optimize's program fails the semantics check against its input: %v", name, err)
 				}
 
 				if got := submitAndPoll(t, tsB.URL, cB, v.query, src); !bytes.Equal(got, body) {
