@@ -101,13 +101,14 @@ type BatchOptimizeRequest struct {
 // BatchEntryResult is one program's outcome within a batch response.
 type BatchEntryResult struct {
 	OptimizeResponse
-	// Cached is true when the entry was served from the result cache
-	// (batch responses are assembled per request, so cache status is
-	// in-band here, unlike single optimizes).
+	// Cached is true when the entry was not solved for this request:
+	// it was served from the result cache or by an identical
+	// computation already in flight, the states X-Pdced-Cache calls hit
+	// and dedup (batch responses are assembled per request, so cache
+	// status is in-band here, unlike single optimizes).
 	Cached bool `json:"cached,omitempty"`
-	// Shed is true when the admission gate rejected the program's job
-	// (server at capacity); Error carries the reason and the entry has
-	// no program.
+	// Shed is true when admission shed the entry (server at capacity);
+	// Error carries the reason and the entry has no program.
 	Shed bool `json:"shed,omitempty"`
 }
 
@@ -115,8 +116,8 @@ type BatchEntryResult struct {
 // Results preserve request order.
 type BatchOptimizeResponse struct {
 	Results []BatchEntryResult `json:"results"`
-	// Metrics aggregates the pool run behind the cache misses (absent
-	// when every program was served from cache).
+	// Metrics aggregates the entries that reached admission: solved,
+	// degraded, panicked or shed (absent when none did).
 	Metrics *BatchMetrics `json:"metrics,omitempty"`
 }
 
