@@ -81,15 +81,17 @@ smoke-telemetry:
 # must be a content-addressed cache hit), then drain it cleanly with a
 # synthesized SIGTERM. The server-package end-to-end tests (cache
 # byte-identity, 429 shedding, graceful drain, the serving-path
-# differential with its pool rows, a queue solve's counters, and a
-# batch entry's miss path: shed at admission, joining an in-flight
-# solve, its own deadline, a contained panic), the client's refused
+# differential with its pool rows, a queue solve's counters, a failed
+# job run once and never again, also when it is replayed from the log,
+# and a batch entry's miss path: shed at admission, joining an
+# in-flight solve, a repeated entry served by the first one's solve,
+# its own deadline, a contained panic), the client's refused
 # async explain, the pool's routing key checked against the served key,
 # the retry tests over Pool.Optimize and Pool.Submit, and cmd/pdce's
 # one-prefix error lines ride along.
 smoke-server:
 	$(GO) test -race -count=1 -run 'TestServeSmoke' ./cmd/pdced
-	$(GO) test -race -count=1 -run 'TestCacheHitByteIdentical|TestQueueSaturation|TestGracefulDrain|TestPanic500NeverPoisonsCache|TestServingPathsAgree|TestSubmitCountsSolve|TestBatchShedsAtAdmission|TestBatchEntryJoinsFlight|TestBatchDeadlinePerEntry|TestBatchPanicEntry' ./internal/server
+	$(GO) test -race -count=1 -run 'TestCacheHitByteIdentical|TestQueueSaturation|TestGracefulDrain|TestPanic500NeverPoisonsCache|TestServingPathsAgree|TestSubmitCountsSolve|TestQueueFailureIsFinal|TestQueueReplayedFailIsFinal|TestBatchShedsAtAdmission|TestBatchEntryJoinsFlight|TestBatchRepeatedEntrySolvesOnce|TestBatchDeadlinePerEntry|TestBatchPanicEntry' ./internal/server
 	$(GO) test -race -count=1 -run 'TestFailureLinesCarryOnePrefix' ./cmd/pdce
 	$(GO) test -race -count=1 -run 'TestClientSubmitExplain|TestAffinityKeyIsServedKey|TestRetryHonorsRetryAfter|TestNoRetryOnDeterministicFailure|TestRetryBudgetCapsTotalRequests|TestTransportFailureFailsOver' .
 

@@ -190,9 +190,9 @@ type ServerMetrics struct {
 }
 
 // Async job states reported by POST /optimize/submit and GET
-// /optimize/result/{id}. A job moves queued → running → done, taking
-// the failed state only after exhausting the server's retry budget
-// (poisoned — parked for operator triage, it will not retry again).
+// /optimize/result/{id}. A job moves queued → running → done, or to
+// failed when its run fails (poisoned — parked for operator triage; a
+// re-run would fail the same way, so it never runs again).
 const (
 	JobQueued  = "queued"
 	JobRunning = "running"
@@ -219,8 +219,8 @@ type SubmitResponse struct {
 	Duplicate bool `json:"duplicate,omitempty"`
 	// TraceID is the request trace the job was submitted under; the
 	// job's asynchronous execution records its spans in the same
-	// trace, so the ID stays queryable at /debug/traces/{id} across
-	// retries and even a daemon restart.
+	// trace, so the ID stays queryable at /debug/traces/{id} even
+	// across a daemon restart.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -229,10 +229,8 @@ type JobResult struct {
 	ID string `json:"id"`
 	// State is JobQueued, JobRunning, JobDone, or JobFailed.
 	State string `json:"state"`
-	// Attempts counts execution attempts so far; Error is the last
-	// attempt's failure (set for failed jobs and between retries).
-	Attempts int    `json:"attempts,omitempty"`
-	Error    string `json:"error,omitempty"`
+	// Error is a failed job's error.
+	Error string `json:"error,omitempty"`
 	// Result is the OptimizeResponse body for a done job, byte-identical
 	// to what a synchronous POST /optimize of the same program returns.
 	Result json.RawMessage `json:"result,omitempty"`

@@ -97,7 +97,7 @@ func TestClientSubmitExplain(t *testing.T) {
 // sends the traceparent of the span its context carries, so pdced's
 // root span for each of the four routes joins the caller's trace.
 func TestClientPropagatesTraceparent(t *testing.T) {
-	s, err := server.New(server.Config{QueueDir: t.TempDir(), QueueBackoff: time.Millisecond})
+	s, err := server.New(server.Config{QueueDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

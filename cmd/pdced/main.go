@@ -72,7 +72,6 @@ var (
 	batchWorkers = flag.Int("workers", 0, "worker pool size for /optimize/batch (0 = max-inflight)")
 	drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long graceful drain waits for in-flight requests")
 	queueDir     = flag.String("queue-dir", "", "directory for the durable async job queue's write-ahead log (empty = async endpoints disabled)")
-	queueRetries = flag.Int("queue-retries", 0, "attempts per async job before it is poisoned (0 = 3)")
 	queueWorkers = flag.Int("queue-workers", 0, "worker pool size for the async queue (0 = 2)")
 	storeSpec    = flag.String("store", "", "shared L2 result store: dir:/path (shared filesystem), http://host:port (pdce-blobd or a -peer-cache replica), mem (testing), or off/empty (disabled)")
 	leaseTTL     = flag.Duration("lease-ttl", 0, "cluster solve-lease lifetime: how long a crashed replica can stall a key fleet-wide (0 = 3s)")
@@ -129,7 +128,6 @@ func configFromFlags() (server.Config, error) {
 		ReproDir:        *reproDir,
 		BatchWorkers:    *batchWorkers,
 		QueueDir:        *queueDir,
-		QueueRetries:    *queueRetries,
 		QueueWorkers:    *queueWorkers,
 		TraceCapacity:   *traceCap,
 		TraceSample:     *traceSample,

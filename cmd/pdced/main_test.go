@@ -100,7 +100,7 @@ func TestServeSmoke(t *testing.T) {
 // the second.
 func TestServeDrainRestartQueue(t *testing.T) {
 	queueDir := t.TempDir()
-	cfg := server.Config{QueueDir: queueDir, QueueWorkers: 1, QueueBackoff: time.Millisecond}
+	cfg := server.Config{QueueDir: queueDir, QueueWorkers: 1}
 	programs := map[string]string{
 		"drill-a": "x := 1\ny := x + 2\nif * {\n    y := 3\n}\nout(x + y)\n",
 		"drill-b": "a := 4\nb := a + 5\nif * {\n    b := 6\n}\nout(a + b)\n",

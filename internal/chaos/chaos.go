@@ -288,19 +288,18 @@ func Run(t *testing.T, cfg Config) {
 	h.checkGoroutines(baseline)
 }
 
-// replicaConfig is every replica's server config: a durable queue with
-// fast retries, no request deadline (stalls must slow jobs down, not
-// degrade them — degraded results are legitimately non-identical), and
-// a small cache that does not survive restarts, forcing post-crash
-// recomputation through the deterministic optimizer. With the store
-// dimension on, every replica shares the run's flaky L2 backend on a
-// short lease TTL, so a lease owner crashing mid-solve is reclaimed
-// within a few schedule rounds.
+// replicaConfig is every replica's server config: a durable queue, no
+// request deadline (stalls must slow jobs down, not degrade them —
+// degraded results are legitimately non-identical), and a small cache
+// that does not survive restarts, forcing post-crash recomputation
+// through the deterministic optimizer. With the store dimension on,
+// every replica shares the run's flaky L2 backend on a short lease
+// TTL, so a lease owner crashing mid-solve is reclaimed within a few
+// schedule rounds.
 func (h *harness) replicaConfig(dir string) server.Config {
 	cfg := server.Config{
 		QueueDir:     dir,
 		QueueWorkers: 2,
-		QueueBackoff: time.Millisecond,
 		CacheEntries: 256,
 	}
 	if h.flaky != nil {

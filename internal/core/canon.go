@@ -131,7 +131,7 @@ func TransformChaotic(g *cfg.Graph, mode Mode, seed int64) (*cfg.Graph, Stats, e
 		}
 	}
 
-	st.SyntheticRemoved = cfg.RemoveEmptySynthetic(out)
+	cfg.RemoveEmptySynthetic(out)
 	st.FinalStmts = out.NumStmts()
 	if errs := cfg.Validate(out); len(errs) > 0 {
 		return nil, st, errInvalid(errs[0])

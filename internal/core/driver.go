@@ -180,19 +180,15 @@ type Stats struct {
 	// elimination steps; RemovedBySinking counts candidates whose
 	// removal was not matched by any insertion (they sank off the
 	// end of the program); Inserted counts materialized instances.
-	Eliminated       int
-	Inserted         int
-	SinkRemoved      int
-	CriticalEdges    int
-	SyntheticRemoved int
+	Eliminated    int
+	Inserted      int
+	SinkRemoved   int
+	CriticalEdges int
 
 	// OriginalStmts, FinalStmts and PeakStmts track code size; the
 	// paper's growth factor w is PeakStmts/OriginalStmts
 	// (Section 6.2).
 	OriginalStmts, FinalStmts, PeakStmts int
-
-	// ElimSolverWork and SinkSolverWork accumulate analysis effort.
-	ElimSolverWork, SinkSolverWork int
 
 	// Telemetry is the frozen observability snapshot of the run,
 	// non-nil exactly when Options.Collector was set.
@@ -275,7 +271,7 @@ func Transform(g *cfg.Graph, opt Options) (*cfg.Graph, Stats, error) {
 	}
 
 	if !opt.KeepSynthetic {
-		st.SyntheticRemoved = cfg.RemoveEmptySynthetic(out)
+		cfg.RemoveEmptySynthetic(out)
 	}
 	st.FinalStmts = out.NumStmts()
 	if errs := cfg.Validate(out); len(errs) > 0 {
@@ -334,7 +330,6 @@ func iterate(out *cfg.Graph, opt Options, st *Stats, wd *watchdog, eliminate fun
 			return rv.best(out), wd.interrupt(st.Rounds, "eliminate")
 		}
 		st.Eliminated += e.Removed
-		st.ElimSolverWork += e.SolverWork
 		if opt.Observe != nil {
 			opt.Observe(PhaseEvent{
 				Round: st.Rounds, Phase: "eliminate",
@@ -354,7 +349,6 @@ func iterate(out *cfg.Graph, opt Options, st *Stats, wd *watchdog, eliminate fun
 		}
 		st.Inserted += s.InsertedEntry + s.InsertedExit
 		st.SinkRemoved += s.RemovedCandidates
-		st.SinkSolverWork += s.SolverVisits
 		faultinject.Fire(faultinject.SinkPhase, out)
 		if opt.Observe != nil {
 			opt.Observe(PhaseEvent{
@@ -392,13 +386,13 @@ func runReference(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*cf
 	eliminate := func() (ElimStats, bool) {
 		if opt.Mode == ModeFaint {
 			fr := analysis.FaintVarsObserve(out, out.CollectVars(), col.FaintMetrics())
-			return eliminateSolved(out, fr, fr.SlotUpdates, hot, nil, tr), true
+			return eliminateSolved(out, fr, hot, nil, tr), true
 		}
 		dr := analysis.DeadVars(out)
 		// The reference driver's solvers live for one phase, so every
 		// solve is a full one.
 		col.DeadMetrics().RecordSolve(obs.SolveFull, dr.Stats.Cost(out.NumNodes()))
-		return eliminateSolved(out, dr, dr.Stats.NodeVisits, hot, nil, tr), true
+		return eliminateSolved(out, dr, hot, nil, tr), true
 	}
 	sink := func() (SinkStats, bool) {
 		return sinkObserved(out, hot, tr, col.DelayMetrics()), true
@@ -486,7 +480,7 @@ func runIncremental(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*
 		if res.Stats.Cancelled {
 			return ElimStats{}, false
 		}
-		return eliminateSolved(out, res, res.Stats.NodeVisits, hot, onChange, tr), true
+		return eliminateSolved(out, res, hot, onChange, tr), true
 	}
 	sink := func() (SinkStats, bool) {
 		dres := delay.Solve(pendSink.take())

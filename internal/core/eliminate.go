@@ -11,10 +11,6 @@ import (
 type ElimStats struct {
 	// Removed is the number of assignments eliminated.
 	Removed int
-	// SolverWork is analysis effort: block visits of the engine's
-	// dead or faint solve, or slot updates of the reference driver's
-	// slotwise faint solve.
-	SolverWork int
 }
 
 // Changed reports whether the elimination altered the program.
@@ -44,7 +40,7 @@ func EliminateFaint(g *cfg.Graph) ElimStats {
 
 func eliminateOnce(g *cfg.Graph, faint bool) ElimStats {
 	res := analysis.NewElimSolver(g, analysis.NewFootprints(g.CollectVars(), nil), faint).Solve(nil)
-	return eliminateSolved(g, res, res.Stats.NodeVisits, nil, nil, nil)
+	return eliminateSolved(g, res, nil, nil, nil)
 }
 
 // elimSolution is a solved elimination analysis: the engine's
@@ -60,16 +56,15 @@ type elimSolution interface {
 }
 
 // eliminateSolved applies the elimination step justified by an
-// already-solved analysis; work is the solve's effort for ElimStats.
-// The solution must describe g's current statement layout. hot, when
-// non-nil, confines the removals to the blocks it accepts; the
-// analysis itself stays global, because deadness and faintness must
-// see the uses in cold blocks. changed, when non-nil, is called once
-// for every block whose statement list was altered — the dirty-set
-// feed of the incremental driver. tr, when non-nil, receives one
-// provenance event per removed assignment.
-func eliminateSolved(g *cfg.Graph, sol elimSolution, work int, hot HotPredicate, changed blockEdit, tr *obs.Trace) ElimStats {
-	st := ElimStats{SolverWork: work}
+// already-solved analysis. The solution must describe g's current
+// statement layout. hot, when non-nil, confines the removals to the
+// blocks it accepts; the analysis itself stays global, because
+// deadness and faintness must see the uses in cold blocks. changed,
+// when non-nil, is called once for every block whose statement list was
+// altered — the dirty-set feed of the incremental driver. tr, when
+// non-nil, receives one provenance event per removed assignment.
+func eliminateSolved(g *cfg.Graph, sol elimSolution, hot HotPredicate, changed blockEdit, tr *obs.Trace) ElimStats {
+	var st ElimStats
 	var idx []int
 	var ops []int32
 	for _, n := range g.Nodes() {

@@ -27,8 +27,6 @@ type SinkStats struct {
 	RemovedCandidates int
 	// InsertedEntry and InsertedExit count materialized instances.
 	InsertedEntry, InsertedExit int
-	// SolverVisits is the delayability solver's work.
-	SolverVisits int
 }
 
 // Changed reports whether the transformation altered the program.
@@ -105,7 +103,6 @@ func applySink(g *cfg.Graph, fp *analysis.Footprints, delay *analysis.DelayResul
 	pt := fp.Patterns
 	locals := delay.Locals
 	var st SinkStats
-	st.SolverVisits = delay.Stats.NodeVisits
 	rank := occurrenceRanks(g, fp)
 	var sc sinkScratch
 	nIns, xIns := bitvec.New(pt.Len()), bitvec.New(pt.Len())

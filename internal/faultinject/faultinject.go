@@ -1,12 +1,11 @@
 // Package faultinject is the optimizer's fault-injection seam: a
 // process-global hook consulted at a small number of instrumented
-// points inside the solver, the driver's phases, pdced's request path,
-// cache and job queue, and the pool client. Production runs never
-// install a hook, so the only cost is one atomic nil-check per site;
-// tests install hooks that panic, stall, or deliberately miscompile to
-// exercise the containment machinery
-// (pdce.SafeOptimize's panic recovery, the fixpoint watchdog, and
-// verified-mode rollback) under `go test -race`.
+// points inside the solver, the driver's phases, and pdced's request
+// path, cache and job queue. Production runs never install a hook, so
+// the only cost is one atomic nil-check per site; tests install hooks
+// that panic, stall, or deliberately miscompile to exercise the
+// containment machinery (pdce.SafeOptimize's panic recovery, the
+// fixpoint watchdog, and verified-mode rollback) under `go test -race`.
 //
 // The hook is intentionally a single global rather than a per-run
 // option: faults in production come from anywhere — a corrupted
@@ -50,15 +49,6 @@ const (
 	// corruption, which the cache must detect, quarantine, and treat
 	// as a miss rather than serve.
 	ServerCacheLoad Point = "server/cache-load"
-	// ClientDial fires in pdce.Pool immediately before one attempt is
-	// sent to one replica. Payload: the replica base URL (string).
-	// Stalling here simulates a slow network path to that replica —
-	// the seam for hedging and failover-latency tests.
-	ClientDial Point = "client/dial"
-	// ClientHedge fires when pdce.Pool launches a hedged second
-	// request after the hedge delay elapsed without a primary
-	// response. Payload: the hedge replica's base URL (string).
-	ClientHedge Point = "client/hedge"
 	// QueueAppend fires in the durable job queue's write-ahead log
 	// immediately before one encoded record is written. Payload:
 	// *[]byte (the framed record) — a hook that truncates the slice

@@ -8,17 +8,17 @@ package obs
 //
 // The counters split into three groups: the submission path (Submits,
 // DupSubmits — duplicate submissions collapsed onto an existing job by
-// content address), the execution path (Completions, Retries, Poisoned
-// — jobs quarantined after exhausting their retry budget — and Acks),
+// content address), the execution path (Completions, Poisoned — jobs
+// parked as failed when their run failed — and Acks),
 // and crash recovery (ReplayedJobs — jobs re-enqueued from the log on
 // boot, TornRecords — incomplete log tails truncated at recovery,
 // CorruptRecords — mid-log checksum failures quarantined while later
 // records were still replayed, and FsyncFailures).
 type QueueSnapshot struct {
-	// Instantaneous queue state: jobs waiting to run (ready + backing
-	// off), jobs executing, retained terminal jobs awaiting
-	// acknowledgement, the age of the oldest non-terminal job (0 when
-	// none), and the live write-ahead log's size.
+	// Instantaneous queue state: jobs waiting to run, jobs executing,
+	// retained terminal jobs awaiting acknowledgement, the age of the
+	// oldest non-terminal job (0 when none), and the live write-ahead
+	// log's size.
 	Depth       int   `json:"depth"`
 	Running     int   `json:"running"`
 	Done        int   `json:"done"`
@@ -32,12 +32,10 @@ type QueueSnapshot struct {
 	Submits    Count `json:"submits"`
 	DupSubmits Count `json:"dup_submits"`
 	// Execution outcomes: completed jobs (Degraded the subset cut
-	// short by the containment layer), retries scheduled after failed
-	// attempts, jobs poisoned after exhausting the retry budget, and
-	// client acknowledgements of terminal results.
+	// short by the containment layer), jobs poisoned by a failed run,
+	// and client acknowledgements of terminal results.
 	Completions Count `json:"completions"`
 	Degraded    Count `json:"queue_degraded"`
-	Retries     Count `json:"retries"`
 	Poisoned    Count `json:"poisoned"`
 	Acks        Count `json:"acks"`
 	// Crash recovery: jobs re-enqueued from the log on boot, torn log

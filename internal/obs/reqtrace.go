@@ -313,6 +313,11 @@ const (
 // sampling. Construct with NewTraceStore; a nil store is a valid
 // "tracing off" value (StartSpan returns nil, every query is empty).
 type TraceStore struct {
+	// stats holds the counters, bumped under mu; Snapshot adds the
+	// gauges and stage aggregates. It comes first so that its Count
+	// fields are 64-bit aligned (Count).
+	stats TraceStoreSnapshot
+
 	mu sync.Mutex
 
 	capacity int
@@ -328,14 +333,6 @@ type TraceStore struct {
 
 	roots  window // root durations backing the p99-slow gate
 	stages map[string]*window
-
-	started    int64
-	keptCount  int64
-	keptErrors int64
-	keptSlow   int64
-	sampledOut int64
-	evicted    int64
-	ingested   int64
 }
 
 // NewTraceStore builds a store retaining at most capacity traces
@@ -438,15 +435,15 @@ func (ts *TraceStore) bufferPending(rec SpanRecord) []SpanRecord {
 // decide runs tail sampling for one trace, given its deciding root
 // record and buffered spans. Caller holds ts.mu.
 func (ts *TraceStore) decide(root SpanRecord, spans []SpanRecord) {
-	ts.started++
+	ts.stats.Decided.Add(1)
 	keep := false
 	switch {
 	case root.Error != "":
 		keep = true
-		ts.keptErrors++
+		ts.stats.KeptErrors.Add(1)
 	case ts.isSlowLocked(root.DurationNS):
 		keep = true
-		ts.keptSlow++
+		ts.stats.KeptSlow.Add(1)
 	default:
 		keep = ts.sample > 0 && ts.rng() < ts.sample
 	}
@@ -454,7 +451,7 @@ func (ts *TraceStore) decide(root SpanRecord, spans []SpanRecord) {
 	// window after the comparison.
 	ts.roots.record(root.DurationNS)
 	if !keep {
-		ts.sampledOut++
+		ts.stats.SampledOut.Add(1)
 		if len(ts.droppedOrder) >= droppedIDsCap {
 			oldest := ts.droppedOrder[0]
 			ts.droppedOrder = ts.droppedOrder[1:]
@@ -464,7 +461,7 @@ func (ts *TraceStore) decide(root SpanRecord, spans []SpanRecord) {
 		ts.droppedOrder = append(ts.droppedOrder, root.TraceID)
 		return
 	}
-	ts.keptCount++
+	ts.stats.Kept.Add(1)
 	e := &traceEntry{
 		rootName:    root.Name,
 		rootError:   root.Error,
@@ -478,7 +475,7 @@ func (ts *TraceStore) decide(root SpanRecord, spans []SpanRecord) {
 		oldest := ts.keptOrder[0]
 		ts.keptOrder = ts.keptOrder[1:]
 		delete(ts.kept, oldest)
-		ts.evicted++
+		ts.stats.Evicted.Add(1)
 	}
 }
 
@@ -535,7 +532,7 @@ func (ts *TraceStore) Ingest(recs []SpanRecord) int {
 			continue
 		}
 		n++
-		ts.ingested++
+		ts.stats.IngestedSpans.Add(1)
 		// A rootless batch stays pending until some root arrives.
 		ts.retainLocked(rec, rec.ParentID == "")
 	}
@@ -632,7 +629,8 @@ type StageStats struct {
 	MaxNS int64 `json:"max_ns"`
 }
 
-// TraceStoreSnapshot is the "traces" section of pdced's /metrics.
+// TraceStoreSnapshot is the "traces" section of pdced's /metrics, and
+// the declaration of TraceStore's counters.
 type TraceStoreSnapshot struct {
 	// Traces is the retained count; Capacity the bound.
 	Traces   int `json:"traces"`
@@ -640,15 +638,15 @@ type TraceStoreSnapshot struct {
 	// Decided counts finalized traces; Kept the retained subset, split
 	// into always-keeps (errors, p99-slow) and sampled keeps by the
 	// KeptErrors/KeptSlow counters. SampledOut + Kept = Decided.
-	Decided    int64 `json:"decided"`
-	Kept       int64 `json:"kept"`
-	KeptErrors int64 `json:"kept_errors"`
-	KeptSlow   int64 `json:"kept_slow"`
-	SampledOut int64 `json:"sampled_out"`
+	Decided    Count `json:"decided"`
+	Kept       Count `json:"kept"`
+	KeptErrors Count `json:"kept_errors"`
+	KeptSlow   Count `json:"kept_slow"`
+	SampledOut Count `json:"sampled_out"`
 	// Evicted counts retained traces pushed out by capacity;
 	// IngestedSpans the spans merged via Ingest (client-side exports).
-	Evicted       int64 `json:"evicted"`
-	IngestedSpans int64 `json:"ingested_spans"`
+	Evicted       Count `json:"evicted"`
+	IngestedSpans Count `json:"ingested_spans"`
 	// SampleRate is the configured keep probability for unremarkable
 	// traces; SlowThresholdNS the current p99-slow gate (0 until
 	// enough roots have been observed).
@@ -668,18 +666,8 @@ func (ts *TraceStore) Snapshot() TraceStoreSnapshot {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	snap := TraceStoreSnapshot{
-		Traces:        len(ts.kept),
-		Capacity:      ts.capacity,
-		Decided:       ts.started,
-		Kept:          ts.keptCount,
-		KeptErrors:    ts.keptErrors,
-		KeptSlow:      ts.keptSlow,
-		SampledOut:    ts.sampledOut,
-		Evicted:       ts.evicted,
-		IngestedSpans: ts.ingested,
-		SampleRate:    ts.sample,
-	}
+	snap := Freeze(&ts.stats)
+	snap.Traces, snap.Capacity, snap.SampleRate = len(ts.kept), ts.capacity, ts.sample
 	if threshold, active := ts.slowThresholdLocked(); active {
 		snap.SlowThresholdNS = threshold
 	}

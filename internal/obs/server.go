@@ -43,8 +43,10 @@ type ServerSnapshot struct {
 	CacheMisses Count `json:"cache_misses"`
 	// CacheHitRate is hits/(hits+misses) over served lookups.
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// Dedups counts requests coalesced onto an identical in-flight
-	// computation by singleflight.
+	// Dedups counts requests answered by another request's identical
+	// computation: a singleflight leader they waited for, one that
+	// finished after their L1 lookup missed, or the replica holding the
+	// key's lease.
 	Dedups Count `json:"dedups"`
 	// Load shedding: requests rejected because the admission queue was
 	// full (429) or the server was draining (503).

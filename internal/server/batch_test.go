@@ -145,6 +145,42 @@ func TestBatchEntryJoinsFlight(t *testing.T) {
 	}
 }
 
+// TestBatchRepeatedEntrySolvesOnce: a batch that names one program
+// twice solves it once, even when one worker runs the entries one after
+// the other. Both lookups miss L1 before the pool starts; the second
+// entry's claim finds the first entry's result in L1 and serves it as a
+// dedup, byte for byte.
+func TestBatchRepeatedEntrySolvesOnce(t *testing.T) {
+	s, _, client := startServer(t, server.Config{BatchWorkers: 1})
+	resp, err := client.OptimizeBatch(contextOK(t), pdce.BatchOptimizeRequest{Programs: []pdce.BatchProgram{
+		{Name: "same", Source: demoSource}, {Name: "same", Source: demoSource},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Optimizes.Load(); got != 1 {
+		t.Errorf("optimizes = %d, want 1", got)
+	}
+	if got := s.Stats().Dedups.Load(); got != 1 {
+		t.Errorf("dedups = %d, want 1", got)
+	}
+	first, second := resp.Results[0], resp.Results[1]
+	if first.Cached || !second.Cached {
+		t.Errorf("cached = %v, %v; want false for the solve, true for the dedup", first.Cached, second.Cached)
+	}
+	a, err := json.Marshal(first.OptimizeResponse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(second.OptimizeResponse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("the entries differ:\n%s\nvs\n%s", a, b)
+	}
+}
+
 // TestBatchDeadlinePerEntry: deadline_ms bounds each entry, not the
 // whole batch. With one batch worker and a slowed solver, six entries
 // in a row take several deadlines between them, yet each one gets its

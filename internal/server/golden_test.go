@@ -10,7 +10,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"pdce"
 	"pdce/internal/obs"
@@ -65,12 +64,11 @@ func TestMetricsGolden(t *testing.T) {
 	drainServer(t, other)
 
 	s, err := server.New(server.Config{
-		QueueDir:     t.TempDir(),
-		QueueBackoff: time.Millisecond,
-		Store:        shared,
-		MaxInFlight:  2,
-		TraceSample:  0.5,
-		TraceSeed:    7,
+		QueueDir:    t.TempDir(),
+		Store:       shared,
+		MaxInFlight: 2,
+		TraceSample: 0.5,
+		TraceSeed:   7,
 	})
 	if err != nil {
 		t.Fatal(err)

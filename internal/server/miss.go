@@ -22,7 +22,7 @@ import (
 // caller keeps what is its own: the L1 lookup (the request memo for
 // /optimize and each /optimize/batch entry, the job's key for a job),
 // the mapping of the outcome to a reply or an entry in the handlers,
-// retry, poison and the WAL in the queue. The handlers run the ladder
+// poison and the WAL in the queue. The handlers run the ladder
 // through resolveMiss, which adds the admission slot the queue's own
 // workers do without.
 
@@ -76,18 +76,27 @@ type claim struct {
 
 // claimMiss resolves an L1 miss on key as far as it can without a
 // solve, tracing under sp. It joins the process singleflight, where a
-// follower waits for its leader and serves what the leader put in L1;
-// it reads L2; and it races the fleet for the key's lease, where a lost
-// race waits for the winner's published result. It returns either a
-// body to serve with its cache state (hit from L2, dedup from a leader
-// or a lease winner) or a claim on key; err is ctx's error when ctx
-// ended a follower's wait. It counts an L2 hit in cache_hits, a dedup
-// in dedups, and a key that L2 misses in cache_misses.
+// follower waits for its leader and serves what the leader put in L1,
+// and a new leader serves what an earlier leader put in L1 memory after
+// the caller's lookup; it reads L2; and it races the fleet for the
+// key's lease, where a lost race waits for the winner's published
+// result. It returns either a body to serve with its cache state (hit
+// from L2, dedup from a leader or a lease winner) or a claim on key;
+// err is ctx's error when ctx ended a follower's wait. It counts an L2
+// hit in cache_hits, a dedup in dedups, and a key that L2 misses in
+// cache_misses.
 func (s *Server) claimMiss(ctx context.Context, key string, sp *obs.Span) ([]byte, pdce.CacheState, *claim, error) {
 	c := &claim{s: s, key: key, sp: sp, release: noRelease}
 	leader, call := s.joinFlight(key)
 	if leader {
 		c.call = call
+		// A leader that finished after the caller's lookup left its
+		// result in L1 memory: serve it rather than solve again.
+		if body, ok := s.cache.mem.get(key, true); ok {
+			c.finish()
+			s.stats.Dedups.Add(1)
+			return body, pdce.CacheDedup, nil, nil
+		}
 	} else {
 		wsp := sp.Child("server.flight.wait")
 		select {

@@ -30,10 +30,10 @@ import (
 // path a job takes, exactly one result body is ever visible for its
 // key.
 //
-// Failed attempts (contained panics, results with no usable program)
-// retry with capped exponential backoff; a job exhausting the retry
-// budget is poisoned — parked in the failed state for operators to
-// triage via GET /optimize/result/{id} — instead of churning forever.
+// A failed run (a contained panic, a result with no usable program)
+// would fail the same way again, by the same theorem, so it is final:
+// the job is poisoned at once — logged, fsync'd and parked in the
+// failed state for operators to triage via GET /optimize/result/{id}.
 type Queue struct {
 	// stats holds the counters; Snapshot adds the gauges. It comes
 	// first so that its Count fields are 64-bit aligned (obs.Count).
@@ -42,15 +42,13 @@ type Queue struct {
 	srv *Server
 	wal *WAL
 
-	retries int
 	workers int
-	backoff time.Duration
 
 	submitMu sync.Mutex // serializes Submit's check-log-admit sequence
 
 	mu       sync.Mutex
 	jobs     map[string]*qjob
-	ready    []string // ids runnable now or after their backoff
+	ready    []*qjob // queued jobs in run order
 	draining bool
 	killed   bool
 
@@ -77,12 +75,10 @@ type qjob struct {
 	deadline  time.Duration // 0 = the server's default deadline
 
 	state     string // pdce.JobQueued/JobRunning/JobDone/JobFailed
-	attempts  int
 	lastErr   string
 	body      []byte
 	degraded  bool
 	submitted time.Time
-	notBefore time.Time
 	replayed  bool
 
 	// Request-tracing identity, persisted in the WAL submit record:
@@ -113,9 +109,7 @@ func newQueue(srv *Server, cfg Config) (*Queue, error) {
 	q := &Queue{
 		srv:     srv,
 		wal:     wal,
-		retries: cfg.QueueRetries,
 		workers: cfg.QueueWorkers,
-		backoff: cfg.QueueBackoff,
 		jobs:    make(map[string]*qjob),
 		notify:  make(chan struct{}, 64),
 		drainc:  make(chan struct{}),
@@ -139,12 +133,12 @@ func newQueue(srv *Server, cfg Config) (*Queue, error) {
 		return nil, err
 	}
 
-	for id, j := range q.jobs {
+	for _, j := range q.jobs {
 		if j.state == pdce.JobQueued {
 			if j.replayed {
 				q.stats.ReplayedJobs.Add(1)
 			}
-			q.ready = append(q.ready, id)
+			q.ready = append(q.ready, j)
 		}
 	}
 	for i := 0; i < q.workers; i++ {
@@ -154,7 +148,10 @@ func newQueue(srv *Server, cfg Config) (*Queue, error) {
 	return q, nil
 }
 
-// fold rebuilds the job table from replayed records, in log order.
+// fold rebuilds the job table from replayed records, in log order. A
+// fail record is terminal, whatever wrote it: a log from a build that
+// retried failed jobs holds one per failed run, and its job is failed
+// unless a later done record says a run succeeded.
 func (q *Queue) fold(recs []walRecord) {
 	now := time.Now()
 	for _, rec := range recs {
@@ -181,13 +178,9 @@ func (q *Queue) fold(recs []walRecord) {
 				j.degraded = rec.Degraded
 			}
 		case "fail":
-			if j, ok := q.jobs[rec.ID]; ok && j.state == pdce.JobQueued {
-				j.attempts = rec.Attempts
+			if j, ok := q.jobs[rec.ID]; ok {
+				j.state = pdce.JobFailed // poison survives restarts
 				j.lastErr = rec.Error
-				j.replayed = true
-				if j.attempts >= q.retries {
-					j.state = pdce.JobFailed // poison survives restarts
-				}
 			}
 		case "ack":
 			delete(q.jobs, rec.ID)
@@ -204,11 +197,7 @@ func (q *Queue) compactRecords() []walRecord {
 		case pdce.JobDone:
 			recs = append(recs, walRecord{Op: "done", ID: j.id, Body: j.body, Degraded: j.degraded})
 		case pdce.JobFailed:
-			recs = append(recs, walRecord{Op: "fail", ID: j.id, Attempts: j.attempts, Error: j.lastErr})
-		default:
-			if j.attempts > 0 {
-				recs = append(recs, walRecord{Op: "fail", ID: j.id, Attempts: j.attempts, Error: j.lastErr})
-			}
+			recs = append(recs, walRecord{Op: "fail", ID: j.id, Error: j.lastErr})
 		}
 	}
 	return recs
@@ -237,7 +226,7 @@ func (j *qjob) submitRecord() walRecord {
 // persists the trace identity in the submit record so the job's later
 // execution — possibly in a different process lifetime — continues
 // the same trace. rid is the request's Pdce-Request-Id, stamped into
-// repro bundles the job's attempts may write. o.Deadline bounds the
+// the repro bundle a panicking run writes. o.Deadline bounds the
 // job's optimization; 0 leaves it to the server's default deadline.
 func (q *Queue) Submit(id, name, source string, o pdce.RequestOptions, sp *obs.Span, rid string) (state string, dup bool, err error) {
 	// Submissions are serialized by submitMu so the job table only ever
@@ -285,7 +274,7 @@ func (q *Queue) Submit(id, name, source string, o pdce.RequestOptions, sp *obs.S
 	esp.End()
 	q.mu.Lock()
 	q.jobs[id] = j
-	q.ready = append(q.ready, id)
+	q.ready = append(q.ready, j)
 	q.mu.Unlock()
 	q.stats.Submits.Add(1)
 	q.wakeOne()
@@ -304,16 +293,12 @@ func (q *Queue) Result(id string, ack bool) (pdce.JobResult, bool) {
 		q.mu.Unlock()
 		return pdce.JobResult{}, false
 	}
-	res := pdce.JobResult{
-		ID:       id,
-		State:    j.state,
-		Attempts: j.attempts,
-		Error:    j.lastErr,
-		TraceID:  j.traceID,
-	}
-	if j.state == pdce.JobDone {
+	res := pdce.JobResult{ID: id, State: j.state, TraceID: j.traceID}
+	switch j.state {
+	case pdce.JobDone:
 		res.Result = json.RawMessage(j.body)
-		res.Error = "" // a done job's transient attempt errors are history
+	case pdce.JobFailed:
+		res.Error = j.lastErr
 	}
 	terminal := j.state == pdce.JobDone || j.state == pdce.JobFailed
 	if ack && terminal {
@@ -410,25 +395,21 @@ func (q *Queue) wakeOne() {
 	}
 }
 
-// worker pulls ready jobs until drain or kill.
+// worker runs ready jobs until drain or kill, waiting for a
+// submission while none is ready.
 func (q *Queue) worker() {
 	defer q.wg.Done()
 	for {
-		j, wait, ok := q.next()
+		j, ok := q.next()
 		if !ok {
 			return
 		}
 		if j == nil {
-			t := time.NewTimer(wait)
 			select {
 			case <-q.notify:
-				t.Stop()
-			case <-t.C:
 			case <-q.drainc:
-				t.Stop()
 				return
 			case <-q.ctx.Done():
-				t.Stop()
 				return
 			}
 			continue
@@ -437,40 +418,27 @@ func (q *Queue) worker() {
 	}
 }
 
-// next claims the first runnable job. With none runnable it returns
-// the wait until the earliest backoff expiry (or a long poll when the
-// queue is idle); ok false means the worker should exit.
-func (q *Queue) next() (j *qjob, wait time.Duration, ok bool) {
+// next claims the oldest ready job, or returns nil when none is ready;
+// ok false means the worker should exit.
+func (q *Queue) next() (j *qjob, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.draining || q.killed {
-		return nil, 0, false
+		return nil, false
 	}
-	now := time.Now()
-	wait = time.Hour
-	kept := q.ready[:0]
-	for i, id := range q.ready {
-		job, live := q.jobs[id]
-		if !live || job.state != pdce.JobQueued {
-			continue // acked or superseded while waiting: drop the entry
-		}
-		if j == nil && job.notBefore.Sub(now) <= 0 {
-			job.state = pdce.JobRunning
-			j = job
-			continue
-		}
-		if left := job.notBefore.Sub(now); left > 0 && left < wait {
-			wait = left
-		}
-		kept = append(kept, q.ready[i])
+	if len(q.ready) == 0 {
+		return nil, true
 	}
-	q.ready = kept
-	return j, wait, true
+	j = q.ready[0]
+	q.ready[0] = nil
+	q.ready = q.ready[1:]
+	j.state = pdce.JobRunning
+	return j, true
 }
 
 // run executes one claimed job and records its outcome.
 func (q *Queue) run(j *qjob) {
-	q.wal.Append(walRecord{Op: "start", ID: j.id, Attempts: j.attempts + 1}, false)
+	q.wal.Append(walRecord{Op: "start", ID: j.id}, false)
 
 	// The execution span is a root (it decides retention in THIS
 	// process's store — the submission may have happened in a previous
@@ -480,7 +448,6 @@ func (q *Queue) run(j *qjob) {
 	xsp := q.srv.traces.StartSpan("queue.execute", "pdced",
 		obs.SpanContext{TraceID: j.traceID, SpanID: j.spanID})
 	xsp.SetAttr("job", j.id)
-	xsp.SetInt("attempt", int64(j.attempts+1))
 	if j.replayed {
 		xsp.SetAttr("replayed", "true")
 		xsp.SetLink(obs.SpanContext{TraceID: j.traceID, SpanID: j.spanID})
@@ -515,53 +482,25 @@ func (q *Queue) run(j *qjob) {
 		return
 	}
 
+	// The failure is final: a re-run would fail the same way. The fail
+	// record is durable before a poller can see the state.
+	q.wal.Append(walRecord{Op: "fail", ID: j.id, Error: runErr.Error()}, true)
 	q.mu.Lock()
-	j.attempts++
+	j.state = pdce.JobFailed
 	j.lastErr = runErr.Error()
-	attempts := j.attempts
-	poisoned := attempts >= q.retries
-	if poisoned {
-		j.state = pdce.JobFailed
-		q.stats.Poisoned.Add(1)
-	} else {
-		j.state = pdce.JobQueued
-		j.notBefore = time.Now().Add(q.retryDelay(attempts))
-		q.ready = append(q.ready, j.id)
-		q.stats.Retries.Add(1)
-	}
+	q.stats.Poisoned.Add(1)
 	q.mu.Unlock()
-	q.wal.Append(walRecord{Op: "fail", ID: j.id, Attempts: attempts, Error: runErr.Error()}, poisoned)
-	if poisoned {
-		// Poisoned jobs make their trace an always-keep: SetError on a
-		// root span survives tail sampling even if the submission's
-		// side was sampled out.
-		xsp.SetError("poisoned")
-	} else {
-		xsp.SetAttr("outcome", "retry")
-	}
+	// SetError on a root span survives tail sampling, so a poisoned
+	// job's trace is kept even if the submission's side was sampled out.
+	xsp.SetError("poisoned")
 	xsp.End()
-	if !poisoned {
-		q.wakeOne()
-	}
-}
-
-// retryDelay is the capped exponential backoff before attempt+1.
-func (q *Queue) retryDelay(attempts int) time.Duration {
-	d := q.backoff
-	for i := 1; i < attempts && d < queueMaxBackoff; i++ {
-		d *= 2
-	}
-	if d > queueMaxBackoff {
-		d = queueMaxBackoff
-	}
-	return d
 }
 
 // execute produces the job's serialized response through the miss
 // path POST /optimize takes (miss.go): L1, then claimMiss, then the
-// job's parse and one solve under the claim. A degraded result is
-// terminal for the job (a re-run would hit the same bound); a contained
-// panic or a parse failure is an error the caller retries.
+// job's parse and one solve under the claim. A degraded result ends
+// the job done; a contained panic or a parse failure is an error that
+// poisons it.
 func (q *Queue) execute(j *qjob, xsp *obs.Span) (body []byte, degraded bool, err error) {
 	if body, ok := q.srv.cacheGet(j.id, xsp); ok {
 		return body, false, nil

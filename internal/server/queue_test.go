@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,13 +16,10 @@ import (
 	"pdce/internal/server"
 )
 
-// queueConfig is a small, fast queue setup over a temp WAL directory.
+// queueConfig is a queue over a temp WAL directory.
 func queueConfig(t *testing.T) server.Config {
 	t.Helper()
-	return server.Config{
-		QueueDir:     t.TempDir(),
-		QueueBackoff: time.Millisecond,
-	}
+	return server.Config{QueueDir: t.TempDir()}
 }
 
 // TestSubmitPollAck is the async happy path: submit answers 202 with a
@@ -189,15 +187,17 @@ func asServerError(err error, se **pdce.ServerError) bool {
 	return ok
 }
 
-// TestQueueRetryAndPoison: a job whose every attempt dies in a
-// contained optimizer panic retries with backoff and is poisoned after
-// the budget — parked in the failed state, surviving restarts, never
-// retried again.
-func TestQueueRetryAndPoison(t *testing.T) {
+// TestQueueFailureIsFinal: a job whose run dies in a contained
+// optimizer panic runs once. A re-run would panic the same way, so the
+// job is poisoned at once, parked as failed with the cause in its
+// error, and a restart replays the failed state without running it
+// again.
+func TestQueueFailureIsFinal(t *testing.T) {
 	cfg := queueConfig(t)
-	cfg.QueueRetries = 2
+	var runs atomic.Int64
 	restore := faultinject.Set(func(p faultinject.Point, _ any) {
 		if p == faultinject.EliminatePhase {
+			runs.Add(1)
 			panic("injected: optimizer bug")
 		}
 	})
@@ -214,34 +214,34 @@ func TestQueueRetryAndPoison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.State != pdce.JobFailed || res.Attempts != 2 {
-		t.Fatalf("poisoned job %+v, want failed after 2 attempts", res)
-	}
-	if !strings.Contains(res.Error, "injected") {
-		t.Fatalf("poisoned job error %q does not carry the cause", res.Error)
-	}
-	if got := s.Queue().Snapshot().Poisoned; got != 1 {
-		t.Fatalf("poisoned counter %d, want 1", got)
-	}
-	snap := s.Queue().Snapshot()
-	if snap.Retries != 1 || snap.Failed != 1 {
-		t.Fatalf("snapshot %+v, want 1 retry and 1 failed job", snap)
-	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	if res.State != pdce.JobFailed || !strings.Contains(res.Error, "injected") {
+		t.Fatalf("job %+v, want failed with the injected cause", res)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("the job ran %d times, want 1", got)
+	}
+	if snap := s.Queue().Snapshot(); snap.Poisoned != 1 || snap.Failed != 1 {
+		t.Fatalf("snapshot %+v, want 1 poisoned and 1 failed job", snap)
+	}
 
-	// Poison survives restart: the replayed job is still failed, not
-	// re-run (the hook is gone — a re-run would succeed and mask the
-	// bug).
+	// The failed state survives a restart: the replayed job is failed
+	// at boot, with the same error, and never runs again.
 	s2, _, c2 := startServer(t, cfg)
-	defer s2.Drain(context.Background())
 	res2, err := c2.Result(context.Background(), sub.ID, false)
+	if derr := s2.Drain(context.Background()); derr != nil {
+		t.Fatal(derr)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.State != pdce.JobFailed || res2.Attempts != 2 {
-		t.Fatalf("replayed poisoned job %+v, want failed after 2 attempts", res2)
+	if res2.State != pdce.JobFailed || res2.Error != res.Error {
+		t.Fatalf("replayed job %+v, want failed with error %q", res2, res.Error)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("the job ran %d times across a restart, want 1", got)
 	}
 }
 

@@ -42,10 +42,9 @@ import (
 
 // Serving policy every replica shares; no flag or Config field sets it.
 const (
-	maxBodyBytes      = 8 << 20         // cap on every request body but a peer PUT (store.MaxBlobBytes)
-	maxPresize        = 1 << 20         // most a request's Content-Length allocates before its bytes arrive
-	retryAfterSeconds = 1               // Retry-After on 429 and 503
-	queueMaxBackoff   = 2 * time.Second // cap on the queue's retry delay
+	maxBodyBytes      = 8 << 20 // cap on every request body but a peer PUT (store.MaxBlobBytes)
+	maxPresize        = 1 << 20 // most a request's Content-Length allocates before its bytes arrive
+	retryAfterSeconds = 1       // Retry-After on 429 and 503
 )
 
 // Config sizes one Server. The zero value is usable: every field has
@@ -88,14 +87,8 @@ type Config struct {
 	// boot, so acknowledged submissions survive crash and redeploy.
 	// Empty disables the async endpoints (they answer 503).
 	QueueDir string
-	// QueueRetries bounds the attempts per job before it is poisoned
-	// (parked in the failed state; default 3). QueueWorkers sizes the
-	// queue's worker pool (default 2). QueueBackoff is the first retry
-	// delay of the exponential backoff capped at queueMaxBackoff
-	// (default 50ms).
-	QueueRetries int
+	// QueueWorkers sizes the queue's worker pool (default 2).
 	QueueWorkers int
-	QueueBackoff time.Duration
 
 	// Store, when non-nil, is the shared L2 result store behind the
 	// in-memory cache (see store.go): local misses consult it before
@@ -143,14 +136,8 @@ func (c Config) withDefaults() Config {
 	if c.BatchWorkers <= 0 {
 		c.BatchWorkers = c.MaxInFlight
 	}
-	if c.QueueRetries <= 0 {
-		c.QueueRetries = 3
-	}
 	if c.QueueWorkers <= 0 {
 		c.QueueWorkers = 2
-	}
-	if c.QueueBackoff <= 0 {
-		c.QueueBackoff = 50 * time.Millisecond
 	}
 	if c.TraceCapacity == 0 {
 		c.TraceCapacity = 512

@@ -72,9 +72,8 @@ type walRecord struct {
 	SpanID    string `json:"span_id,omitempty"`
 	RequestID string `json:"request_id,omitempty"`
 
-	// Attempt accounting (op=start/fail).
-	Attempts int    `json:"attempts,omitempty"`
-	Error    string `json:"error,omitempty"`
+	// Error is the failed run's error (op=fail).
+	Error string `json:"error,omitempty"`
 
 	// Result payload (op=done): the serialized OptimizeResponse bytes,
 	// stored verbatim so a replayed result is byte-identical to the

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pdce"
 	"pdce/internal/faultinject"
 )
 
@@ -61,7 +63,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAppend(t, w, walRecord{Op: "submit", ID: "a", Source: "x := 1"}, true)
-	mustAppend(t, w, walRecord{Op: "start", ID: "a", Attempts: 1}, false)
+	mustAppend(t, w, walRecord{Op: "start", ID: "a"}, false)
 	mustAppend(t, w, walRecord{Op: "done", ID: "a", Body: []byte(`{"ok":true}`)}, true)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -97,6 +99,44 @@ func TestQueueCompactionKeepsSubmission(t *testing.T) {
 	got := q.compactRecords()
 	if len(got) != 1 || !reflect.DeepEqual(got[0], sub) {
 		t.Fatalf("compacted %+v, want %+v", got, sub)
+	}
+}
+
+// TestQueueReplayedFailIsFinal: a log holding a job's submit record
+// and then a fail record boots with the job failed, carrying the logged
+// error, and never runs it. A fail record is terminal whichever build
+// wrote it, so a log from a build that retried failed jobs replays its
+// failures as final too.
+func TestQueueReplayedFailIsFinal(t *testing.T) {
+	dir := t.TempDir()
+	w, _, _, err := OpenWAL(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cause = "pdce: optimizer panic: injected"
+	mustAppend(t, w, walRecord{Op: "submit", ID: "a", Name: "demo", Source: "x := 1\nout(x)\n"}, true)
+	mustAppend(t, w, walRecord{Op: "start", ID: "a"}, false)
+	mustAppend(t, w, walRecord{Op: "fail", ID: "a", Error: cause}, true)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{QueueDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ok := s.Queue().Result("a", false)
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !ok || res.State != pdce.JobFailed || res.Error != cause {
+		t.Fatalf("replayed job %+v (known %v), want failed with error %q", res, ok, cause)
+	}
+	if got := s.Stats().Optimizes.Load(); got != 0 {
+		t.Fatalf("optimizes = %d after the replay, want 0", got)
+	}
+	if snap := s.Queue().Snapshot(); snap.Failed != 1 || snap.Depth != 0 || snap.ReplayedJobs != 0 {
+		t.Fatalf("snapshot %+v, want one failed job and nothing re-enqueued", snap)
 	}
 }
 
@@ -234,7 +274,7 @@ func TestWALCrashBetweenAppendAndFsync(t *testing.T) {
 	}
 	mustAppend(t, w, walRecord{Op: "submit", ID: "a", Source: "x := 1"}, true)
 	synced := w.SyncedSize()
-	mustAppend(t, w, walRecord{Op: "start", ID: "a", Attempts: 1}, false)
+	mustAppend(t, w, walRecord{Op: "start", ID: "a"}, false)
 	if w.SyncedSize() != synced {
 		t.Fatalf("unsynced append moved SyncedSize to %d", w.SyncedSize())
 	}

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pdce/internal/faultinject"
 	"pdce/internal/obs"
 )
 
@@ -520,7 +519,6 @@ func try[T any](ctx context.Context, p *Pool, primary, hedge *member, budget *re
 				continue // the hedge is an optimization; the budget says no
 			}
 			hedged = true
-			faultinject.Fire(faultinject.ClientHedge, hedge.base)
 			p.stats.Hedges.Add(1)
 			outstanding++
 			hsp := root.Child("client.hedge")
@@ -539,7 +537,6 @@ func try[T any](ctx context.Context, p *Pool, primary, hedge *member, budget *re
 // this arm's child — each hedge arm parents its own server-side
 // subtree.
 func sendTo[T any](ctx context.Context, p *Pool, m *member, sp *obs.Span, send func(context.Context, *Client) (T, error)) reply[T] {
-	faultinject.Fire(faultinject.ClientDial, m.base)
 	p.stats.Replica(m.base).Attempts.Add(1)
 	v, err := send(obs.ContextWithSpan(ctx, sp), m.client)
 	if err != nil {

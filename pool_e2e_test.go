@@ -326,7 +326,7 @@ func TestPoolFleetDrill(t *testing.T) {
 
 func newQueuedReplica(t *testing.T) (*server.Server, *httptest.Server) {
 	t.Helper()
-	s, err := server.New(server.Config{QueueDir: t.TempDir(), QueueBackoff: time.Millisecond})
+	s, err := server.New(server.Config{QueueDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
