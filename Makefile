@@ -83,6 +83,7 @@ smoke-telemetry:
 # byte-identity, 429 shedding, graceful drain, the serving-path
 # differential with its pool rows, a queue solve's counters, a failed
 # job run once and never again, also when it is replayed from the log,
+# queued jobs keeping their submission order and age across restarts,
 # and a batch entry's miss path: shed at admission, joining an
 # in-flight solve, a repeated entry served by the first one's solve,
 # its own deadline, a contained panic), the client's refused
@@ -91,7 +92,7 @@ smoke-telemetry:
 # one-prefix error lines ride along.
 smoke-server:
 	$(GO) test -race -count=1 -run 'TestServeSmoke' ./cmd/pdced
-	$(GO) test -race -count=1 -run 'TestCacheHitByteIdentical|TestQueueSaturation|TestGracefulDrain|TestPanic500NeverPoisonsCache|TestServingPathsAgree|TestSubmitCountsSolve|TestQueueFailureIsFinal|TestQueueReplayedFailIsFinal|TestBatchShedsAtAdmission|TestBatchEntryJoinsFlight|TestBatchRepeatedEntrySolvesOnce|TestBatchDeadlinePerEntry|TestBatchPanicEntry' ./internal/server
+	$(GO) test -race -count=1 -run 'TestCacheHitByteIdentical|TestQueueSaturation|TestGracefulDrain|TestPanic500NeverPoisonsCache|TestServingPathsAgree|TestSubmitCountsSolve|TestQueueFailureIsFinal|TestQueueReplayedFailIsFinal|TestQueueRestartKeepsSubmissionOrder|TestQueueRestartKeepsJobAge|TestBatchShedsAtAdmission|TestBatchEntryJoinsFlight|TestBatchRepeatedEntrySolvesOnce|TestBatchDeadlinePerEntry|TestBatchPanicEntry' ./internal/server
 	$(GO) test -race -count=1 -run 'TestFailureLinesCarryOnePrefix' ./cmd/pdce
 	$(GO) test -race -count=1 -run 'TestClientSubmitExplain|TestAffinityKeyIsServedKey|TestRetryHonorsRetryAfter|TestNoRetryOnDeterministicFailure|TestRetryBudgetCapsTotalRequests|TestTransportFailureFailsOver' .
 

@@ -53,6 +53,40 @@ func TestOptimizeAllMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestOptimizeAllMixedSizes runs batches whose program sizes alternate
+// between large and small, so that every solve's delayability rows come
+// from a pooled slab some other worker left dirty with a larger or a
+// smaller program (run under -race in CI). Each result must match an
+// individually optimized reference.
+func TestOptimizeAllMixedSizes(t *testing.T) {
+	sizes := []int{900, 12, 400, 30, 700, 6, 250, 60}
+	progs := make([]*pdce.Program, len(sizes))
+	for i, n := range sizes {
+		progs[i] = pdce.Generate(pdce.GenParams{Seed: int64(100 + i), Stmts: n, Irreducible: i%3 == 2})
+	}
+	for _, mode := range []pdce.Mode{pdce.Dead, pdce.Faint} {
+		o := pdce.Options{Mode: mode}
+		want := make([]string, len(progs))
+		for i, p := range progs {
+			opt, _, err := p.Optimize(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = opt.Format()
+		}
+		for pass := 0; pass < 3; pass++ {
+			for i, r := range pdce.OptimizeAll(progs, o, 4) {
+				if r.Err != nil {
+					t.Fatalf("mode %v pass %d, program %d: %v", mode, pass, i, r.Err)
+				}
+				if got := r.Program.Format(); got != want[i] {
+					t.Fatalf("mode %v pass %d, program %d (%d statements): batch result differs from sequential", mode, pass, i, sizes[i])
+				}
+			}
+		}
+	}
+}
+
 // TestOptimizeAllWorkerCounts checks the pool produces the same results
 // whatever its size, including degenerate counts.
 func TestOptimizeAllWorkerCounts(t *testing.T) {

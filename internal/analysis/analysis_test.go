@@ -214,7 +214,7 @@ func TestFaintSlotwiseMatchesEngine(t *testing.T) {
 		}
 		g := progen.Generate(params)
 		slot := FaintVars(g)
-		block := NewElimSolver(g, NewFootprints(g.CollectVars(), nil), true).Solve(nil)
+		block := NewElimSolver(g, NewFootprints(g), true).Solve(nil)
 		// Compare N-FAINT at every block entry and X-FAINT at
 		// every block exit.
 		for _, n := range g.Nodes() {
@@ -269,7 +269,7 @@ func TestElimSolverStorageAllocs(t *testing.T) {
 	allocs := func(stmts int) (float64, int) {
 		g := progen.Generate(progen.Params{Seed: 42, Stmts: stmts})
 		cfg.SplitCriticalEdges(g)
-		fp := NewFootprints(g.CollectVars(), nil)
+		fp := NewFootprints(g)
 		return testing.AllocsPerRun(5, func() { NewElimSolver(g, fp, false) }), g.NumNodes()
 	}
 	small, smallNodes := allocs(256)
@@ -360,7 +360,7 @@ node 1 {
 edge s 1
 edge 1 e
 `)
-	pt := ir.NewPatternTable()
+	pt := ir.NewPatternTable(0)
 	xab := pt.Add(ir.Assign{LHS: "x", RHS: ir.Add(ir.V("a"), ir.V("b"))})
 	l := ComputeLocals(g, pt)
 	n := mustNode(t, g, "1")

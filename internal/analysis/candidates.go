@@ -72,7 +72,9 @@ func (l *Locals) Freeze(id cfg.NodeID) {
 // that recompute locals repeatedly over the same universe should build
 // the index once and use its Locals/UpdateBlock methods.
 func ComputeLocals(g *cfg.Graph, pt *ir.PatternTable) *Locals {
-	return NewPatternIndex(footprintsOf(g, pt)).Locals(g)
+	n := g.NumNodes()
+	rows := bitvec.Rows(2*n, pt.Len())
+	return NewPatternIndex(footprintsOf(g, pt)).Locals(g, rows[:n:n], rows[n:])
 }
 
 // SinkingCandidates returns, for presentation and tests, the candidate

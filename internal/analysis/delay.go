@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"sync"
+
 	"pdce/internal/bitvec"
 	"pdce/internal/cfg"
 	"pdce/internal/dataflow"
@@ -65,7 +67,8 @@ func (p *delayProblem) GenKill(n *cfg.Node) (gen, kill *bitvec.Vector) {
 // equations remain well-defined otherwise, but insertion points on
 // critical edges would then be unrepresentable (Section 2.1).
 func Delayability(g *cfg.Graph, pt *ir.PatternTable) *DelayResult {
-	return NewDelaySolver(g, footprintsOf(g, pt)).Solve(nil)
+	// The result outlives the call, so its rows are its own.
+	return newDelaySolver(g, footprintsOf(g, pt), new(bitvec.Slab)).Solve(nil)
 }
 
 // Inserts writes block n's insertion predicates N-INSERT and X-INSERT
@@ -122,28 +125,51 @@ type DelaySolver struct {
 	solver *dataflow.Solver
 	res    DelayResult
 
-	scratch *bitvec.Vector // locals sweep scratch
+	// slab backs the four pattern-wide row families: LOCDELAYED,
+	// LOCBLOCKED, N-DELAYED and X-DELAYED.
+	slab *bitvec.Slab
 
 	// hot, when non-nil, is the region sinking is confined to; the
 	// locals of every other block stay frozen (Locals.Freeze).
 	hot func(*cfg.Node) bool
 }
 
+// delaySlabs recycles delayability row storage from one run to the
+// next: the four families are a nodes × patterns bit matrix each, most
+// of the bytes a run allocates. A slab is not cleared on reuse, and
+// needs not be: UpdateBlock (or Freeze) writes both locals rows of
+// every block, and a full solve writes every N-DELAYED and X-DELAYED
+// row, before anything reads them.
+var delaySlabs = sync.Pool{New: func() any { return new(bitvec.Slab) }}
+
 // NewDelaySolver creates a solver for g over the pattern universe of
-// fp, resolving statements through fp.
+// fp, resolving statements through fp. Its row storage comes from a
+// pool; Release hands it back.
 func NewDelaySolver(g *cfg.Graph, fp *Footprints) *DelaySolver {
+	return newDelaySolver(g, fp, delaySlabs.Get().(*bitvec.Slab))
+}
+
+// newDelaySolver creates a solver whose four row families are carved
+// from slab, whatever slab holds.
+func newDelaySolver(g *cfg.Graph, fp *Footprints, slab *bitvec.Slab) *DelaySolver {
 	ix := NewPatternIndex(fp)
 	bits := fp.Patterns.Len()
-	s := &DelaySolver{
-		g:       g,
-		index:   ix,
-		locals:  ix.Locals(g),
-		scratch: bitvec.New(bits),
-	}
-	s.solver = dataflow.NewSolver(g, &delayProblem{locals: s.locals, bits: bits})
+	n := g.NumNodes()
+	rows := slab.Rows(4*n, bits)
+	s := &DelaySolver{g: g, index: ix, slab: slab}
+	s.locals = ix.Locals(g, rows[:n:n], rows[n:2*n:2*n])
+	s.solver = dataflow.NewSolverOn(g, &delayProblem{locals: s.locals, bits: bits}, rows[2*n:3*n:3*n], rows[3*n:])
 	sol := s.solver.Result()
 	s.res = DelayResult{Locals: s.locals, NDelayed: sol.In, XDelayed: sol.Out}
 	return s
+}
+
+// Release hands the solver's row storage back to the pool for the next
+// solver. Neither s nor any result or locals it returned may be used
+// afterwards. A solver that is never released keeps its storage.
+func (s *DelaySolver) Release() {
+	delaySlabs.Put(s.slab)
+	s.slab = nil
 }
 
 // SetRegion confines sinking to the blocks hot accepts — the paper's
@@ -187,7 +213,7 @@ func (s *DelaySolver) SetMetrics(m *obs.SolverMetrics) { s.solver.SetMetrics(m) 
 func (s *DelaySolver) Solve(dirty []cfg.NodeID) *DelayResult {
 	for _, id := range dirty {
 		n := s.g.Node(id)
-		s.index.UpdateBlock(s.locals, n, s.scratch)
+		s.index.UpdateBlock(s.locals, n)
 		s.restrict(n)
 	}
 	sol := s.solver.Resolve(dirty)

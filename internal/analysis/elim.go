@@ -168,7 +168,7 @@ func (p *deadProblem) GenKill(n *cfg.Node) (gen, kill *bitvec.Vector) {
 // DeadVars solves the dead-variable analysis on g over its full
 // variable universe.
 func DeadVars(g *cfg.Graph) *ElimResult {
-	return NewElimSolver(g, NewFootprints(g.CollectVars(), nil), false).Solve(nil)
+	return NewElimSolver(g, NewFootprints(g), false).Solve(nil)
 }
 
 // ElimSolver solves an elimination analysis — dead variables, or

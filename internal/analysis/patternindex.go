@@ -3,7 +3,6 @@ package analysis
 import (
 	"pdce/internal/bitvec"
 	"pdce/internal/cfg"
-	"pdce/internal/ir"
 )
 
 // PatternIndex inverts a pattern table's blocking relation: instead of
@@ -29,83 +28,84 @@ type PatternIndex struct {
 	defBlocks, useBlocks []*bitvec.Vector
 }
 
-// NewPatternIndex builds the blocking index of fp's pattern table,
-// resolving statements through fp.
+// NewPatternIndex builds the blocking index of fp's pattern table from
+// the patterns' own footprints: no variable lookup.
 func NewPatternIndex(fp *Footprints) *PatternIndex {
-	pt := fp.Patterns
-	np := pt.Len()
+	np := fp.Patterns.Len()
 	ix := &PatternIndex{
 		fp:        fp,
 		defBlocks: make([]*bitvec.Vector, fp.Vars.Len()),
 		useBlocks: make([]*bitvec.Vector, fp.Vars.Len()),
 	}
-	get := func(m []*bitvec.Vector, v ir.Var) *bitvec.Vector {
-		vi := fp.Vars.MustIndex(v)
+	get := func(m []*bitvec.Vector, vi int32) *bitvec.Vector {
 		if m[vi] == nil {
 			m[vi] = bitvec.New(np)
 		}
 		return m[vi]
 	}
-	for pi := 0; pi < np; pi++ {
-		p := pt.Pattern(pi)
-		get(ix.defBlocks, p.LHS).Set(pi)
-		get(ix.useBlocks, p.LHS).Set(pi)
-		ir.ExprVars(pt.RHSExprAt(pi), func(v ir.Var) { get(ix.defBlocks, v).Set(pi) })
+	for pi, p := range fp.pats {
+		get(ix.defBlocks, p.def).Set(pi)
+		get(ix.useBlocks, p.def).Set(pi)
+		for _, vi := range fp.patUses[p.us:p.ue] {
+			get(ix.defBlocks, vi).Set(pi)
+		}
 	}
 	return ix
 }
 
 // UpdateBlock recomputes the local predicates of block n in place
-// (LocDelayed, LocBlocked, Cands), with scratch as the blocked-below
-// sweep vector (Patterns.Len() bits; clobbered). The slices of l must
-// already be sized for n.ID.
-func (ix *PatternIndex) UpdateBlock(l *Locals, n *cfg.Node, scratch *bitvec.Vector) {
-	ld := l.LocDelayed[n.ID]
+// (LocDelayed, LocBlocked, Cands). The slices of l must already be
+// sized for n.ID.
+func (ix *PatternIndex) UpdateBlock(l *Locals, n *cfg.Node) {
+	ld, lb := l.LocDelayed[n.ID], l.LocBlocked[n.ID]
 	ld.ClearAll()
 	cands := l.Cands[n.ID][:0]
 	// One backward sweep per block: a pattern occurrence is a
 	// candidate iff no later instruction of the block blocks it;
-	// scratch tracks "blocked by something at or after the current
-	// position". After the sweep scratch is exactly LOCBLOCKED.
+	// lb tracks "blocked by something at or after the current
+	// position", so after the sweep it is exactly LOCBLOCKED.
 	// Every occurrence blocks its own pattern, so each pattern
 	// contributes at most one candidate (its last occurrence).
-	scratch.ClearAll()
+	lb.ClearAll()
 	c := ix.fp.block(n)
 	for si := len(c.info) - 1; si >= 0; si-- {
 		e := &c.info[si]
-		if pi := int(e.pat); pi >= 0 && !scratch.Get(pi) {
+		if pi := int(e.pat); pi >= 0 && !lb.Get(pi) {
 			ld.Set(pi)
 			cands = append(cands, CandEntry{Pat: e.pat, Stmt: int32(si)})
 		}
 		if e.def >= 0 {
 			if bv := ix.defBlocks[e.def]; bv != nil {
-				scratch.Or(bv)
+				lb.Or(bv)
 			}
 		}
 		for _, u := range c.uses[e.us:e.ue] {
 			if bv := ix.useBlocks[u]; bv != nil {
-				scratch.Or(bv)
+				lb.Or(bv)
 			}
 		}
 	}
 	l.Cands[n.ID] = cands
-	l.LocBlocked[n.ID].CopyFrom(scratch)
 }
 
 // Locals computes the local predicates of every block of g over the
-// index's pattern universe.
-func (ix *PatternIndex) Locals(g *cfg.Graph) *Locals {
-	numNodes := g.NumNodes()
-	np := ix.fp.Patterns.Len()
+// index's pattern universe into the given LOCDELAYED and LOCBLOCKED
+// rows, one per node. UpdateBlock overwrites both rows of every block,
+// so they may come dirty from a reused bitvec.Slab. Every block's
+// candidate list starts in one slab, capped at the block's statement
+// count: each candidate is one of its statements.
+func (ix *PatternIndex) Locals(g *cfg.Graph, ld, lb []*bitvec.Vector) *Locals {
 	l := &Locals{
 		Patterns:   ix.fp.Patterns,
-		LocDelayed: bitvec.Rows(numNodes, np),
-		LocBlocked: bitvec.Rows(numNodes, np),
-		Cands:      make([][]CandEntry, numNodes),
+		LocDelayed: ld,
+		LocBlocked: lb,
+		Cands:      make([][]CandEntry, g.NumNodes()),
 	}
-	scratch := bitvec.New(np)
+	cands := make([]CandEntry, g.NumStmts())
 	for _, n := range g.Nodes() {
-		ix.UpdateBlock(l, n, scratch)
+		k := len(n.Stmts)
+		l.Cands[n.ID], cands = cands[:0:k], cands[k:]
+		ix.UpdateBlock(l, n)
 	}
 	return l
 }

@@ -48,19 +48,48 @@ func NewAllOnes(n int) *Vector {
 // allocated once per run and never resized. Rows do not alias: each
 // row's words are capped at its own stride.
 func Rows(count, n int) []*Vector {
+	var s Slab
+	return s.Rows(count, n)
+}
+
+// Slab is row storage reused from one run to the next: a solver takes
+// one from a pool, carves its vector families out of it, and returns
+// it when the run ends. The zero value is an empty slab.
+type Slab struct {
+	words []uint64
+	hdrs  []Vector
+	rows  []*Vector
+}
+
+// Rows carves count n-bit rows out of s, laid out as bitvec.Rows lays
+// them out, growing s's storage where it is too small. Storage that is
+// reused keeps the bits of its previous use, beyond n in a row's last
+// word too, so every row must be overwritten in full (CopyFrom,
+// ClearAll, SetAll, or a kernel writing each word) before it is read.
+// The rows alias s until its next Rows call.
+func (s *Slab) Rows(count, n int) []*Vector {
 	if n < 0 {
 		panic(fmt.Sprintf("bitvec: negative length %d", n))
 	}
 	stride := (n + wordBits - 1) / wordBits
-	words := make([]uint64, count*stride)
-	hdrs := make([]Vector, count)
-	rows := make([]*Vector, count)
-	for i := range rows {
+	s.words = resize(s.words, count*stride)
+	s.hdrs = resize(s.hdrs, count)
+	s.rows = resize(s.rows, count)
+	for i := range s.rows {
 		lo, hi := i*stride, (i+1)*stride
-		hdrs[i] = Vector{n: n, words: words[lo:hi:hi]}
-		rows[i] = &hdrs[i]
+		s.hdrs[i] = Vector{n: n, words: s.words[lo:hi:hi]}
+		s.rows[i] = &s.hdrs[i]
 	}
-	return rows
+	return s.rows
+}
+
+// resize returns x with length k, reallocated (zeroed) only when its
+// capacity is short.
+func resize[T any](x []T, k int) []T {
+	if cap(x) < k {
+		return make([]T, k)
+	}
+	return x[:k]
 }
 
 // Len returns the number of bits in v.

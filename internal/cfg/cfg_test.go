@@ -338,6 +338,69 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestCloneSlabsIsolated: Clone carves nodes, statements and adjacency
+// from slabs and caps every block's slices at their own length. Growing
+// one graph's blocks — a statement appended to each, an edge added,
+// critical edges split — must leave the other graph's Format as it was,
+// in both directions and for a clone of a clone, and must not write
+// into a neighbouring block: the same edits give the same text on both
+// sides, and both graphs stay valid.
+func TestCloneSlabsIsolated(t *testing.T) {
+	build := func() *Graph {
+		g := New("slabs")
+		a, b, c, d := g.AddNode("a"), g.AddNode("b"), g.AddNode("c"), g.AddNode("d")
+		a.Stmts = []ir.Stmt{ir.Assign{LHS: "x", RHS: ir.Add(ir.V("p"), ir.V("q"))}}
+		b.Stmts = []ir.Stmt{ir.Assign{LHS: "y", RHS: ir.C(1)}, ir.Out{Arg: ir.V("x")}}
+		c.Stmts = []ir.Stmt{ir.Assign{LHS: "x", RHS: ir.V("y")}}
+		d.Stmts = []ir.Stmt{ir.Out{Arg: ir.V("x")}, ir.Out{Arg: ir.V("y")}}
+		g.AddEdge(g.Start, a)
+		g.AddEdge(a, b)
+		g.AddEdge(a, c) // critical once b -> c exists
+		g.AddEdge(b, c)
+		g.AddEdge(c, d)
+		g.AddEdge(d, g.End)
+		return g
+	}
+	edit := func(g *Graph) {
+		for _, n := range g.Nodes() {
+			if n != g.Start && n != g.End {
+				n.Stmts = append(n.Stmts, ir.Assign{LHS: "z", RHS: ir.C(int64(n.ID))})
+			}
+		}
+		a, _ := g.NodeByLabel("a")
+		d, _ := g.NodeByLabel("d")
+		g.AddEdge(a, d)
+		SplitCriticalEdges(g)
+	}
+	for _, tc := range []struct {
+		name   string
+		graphs func() (mut, other *Graph)
+	}{
+		{"edit the clone", func() (*Graph, *Graph) { g := build(); return g.Clone(), g }},
+		{"edit the source", func() (*Graph, *Graph) { g := build(); return g, g.Clone() }},
+		{"edit a clone's clone", func() (*Graph, *Graph) { c := build().Clone(); return c.Clone(), c }},
+		{"edit a clone cloned", func() (*Graph, *Graph) { c := build().Clone(); return c, c.Clone() }},
+	} {
+		mut, other := tc.graphs()
+		want := other.Format()
+		edit(mut)
+		if got := other.Format(); got != want {
+			t.Fatalf("%s: the other graph changed:\n%s\nwant\n%s", tc.name, got, want)
+		}
+		edit(other)
+		if got, want := mut.Format(), other.Format(); got != want {
+			t.Fatalf("%s: the same edits gave\n%s\nand\n%s", tc.name, got, want)
+		}
+		// Format prints successors only; a predecessor list overwritten
+		// by a neighbour's append shows as an inconsistent adjacency.
+		for _, g := range []*Graph{mut, other} {
+			if errs := Validate(g); len(errs) > 0 {
+				t.Fatalf("%s: %v", tc.name, errs)
+			}
+		}
+	}
+}
+
 func TestDiffReportsAllKinds(t *testing.T) {
 	g1, a1, _, _, _ := diamond(t)
 	g2 := g1.Clone()

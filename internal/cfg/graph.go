@@ -218,7 +218,7 @@ func (g *Graph) CollectVars() *ir.VarTable {
 // CollectPatterns returns a PatternTable over every assignment pattern
 // occurring in the program.
 func (g *Graph) CollectPatterns() *ir.PatternTable {
-	t := ir.NewPatternTable()
+	t := ir.NewPatternTable(0)
 	for _, n := range g.nodes {
 		for _, s := range n.Stmts {
 			if a, ok := s.(ir.Assign); ok {

@@ -439,7 +439,7 @@ func (d *dirtySet) take() []cfg.NodeID {
 // solution and the accumulated dirty set instead of restarting from
 // Top.
 func runIncremental(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*cfg.Graph, error) {
-	fp := analysis.NewFootprints(out.CollectVars(), out.CollectPatterns())
+	fp := analysis.NewFootprints(out)
 	col := opt.Collector
 	tr := col.Tracer()
 
@@ -447,6 +447,7 @@ func runIncremental(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*
 	cancel := wd.checkFunc()
 
 	delay := analysis.NewDelaySolver(out, fp)
+	defer delay.Release()
 	delay.SetCancel(cancel)
 	delay.SetMetrics(col.DelayMetrics())
 	delay.SetRegion(hot)

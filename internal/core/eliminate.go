@@ -39,7 +39,7 @@ func EliminateFaint(g *cfg.Graph) ElimStats {
 }
 
 func eliminateOnce(g *cfg.Graph, faint bool) ElimStats {
-	res := analysis.NewElimSolver(g, analysis.NewFootprints(g.CollectVars(), nil), faint).Solve(nil)
+	res := analysis.NewElimSolver(g, analysis.NewFootprints(g), faint).Solve(nil)
 	return eliminateSolved(g, res, nil, nil, nil)
 }
 

@@ -61,8 +61,9 @@ func Sink(g *cfg.Graph) SinkStats {
 // receives the provenance events of the rewrite, m the delayability
 // solve's cost counters. All three may be nil.
 func sinkObserved(g *cfg.Graph, hot HotPredicate, tr *obs.Trace, m *obs.SolverMetrics) SinkStats {
-	fp := analysis.NewFootprints(g.CollectVars(), g.CollectPatterns())
+	fp := analysis.NewFootprints(g)
 	delay := analysis.NewDelaySolver(g, fp)
+	defer delay.Release()
 	delay.SetRegion(hot)
 	delay.SetMetrics(m)
 	return applySink(g, fp, delay.Solve(nil), nil, tr)

@@ -186,9 +186,9 @@ func Solve(g *cfg.Graph, p VectorProblem) *Result {
 }
 
 // Solver is a reusable worklist solver bound to one graph and one
-// problem. It owns the solution storage (one bitvec.Rows slab per
-// side) and the worklist scratch, so repeated solves — the driver's
-// rounds — allocate nothing.
+// problem. It holds the solution storage (one bitvec.Rows slab per
+// side, or rows its creator supplies) and the worklist scratch, so
+// repeated solves — the driver's rounds — allocate nothing.
 //
 // The solver assumes the graph's node and edge structure stays fixed
 // between solves; only block contents (the transfer functions) may
@@ -249,6 +249,15 @@ const cancelCheckStride = 64
 
 // NewSolver creates a solver for p on g. No solving happens yet.
 func NewSolver(g *cfg.Graph, p VectorProblem) *Solver {
+	n := g.NumNodes()
+	return NewSolverOn(g, p, bitvec.Rows(n, p.Bits()), bitvec.Rows(n, p.Bits()))
+}
+
+// NewSolverOn is NewSolver over caller-supplied solution storage: in
+// and out hold one p.Bits()-bit row per node of g. No row is read
+// before Full overwrites it with top, so the rows may come dirty from a
+// reused bitvec.Slab.
+func NewSolverOn(g *cfg.Graph, p VectorProblem, in, out []*bitvec.Vector) *Solver {
 	s := &Solver{g: g, p: p, forward: p.Direction() == Forward}
 	s.gk, _ = p.(GenKillProblem)
 	if s.forward {
@@ -257,8 +266,7 @@ func NewSolver(g *cfg.Graph, p VectorProblem) *Solver {
 		s.order = cfg.Postorder(g)
 	}
 	n := g.NumNodes()
-	s.res.In = bitvec.Rows(n, p.Bits())
-	s.res.Out = bitvec.Rows(n, p.Bits())
+	s.res.In, s.res.Out = in, out
 	s.meet, s.xfer, s.bnode = s.res.In, s.res.Out, g.Start
 	if !s.forward {
 		s.meet, s.xfer, s.bnode = s.res.Out, s.res.In, g.End

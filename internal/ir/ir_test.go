@@ -203,7 +203,7 @@ func TestPatternBlocks(t *testing.T) {
 }
 
 func TestPatternTable(t *testing.T) {
-	pt := NewPatternTable()
+	pt := NewPatternTable(0)
 	a1 := Assign{LHS: "x", RHS: Add(V("a"), V("b"))}
 	a2 := Assign{LHS: "y", RHS: Add(V("a"), V("b"))}
 	i1 := pt.Add(a1)

@@ -67,9 +67,15 @@ type PatternTable struct {
 	buf      []byte         // the key of the last lookup
 }
 
-// NewPatternTable returns an empty table.
-func NewPatternTable() *PatternTable {
-	return &PatternTable{index: make(map[string]int)}
+// NewPatternTable returns an empty table with room for n patterns
+// before it grows.
+func NewPatternTable(n int) *PatternTable {
+	return &PatternTable{
+		patterns: make([]Pattern, 0, n),
+		rhsExpr:  make([]Expr, 0, n),
+		rhsVars:  make([]map[Var]bool, 0, n),
+		index:    make(map[string]int, n),
+	}
 }
 
 // appendLHS renders the LHS half of a pattern's index key into the

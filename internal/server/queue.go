@@ -116,7 +116,7 @@ func newQueue(srv *Server, cfg Config) (*Queue, error) {
 		ctx:     ctx,
 		cancel:  cancel,
 	}
-	q.fold(recs)
+	live := q.fold(recs)
 	if rst.TornBytes > 0 {
 		q.stats.TornRecords.Add(1)
 	}
@@ -128,12 +128,13 @@ func newQueue(srv *Server, cfg Config) (*Queue, error) {
 		cancel()
 		return nil, err
 	}
-	if q.wal, err = rewriteWAL(path, q.compactRecords()); err != nil {
+	if q.wal, err = rewriteWAL(path, compactRecords(live)); err != nil {
 		cancel()
 		return nil, err
 	}
 
-	for _, j := range q.jobs {
+	// Queued jobs run in the order they were submitted.
+	for _, j := range live {
 		if j.state == pdce.JobQueued {
 			if j.replayed {
 				q.stats.ReplayedJobs.Add(1)
@@ -148,25 +149,33 @@ func newQueue(srv *Server, cfg Config) (*Queue, error) {
 	return q, nil
 }
 
-// fold rebuilds the job table from replayed records, in log order. A
+// fold rebuilds the job table from replayed records, in log order, and
+// returns the jobs it holds in the order of their submit records. A
 // fail record is terminal, whatever wrote it: a log from a build that
 // retried failed jobs holds one per failed run, and its job is failed
 // unless a later done record says a run succeeded.
-func (q *Queue) fold(recs []walRecord) {
+func (q *Queue) fold(recs []walRecord) []*qjob {
 	now := time.Now()
+	var order []*qjob
 	for _, rec := range recs {
 		switch rec.Op {
 		case "submit":
 			if _, ok := q.jobs[rec.ID]; ok {
 				continue
 			}
-			q.jobs[rec.ID] = &qjob{
+			submitted := now
+			if rec.SubmittedUnixMS > 0 {
+				submitted = time.UnixMilli(rec.SubmittedUnixMS)
+			}
+			j := &qjob{
 				id: rec.ID, name: rec.Name, source: rec.Source, lang: rec.Lang,
 				mode: rec.Mode, maxRounds: rec.MaxRounds, deadline: time.Duration(rec.DeadlineMS) * time.Millisecond,
 				telemetry: rec.Telemetry, trace: rec.Trace,
 				traceID: rec.TraceID, spanID: rec.SpanID, requestID: rec.RequestID,
-				state: pdce.JobQueued, submitted: now,
+				state: pdce.JobQueued, submitted: submitted,
 			}
+			q.jobs[rec.ID] = j
+			order = append(order, j)
 		case "start":
 			if j, ok := q.jobs[rec.ID]; ok && j.state == pdce.JobQueued {
 				j.replayed = true // it was in flight when the process died
@@ -186,12 +195,21 @@ func (q *Queue) fold(recs []walRecord) {
 			delete(q.jobs, rec.ID)
 		}
 	}
+	// Drop the acknowledged jobs: a job resubmitted after its ack is a
+	// new job, listed at its new submit record.
+	live := order[:0]
+	for _, j := range order {
+		if q.jobs[j.id] == j {
+			live = append(live, j)
+		}
+	}
+	return live
 }
 
-// compactRecords renders the current job table as a minimal log.
-func (q *Queue) compactRecords() []walRecord {
-	recs := make([]walRecord, 0, 2*len(q.jobs))
-	for _, j := range q.jobs {
+// compactRecords renders jobs, in their order, as a minimal log.
+func compactRecords(jobs []*qjob) []walRecord {
+	recs := make([]walRecord, 0, 2*len(jobs))
+	for _, j := range jobs {
 		recs = append(recs, j.submitRecord())
 		switch j.state {
 		case pdce.JobDone:
@@ -208,7 +226,7 @@ func (j *qjob) submitRecord() walRecord {
 	return walRecord{
 		Op: "submit", ID: j.id, Name: j.name, Source: j.source, Lang: j.lang,
 		Mode: j.mode, MaxRounds: j.maxRounds, DeadlineMS: j.deadline.Milliseconds(),
-		Telemetry: j.telemetry, Trace: j.trace,
+		Telemetry: j.telemetry, Trace: j.trace, SubmittedUnixMS: j.submitted.UnixMilli(),
 		TraceID: j.traceID, SpanID: j.spanID, RequestID: j.requestID,
 	}
 }

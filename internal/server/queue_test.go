@@ -3,15 +3,20 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pdce"
+	flow "pdce/internal/cfg"
 	"pdce/internal/faultinject"
 	"pdce/internal/server"
 )
@@ -457,6 +462,167 @@ func TestSubmitCountsSolve(t *testing.T) {
 	}
 	if m.Server.Optimizes != 1 || m.Server.CacheMisses != 1 {
 		t.Fatalf("after one job: optimizes %d, cache_misses %d, want 1 and 1", m.Server.Optimizes, m.Server.CacheMisses)
+	}
+}
+
+// stalledBoot boots a one-worker queue over cfg.QueueDir whose worker
+// stalls inside the first solve it starts. started receives once that
+// solve is stalled; drain drains the server while the worker is still
+// stalled and then lets it go, so the stalled job finishes and every
+// other job stays queued in the log.
+func stalledBoot(t *testing.T, cfg server.Config) (s *server.Server, c *pdce.Client, started <-chan struct{}, drain func()) {
+	t.Helper()
+	cfg.QueueWorkers = 1
+	stalled := make(chan struct{}, 1)
+	block := make(chan struct{})
+	restore := faultinject.Set(func(p faultinject.Point, _ any) {
+		if p == faultinject.SolverVisit {
+			select {
+			case stalled <- struct{}{}:
+			default:
+			}
+			<-block
+		}
+	})
+	s, _, c = startServer(t, cfg)
+	drain = func() {
+		t.Helper()
+		drained := make(chan error, 1)
+		go func() { drained <- s.Drain(context.Background()) }()
+		time.Sleep(10 * time.Millisecond) // let drain begin while the worker is stalled
+		close(block)
+		if err := <-drained; err != nil {
+			t.Fatal(err)
+		}
+		restore()
+	}
+	return s, c, stalled, drain
+}
+
+// submitSix submits jobs j1–j6 (distinct programs, named for their
+// position) to a stalled queue over cfg.QueueDir, j1 first so that it
+// holds the worker, and drains. It returns the jobs' IDs in submission
+// order, the drained server, and the time the last submission was
+// acknowledged.
+func submitSix(t *testing.T, cfg server.Config, wait time.Duration) (ids []string, s *server.Server, lastSubmit time.Time) {
+	t.Helper()
+	s, c, started, drain := stalledBoot(t, cfg)
+	for i := 1; i <= 6; i++ {
+		sub, err := c.Submit(context.Background(), fmt.Sprintf("j%d", i), fmt.Sprintf("x := %d\nout(x)", i), pdce.RequestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, sub.ID)
+		if i == 1 {
+			<-started
+		}
+	}
+	lastSubmit = time.Now()
+	time.Sleep(wait)
+	drain()
+	return ids, s, lastSubmit
+}
+
+// TestQueueRestartKeepsSubmissionOrder: jobs still queued at boot run
+// in the order they were submitted, and the log compacted at boot
+// lists them in that order. Six jobs are submitted behind a stalled
+// worker and the queue drains with five of them queued; eight boots,
+// each from a copy of that log, must run the five in submission order
+// and rewrite the log with every submit record in submission order.
+// Map order passes one boot by chance about half the time, so eight
+// boots pass by chance about once in several hundred runs.
+func TestQueueRestartKeepsSubmissionOrder(t *testing.T) {
+	cfg := queueConfig(t)
+	ids, s, _ := submitSix(t, cfg, 0)
+	var want, queued []string
+	for i, id := range ids {
+		if res, ok := s.Queue().Result(id, false); ok && res.State == pdce.JobQueued {
+			want = append(want, fmt.Sprintf("j%d", i+1))
+			queued = append(queued, id)
+		}
+	}
+	if len(want) < 4 {
+		t.Fatalf("%d jobs queued after the drain, want at least 4", len(want))
+	}
+	log, err := os.ReadFile(s.Queue().WALPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for boot := 0; boot < 8; boot++ {
+		bootCfg := cfg
+		bootCfg.QueueDir = t.TempDir()
+		bootCfg.QueueWorkers = 1
+		path := filepath.Join(bootCfg.QueueDir, filepath.Base(s.Queue().WALPath()))
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var ran []string
+		restore := faultinject.Set(func(p faultinject.Point, payload any) {
+			if p != faultinject.EliminatePhase {
+				return
+			}
+			name := payload.(*flow.Graph).Name
+			mu.Lock()
+			if len(ran) == 0 || ran[len(ran)-1] != name {
+				ran = append(ran, name)
+			}
+			mu.Unlock()
+		})
+		s2, _, c2 := startServer(t, bootCfg)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		for _, id := range queued {
+			if res, err := c2.Poll(ctx, id, time.Millisecond); err != nil || res.State != pdce.JobDone {
+				t.Fatalf("boot %d: job %s: %+v, %v", boot, id, res, err)
+			}
+		}
+		cancel()
+		if err := s2.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		restore()
+		mu.Lock()
+		if !slices.Equal(ran, want) {
+			t.Fatalf("boot %d ran %v, want submission order %v", boot, ran, want)
+		}
+		mu.Unlock()
+
+		w, recs, _, err := server.OpenWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		var logged []string
+		for _, rec := range recs {
+			if rec.Op == "submit" {
+				logged = append(logged, fmt.Sprintf("j%d", slices.Index(ids, rec.ID)+1))
+			}
+		}
+		if want := []string{"j1", "j2", "j3", "j4", "j5", "j6"}; !slices.Equal(logged, want) {
+			t.Fatalf("boot %d compacted the submit records as %v, want submission order %v", boot, logged, want)
+		}
+	}
+}
+
+// TestQueueRestartKeepsJobAge: /metrics job_queue.oldest_age_ms
+// survives a restart, since a submit record carries its submission
+// time. Six jobs wait 300 ms behind a stalled worker; after the drain,
+// three restarts in a row each stall on the oldest job left, and each
+// must report it at least as old as the time since the last
+// submission. Reading the age from the boot time, it would read a few
+// milliseconds.
+func TestQueueRestartKeepsJobAge(t *testing.T) {
+	cfg := queueConfig(t)
+	_, _, lastSubmit := submitSix(t, cfg, 300*time.Millisecond)
+	for boot := 0; boot < 3; boot++ {
+		s, _, started, drain := stalledBoot(t, cfg)
+		<-started
+		floor := time.Since(lastSubmit).Milliseconds()
+		if age := s.Queue().Snapshot().OldestAgeMS; age < floor {
+			t.Fatalf("restart %d: oldest_age_ms %d, want at least %d (the time since the last submission)", boot+1, age, floor)
+		}
+		drain()
 	}
 }
 

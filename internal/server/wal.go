@@ -61,6 +61,10 @@ type walRecord struct {
 	// DeadlineMS is the submission's deadline_ms; 0 runs the job
 	// under the server's default deadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+	// SubmittedUnixMS is when the job was accepted, in Unix
+	// milliseconds, so a replayed job keeps its age. Absent in older
+	// logs, whose jobs count their age from the boot that replays them.
+	SubmittedUnixMS int64 `json:"submitted_unix_ms,omitempty"`
 
 	// Request-tracing identity (op=submit): the submitting request's
 	// trace ID, its enqueue span, and its Pdce-Request-Id. Replayed

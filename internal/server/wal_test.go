@@ -91,12 +91,11 @@ func TestWALRoundTrip(t *testing.T) {
 func TestQueueCompactionKeepsSubmission(t *testing.T) {
 	sub := walRecord{
 		Op: "submit", ID: "a", Name: "demo", Source: "x := 1", Lang: "while",
-		Mode: "pfe", MaxRounds: 3, DeadlineMS: 250, Telemetry: true, Trace: true,
-		TraceID: "t", SpanID: "s", RequestID: "r",
+		Mode: "pfe", MaxRounds: 3, DeadlineMS: 250, SubmittedUnixMS: 1_700_000_000_123,
+		Telemetry: true, Trace: true, TraceID: "t", SpanID: "s", RequestID: "r",
 	}
 	q := &Queue{jobs: make(map[string]*qjob)}
-	q.fold([]walRecord{sub})
-	got := q.compactRecords()
+	got := compactRecords(q.fold([]walRecord{sub}))
 	if len(got) != 1 || !reflect.DeepEqual(got[0], sub) {
 		t.Fatalf("compacted %+v, want %+v", got, sub)
 	}
@@ -384,6 +383,11 @@ func FuzzWALRecover(f *testing.F) {
 	}
 	f.Add(whole)
 	f.Add(whole[:len(whole)-5]) // torn tail
+	timed, err := encodeFrame(walRecord{Op: "submit", ID: "b", Source: "y := 2", SubmittedUnixMS: 1_700_000_000_123})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(append([]byte(nil), whole...), timed...))
 	badCRC := append([]byte(nil), whole...)
 	badCRC[4] ^= 0xFF
 	f.Add(badCRC)
