@@ -55,7 +55,9 @@ bench-json:
 # pfe; the WHILE-language parser, whose lowered graphs must round-trip
 # through Format; the expression parser, whose terms must round-trip
 # through String), and DirStore's blob files (served only when they
-# verify, otherwise removed).
+# verify, otherwise removed). Last, the dataflow solver's re-solve:
+# after every fuzzer-chosen sequence of gen/kill edits, Resolve must
+# equal a from-scratch solve bit for bit and list every node it moved.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSafeOptimize -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeOptimizeResponse -fuzztime 10s .
@@ -67,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSource -fuzztime 10s ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzParseExpr -fuzztime 10s ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzDirStoreBlob -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzResolve -fuzztime 10s ./internal/dataflow
 
 # Telemetry smoke: optimize the corpus with all collectors on and
 # validate every report against the golden schema (in-process via the

@@ -36,7 +36,21 @@ type DelayResult struct {
 	NDelayed, XDelayed []*bitvec.Vector
 
 	Stats dataflow.SolverStats
+
+	// scan, after an incremental solve, holds its touched blocks and
+	// their predecessors (X-INSERT reads the successors' N-DELAYED):
+	// every other block kept its locals, its delay values and its
+	// successors' N-DELAYED since the previous solve.
+	scan scanSet
 }
+
+// NeedsScan reports whether the sinking step must examine block id, or
+// may skip it because nothing its insertion predicates read moved since
+// the previous solve. The previous sinking step left such a block
+// stable (a block it rewrote is dirty, so touched): N-INSERT is empty
+// and X-INSERT equals LOCDELAYED. After a full solve every block needs
+// a scan.
+func (r *DelayResult) NeedsScan(id cfg.NodeID) bool { return r.scan.has(id) }
 
 type delayProblem struct {
 	locals *Locals
@@ -109,8 +123,8 @@ func (r *DelayResult) Inserts(n *cfg.Node, ni, xi *bitvec.Vector) {
 // blocking index, the local predicates, and the solution storage, and
 // reads statements through a Footprints index it may share with an
 // ElimSolver; a solve after k blocks changed recomputes k blocks'
-// locals and re-iterates only the affected region (the dirty blocks
-// and their transitive successors — delayability flows forward).
+// locals and re-iterates only where the new locals can move the
+// solution (see Solve).
 //
 // The pattern universe is fixed at creation and must cover every
 // pattern of every version of the program the solver sees. A superset
@@ -126,8 +140,10 @@ type DelaySolver struct {
 	res    DelayResult
 
 	// slab backs the four pattern-wide row families: LOCDELAYED,
-	// LOCBLOCKED, N-DELAYED and X-DELAYED.
+	// LOCBLOCKED, N-DELAYED and X-DELAYED, and old, update's scratch
+	// row: a block's LOCDELAYED before the rewrite.
 	slab *bitvec.Slab
+	old  *bitvec.Vector
 
 	// hot, when non-nil, is the region sinking is confined to; the
 	// locals of every other block stay frozen (Locals.Freeze).
@@ -149,16 +165,16 @@ func NewDelaySolver(g *cfg.Graph, fp *Footprints) *DelaySolver {
 	return newDelaySolver(g, fp, delaySlabs.Get().(*bitvec.Slab))
 }
 
-// newDelaySolver creates a solver whose four row families are carved
-// from slab, whatever slab holds.
+// newDelaySolver creates a solver whose rows are carved from slab,
+// whatever slab holds.
 func newDelaySolver(g *cfg.Graph, fp *Footprints, slab *bitvec.Slab) *DelaySolver {
 	ix := NewPatternIndex(fp)
 	bits := fp.Patterns.Len()
 	n := g.NumNodes()
-	rows := slab.Rows(4*n, bits)
-	s := &DelaySolver{g: g, index: ix, slab: slab}
+	rows := slab.Rows(4*n+1, bits)
+	s := &DelaySolver{g: g, index: ix, slab: slab, old: rows[4*n]}
 	s.locals = ix.Locals(g, rows[:n:n], rows[n:2*n:2*n])
-	s.solver = dataflow.NewSolverOn(g, &delayProblem{locals: s.locals, bits: bits}, rows[2*n:3*n:3*n], rows[3*n:])
+	s.solver = dataflow.NewSolverOn(g, &delayProblem{locals: s.locals, bits: bits}, rows[2*n:3*n:3*n], rows[3*n:4*n:4*n])
 	sol := s.solver.Result()
 	s.res = DelayResult{Locals: s.locals, NDelayed: sol.In, XDelayed: sol.Out}
 	return s
@@ -203,22 +219,37 @@ func (s *DelaySolver) SetCancel(cancel func() bool) { s.solver.SetCancel(cancel)
 // (the default) collects nothing.
 func (s *DelaySolver) SetMetrics(m *obs.SolverMetrics) { s.solver.SetMetrics(m) }
 
-// Solve re-solves after the given blocks changed: their local
-// predicates are recomputed (and frozen again outside the region) and
-// the fixpoint is re-seeded over the affected region. A nil dirty set
-// on a solved instance returns the cached solution; the first call,
-// and the first after a cancelled one, solves in full. A cancelled
-// solve's partial solution justifies no sinking. The returned result
-// aliases the solver's storage and is invalidated by the next Solve.
+// Solve re-solves after the given blocks changed (see
+// dataflow.Solver.Resolve). Their local predicates are recomputed (and
+// frozen again outside the region), and the re-solve raises the
+// previous solution only by the patterns a dirty block newly delays or
+// no longer blocks, carried forward through the blocks that do not
+// block them. The sinking step then examines only the blocks the solve
+// touched and their predecessors (DelayResult.NeedsScan). A nil dirty
+// set on a solved instance returns the cached solution; the first
+// call, and the first after a cancelled one, solves in full. A
+// cancelled solve's partial solution justifies no sinking. The
+// returned result aliases the solver's storage and is invalidated by
+// the next Solve.
 func (s *DelaySolver) Solve(dirty []cfg.NodeID) *DelayResult {
-	for _, id := range dirty {
-		n := s.g.Node(id)
-		s.index.UpdateBlock(s.locals, n)
-		s.restrict(n)
-	}
-	sol := s.solver.Resolve(dirty)
+	sol := s.solver.Resolve(dirty, s.update)
 	s.res.Stats = sol.Stats
+	s.res.scan.set(s.g, sol.Touched, true)
 	return &s.res
+}
+
+// update is delayability's dataflow.Update: it recomputes n's locals,
+// frozen again outside the region, and writes into rise the patterns n
+// newly delays or no longer blocks, (LOCDELAYED′ ∖ LOCDELAYED) ∪
+// (LOCBLOCKED ∖ LOCBLOCKED′).
+func (s *DelaySolver) update(n *cfg.Node, rise *bitvec.Vector) {
+	ld, lb := s.locals.LocDelayed[n.ID], s.locals.LocBlocked[n.ID]
+	s.old.CopyFrom(ld)
+	rise.CopyFrom(lb)
+	s.index.UpdateBlock(s.locals, n)
+	s.restrict(n)
+	rise.AndNot(lb)
+	rise.OrAndNot(ld, s.old)
 }
 
 // Stable reports whether the assignment sinking transformation induced

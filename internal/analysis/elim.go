@@ -43,23 +43,17 @@ type ElimResult struct {
 	// use and reused across calls.
 	scratch *bitvec.Vector
 
-	// scanStamp/scanEpoch, when set by an incremental solve,
-	// restrict the elimination walk: nodes whose stamp misses the
-	// epoch provably have both their statements and their solution
-	// values unchanged since the previous solve, so the previous
-	// elimination pass already emptied their elimination sets.
-	// A nil scanStamp (full solves) makes no claim and every node must
-	// be scanned.
-	scanStamp []uint32
-	scanEpoch uint32
+	// scan, after an incremental solve, holds its touched blocks:
+	// every other block kept its statements and its solution values
+	// since the previous solve, so the previous elimination pass
+	// already emptied its elimination set.
+	scan scanSet
 }
 
 // NeedsScan reports whether the elimination step must examine block
 // id, or may skip it because neither its statements nor its solution
 // values moved since the previous elimination pass.
-func (r *ElimResult) NeedsScan(id cfg.NodeID) bool {
-	return r.scanStamp == nil || r.scanStamp[id] == r.scanEpoch
-}
+func (r *ElimResult) NeedsScan(id cfg.NodeID) bool { return r.scan.has(id) }
 
 // elimProblem is the block-level system of either elimination
 // analysis. Its transfer walks the block's cached footprints backward,
@@ -122,18 +116,31 @@ type deadProblem struct {
 	// reproduces the statement walk exactly, one word-parallel pass
 	// per block, and hands the solver its gen/kill fast paths.
 	gen, kill []*bitvec.Vector
+
+	// old is update's scratch: a block's gen row before the rewrite.
+	old *bitvec.Vector
 }
 
 func newDeadProblem(g *cfg.Graph, base *elimProblem) *deadProblem {
-	p := &deadProblem{
-		elimProblem: base,
-		gen:         bitvec.Rows(g.NumNodes(), base.bits),
-		kill:        bitvec.Rows(g.NumNodes(), base.bits),
-	}
+	k := g.NumNodes()
+	rows := bitvec.Rows(2*k+1, base.bits)
+	p := &deadProblem{elimProblem: base, gen: rows[:k:k], kill: rows[k : 2*k : 2*k], old: rows[2*k]}
 	for _, n := range g.Nodes() {
 		p.updateBlock(n)
 	}
 	return p
+}
+
+// update is the dead-variable analysis' dataflow.Update: it recomputes
+// n's gen/kill masks and writes into rise the variables n newly makes
+// dead or no longer makes live, (gen′ ∖ gen) ∪ (kill ∖ kill′).
+func (p *deadProblem) update(n *cfg.Node, rise *bitvec.Vector) {
+	gen, kill := p.gen[n.ID], p.kill[n.ID]
+	p.old.CopyFrom(gen)
+	rise.CopyFrom(kill)
+	p.updateBlock(n)
+	rise.AndNot(kill)
+	rise.OrAndNot(gen, p.old)
 }
 
 // updateBlock recomputes n's gen/kill masks from its current
@@ -181,13 +188,14 @@ func DeadVars(g *cfg.Graph) *ElimResult {
 // other bit).
 type ElimSolver struct {
 	g      *cfg.Graph
-	dead   *deadProblem // nil for the faint analysis
 	solver *dataflow.Solver
 	res    ElimResult
 
-	// scanStamp/scanEpoch back ElimResult.NeedsScan's restriction.
-	scanStamp []uint32
-	scanEpoch uint32
+	// update recomputes a dirty block's dead-variable gen/kill masks
+	// and its rise mask. It is nil for the faint analysis, whose
+	// transfer re-walks the block's statements and whose re-solve
+	// raises every bit.
+	update dataflow.Update
 }
 
 // NewElimSolver creates a solver for g over the variable universe of
@@ -201,8 +209,9 @@ func NewElimSolver(g *cfg.Graph, fp *Footprints, faint bool) *ElimSolver {
 	if faint {
 		s.solver = dataflow.NewSolver(g, prob)
 	} else {
-		s.dead = newDeadProblem(g, prob)
-		s.solver = dataflow.NewSolver(g, s.dead)
+		dead := newDeadProblem(g, prob)
+		s.solver = dataflow.NewSolver(g, dead)
+		s.update = dead.update
 	}
 	sol := s.solver.Result()
 	s.res = ElimResult{Vars: vars, N: sol.In, X: sol.Out, prob: prob}
@@ -219,49 +228,23 @@ func (s *ElimSolver) SetCancel(cancel func() bool) { s.solver.SetCancel(cancel) 
 // solver performs. A nil sink (the default) collects nothing.
 func (s *ElimSolver) SetMetrics(m *obs.SolverMetrics) { s.solver.SetMetrics(m) }
 
-// Solve re-solves after the given blocks changed, reusing the previous
-// round's solution outside the affected region (the dirty blocks and
-// their transitive predecessors — both analyses flow backward). A nil
-// dirty set on a solved instance returns the cached solution; the
-// first call always solves in full. The returned result aliases the
-// solver's storage and is invalidated by the next Solve.
+// Solve re-solves after the given blocks changed (see
+// dataflow.Solver.Resolve). For dead variables each dirty block's
+// gen/kill masks are recomputed, and the re-solve raises the previous
+// solution only by the variables a block newly makes dead or no longer
+// makes live, carried backward past every block that does not read
+// them first. Faint variables
+// have no gen/kill form: the dirty blocks and their transitive
+// predecessors restart from top. The elimination walk then scans only
+// the blocks the solve touched (ElimResult.NeedsScan). A nil dirty set
+// on a solved instance returns the cached solution; the first call
+// always solves in full. The returned result aliases the solver's
+// storage and is invalidated by the next Solve.
 func (s *ElimSolver) Solve(dirty []cfg.NodeID) *ElimResult {
-	if s.dead != nil {
-		for _, id := range dirty {
-			s.dead.updateBlock(s.g.Node(id))
-		}
-	}
-	sol := s.solver.Resolve(dirty)
+	sol := s.solver.Resolve(dirty, s.update)
 	s.res.Stats = sol.Stats
-	s.setScan(sol.Touched)
+	s.res.scan.set(s.g, sol.Touched, false)
 	return &s.res
-}
-
-// setScan installs the elimination walk's restriction for this round:
-// the solver's touched set, which covers both the solution values that
-// may have moved and the dirty blocks (statements that changed since
-// the last elimination). With no touched-set guarantee the restriction
-// is lifted and every node is scanned.
-func (s *ElimSolver) setScan(touched []cfg.NodeID) {
-	if touched == nil {
-		s.res.scanStamp = nil
-		return
-	}
-	if s.scanStamp == nil {
-		s.scanStamp = make([]uint32, s.g.NumNodes())
-	}
-	s.scanEpoch++
-	if s.scanEpoch == 0 {
-		for i := range s.scanStamp {
-			s.scanStamp[i] = 0
-		}
-		s.scanEpoch = 1
-	}
-	for _, id := range touched {
-		s.scanStamp[id] = s.scanEpoch
-	}
-	s.res.scanStamp = s.scanStamp
-	s.res.scanEpoch = s.scanEpoch
 }
 
 // InstrX returns X-DEAD (X-FAINT) immediately after every statement of

@@ -225,6 +225,23 @@ func (v *Vector) AndNotOrInto(src, kill, gen *Vector) bool {
 	return diff != 0
 }
 
+// OrAndNot sets v = v OR (a AND NOT b) in a single pass and reports
+// whether v changed. It carries raised bits along a flow edge into a
+// block that kills b (dataflow.Solver.Resolve), which would otherwise
+// cost a temporary, an AndNotInto and an Or. v may alias a.
+func (v *Vector) OrAndNot(a, b *Vector) bool {
+	v.checkSame(a)
+	v.checkSame(b)
+	dst, bw := v.words[:len(a.words)], b.words[:len(a.words)]
+	var diff uint64
+	for i, x := range a.words {
+		nw := dst[i] | (x &^ bw[i])
+		diff |= dst[i] ^ nw
+		dst[i] = nw
+	}
+	return diff != 0
+}
+
 // AndInto sets v = a AND b in a single pass — the two-predecessor meet
 // fused with the copy that would otherwise seed it. v may alias a or b.
 func (v *Vector) AndInto(a, b *Vector) {

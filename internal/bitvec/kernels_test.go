@@ -104,6 +104,33 @@ func TestBinaryIntoKernels(t *testing.T) {
 	}
 }
 
+// TestOrAndNotMatchesComposition checks the fused raise step against a
+// temporary AndNotInto and an Or, its change report, and aliasing of v
+// with a.
+func TestOrAndNotMatchesComposition(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{0, 1, 63, 64, 65, 300} {
+		for trial := 0; trial < 10; trial++ {
+			a := randomVec(rng, n, 0.5)
+			b := randomVec(rng, n, 0.5)
+			dst := randomVec(rng, n, 0.3)
+			tmp := New(n)
+			tmp.AndNotInto(a, b)
+			want := dst.Copy()
+			wantChanged := want.Or(tmp)
+
+			if got := dst.OrAndNot(a, b); got != wantChanged || !dst.Equal(want) {
+				t.Fatalf("n=%d: OrAndNot = %s changed %v, want %s changed %v", n, dst, got, want, wantChanged)
+			}
+			av := a.Copy()
+			av.OrAndNot(av, b)
+			if !av.Equal(a) {
+				t.Fatalf("n=%d aliased: got %s, want %s", n, av, a)
+			}
+		}
+	}
+}
+
 // TestAndNotOrIntoTrailingWord: gen bits beyond the logical length can
 // never appear (all constructors keep high bits clear), so the fused
 // kernel must preserve the trim invariant that Equal and IsZero rely

@@ -89,7 +89,9 @@ type sinkScratch struct {
 
 // applySink rewrites every block according to a solved delayability
 // system. changed, when non-nil, is called once per block whose
-// statement list was altered.
+// statement list was altered. It examines only the blocks the solve
+// may have unsettled (DelayResult.NeedsScan); every other block is
+// stable, and only its fuse events are recorded.
 //
 // Multiple instances inserted at the same block boundary are ordered
 // by the pattern's first occurrence in the pre-sink program, not by
@@ -107,7 +109,23 @@ func applySink(g *cfg.Graph, fp *analysis.Footprints, delay *analysis.DelayResul
 	rank := occurrenceRanks(g, fp)
 	var sc sinkScratch
 	nIns, xIns := bitvec.New(pt.Len()), bitvec.New(pt.Len())
+	// A stable block keeps every candidate in place: each one fuses.
+	// Fuse events go in ascending pattern order (not Cands order) to
+	// keep trace order identical across drivers, whether the block was
+	// examined or skipped.
+	fuseAll := func(n *cfg.Node) {
+		if tr != nil {
+			locals.LocDelayed[n.ID].ForEach(func(pi int) {
+				p := pt.Pattern(pi)
+				tr.Record(obs.KindFuse, n.Label, string(p.LHS), p.String())
+			})
+		}
+	}
 	for _, n := range g.Nodes() {
+		if !delay.NeedsScan(n.ID) {
+			fuseAll(n)
+			continue
+		}
 		// A block that delays nothing has no candidates and no
 		// insertions: it is untouched and emits no trace events.
 		if len(locals.Cands[n.ID]) == 0 && delay.NDelayed[n.ID].IsZero() && delay.XDelayed[n.ID].IsZero() {
@@ -119,16 +137,10 @@ func applySink(g *cfg.Graph, fp *analysis.Footprints, delay *analysis.DelayResul
 		// Section 5.4's stability condition: with N-INSERT = ∅ and
 		// X-INSERT = LOCDELAYED every candidate fuses (removal and
 		// exit-insertion cancel) and nothing is inserted, so the
-		// block stays as it is. Fuse events go in ascending pattern
-		// order (not Cands order) to keep trace order identical
-		// across drivers. Only the other blocks build the lists below.
+		// block stays as it is. Only the other blocks build the lists
+		// below.
 		if nIns.IsZero() && xIns.Equal(ld) {
-			if tr != nil {
-				ld.ForEach(func(pi int) {
-					p := pt.Pattern(pi)
-					tr.Record(obs.KindFuse, n.Label, string(p.LHS), p.String())
-				})
-			}
+			fuseAll(n)
 			continue
 		}
 

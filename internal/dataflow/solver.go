@@ -19,10 +19,12 @@
 // Beyond the one-shot Solve, the Solver type supports the fixpoint
 // driver's round structure: it owns its In/Out storage (one row slab
 // per side, reused across solves) and can re-solve incrementally after
-// a known set of blocks changed, re-seeding from the previous solution
-// instead of re-initializing the whole graph to top, and it reports
-// which nodes' values may have moved (Result.Touched) so callers can
-// confine their own follow-up work to that region.
+// a known set of blocks changed. Resolve raises the previous solution
+// only by the bits the changed blocks can newly produce, carried along
+// the flow past the blocks that kill them and the blocks that hold them
+// already, and descends from there to the new greatest fixpoint. It reports the nodes it visited
+// (Result.Touched), so callers can confine their own follow-up work to
+// them.
 //
 // One engine solves every block-level problem: a priority worklist
 // over the whole graph. Nodes drain in solve order (reverse postorder
@@ -116,13 +118,14 @@ type Result struct {
 	// block entry, Out at block exit, regardless of direction.
 	In, Out []*bitvec.Vector
 
-	// Touched, when non-nil, lists every node whose In or Out may
-	// differ from the previous solve's solution; values at all other
-	// nodes are bit-identical to before. It always includes the
-	// dirty nodes of the Resolve that produced it. A nil Touched
-	// means the solve gave no such guarantee (a full or cancelled
-	// solve) and every node must be treated as changed. The slice
-	// aliases solver scratch and is invalidated by the next solve.
+	// Touched, when non-nil, lists the nodes the Resolve that
+	// produced it seeded or re-queued: every dirty node and every node
+	// whose In or Out may differ from the previous solve's solution;
+	// values at all other nodes are bit-identical to before. A nil
+	// Touched means the solve gave no such guarantee (a full or
+	// cancelled solve) and every node must be treated as changed. The
+	// slice aliases solver scratch and is invalidated by the next
+	// solve.
 	Touched []cfg.NodeID
 
 	// Stats describes the solver run that produced this solution.
@@ -141,8 +144,8 @@ type SolverStats struct {
 	// entries.
 	MaxWorklistDepth int
 	// Seeded is the number of nodes placed on the initial worklist:
-	// all nodes for a full solve, only the affected region for an
-	// incremental one.
+	// all nodes for a full solve; for an incremental one the dirty
+	// nodes, the raised ones and their dependents.
 	Seeded int
 	// Pushes is the number of worklist insertions: the seeds plus
 	// every requeue caused by a changed solution value.
@@ -215,11 +218,10 @@ type Solver struct {
 	pos     []int32     // NodeID -> position in order; -1 if absent
 	forward bool
 
-	wl       prioWorklist
-	frontier []*cfg.Node  // scratch for Resolve's region BFS
-	affected []bool       // scratch for Resolve's region marking
-	touched  []cfg.NodeID // scratch backing Result.Touched
-	solved   bool
+	wl      prioWorklist
+	mark    []bool       // Resolve's scratch: nodes listed in touched
+	touched []cfg.NodeID // scratch backing Result.Touched
+	solved  bool
 
 	cancel  func() bool
 	metrics *obs.SolverMetrics
@@ -282,8 +284,8 @@ func NewSolverOn(g *cfg.Graph, p VectorProblem, in, out []*bitvec.Vector) *Solve
 		s.pos[node.ID] = int32(i)
 	}
 	s.wl.init(len(s.order))
-	s.affected = make([]bool, n)
-	s.frontier = make([]*cfg.Node, 0, len(s.order))
+	s.mark = make([]bool, n)
+	s.touched = make([]cfg.NodeID, 0, n)
 	return s
 }
 
@@ -314,31 +316,57 @@ func (s *Solver) Full() *Result {
 		s.wl.push(i)
 	}
 	s.res.Stats = SolverStats{Seeded: len(s.order), Pushes: len(s.order)}
-	s.run()
+	s.run(false)
 	s.solved = !s.res.Stats.Cancelled
 	s.flush(obs.SolveFull)
 	return &s.res
 }
 
-// Resolve re-solves after the blocks in dirty changed, reusing the
-// previous solution everywhere the change cannot reach.
+// Update brings dirty block n's transfer function up to date, where
+// its caller has not already done so, and writes into rise (overwriting
+// it) the block's rise mask: the bits its new transfer can produce that
+// its old one could not. For a gen/kill problem that is
 //
-// The affected region is the set of nodes whose solution value can
-// depend on a dirty block's content: for a backward problem the dirty
-// blocks and everything that reaches them (transitive predecessors),
-// for a forward problem the dirty blocks and everything they reach.
-// Values outside the region form a closed subsystem whose equations
-// did not change, so their old values are exactly the new greatest
-// fixpoint there; inside the region values restart from top, which
-// makes the descending iteration converge to the exact greatest
-// fixpoint of the updated system — byte-identical to a full solve.
-// Result.Touched lists the region: every node outside it kept its
-// previous In and Out bit for bit.
+//	rise(n) = (gen′(n) ∖ gen(n)) ∪ (kill(n) ∖ kill′(n))
+//
+// A superset of the mask is exact too, only slower; a subset is not.
+type Update func(n *cfg.Node, rise *bitvec.Vector)
+
+// Resolve re-solves after the blocks in dirty changed. It starts from
+// the previous greatest fixpoint S, raised only where the edits can
+// raise it.
+//
+// update, when non-nil, is called once per dirty block before anything
+// is read (see Update). From the rise masks Resolve computes P, the
+// least solution of
+//
+//	P(n) = (rise(n) ∪ (⋃_{m ∈ src(n)} P(m) ∖ kill′(n))) ∖ S(n)
+//
+// on the transfer side: the raised bits carried along the flow through
+// every block that does not kill them, as far as S lacks them. It ORs
+// P into S and seeds the dirty blocks, the raised blocks and their
+// dependents into the descending worklist run. S ∪ P satisfies every
+// new equation from above, and every solution T of the new system lies
+// below it: S ∪ (T ∖ P) solves the old system from below, so T ∖ P lies
+// within S. Each bit column is its own system, so the run ends exactly
+// on the new greatest fixpoint, bit for bit the solution Full computes.
+// A problem without gen/kill form, or a nil update, raises every bit
+// and kills none: the dirty blocks and everything that depends on them
+// restart from top.
+//
+// Result.Touched lists the nodes the run seeded or re-queued: every
+// other node was never visited and kept its previous In and Out bit for
+// bit.
 //
 // Resolve on an unsolved Solver falls back to Full. An empty dirty set
 // returns the previous solution untouched.
-func (s *Solver) Resolve(dirty []cfg.NodeID) *Result {
+func (s *Solver) Resolve(dirty []cfg.NodeID, update Update) *Result {
 	if !s.solved {
+		if update != nil {
+			for _, id := range dirty {
+				update(s.g.Node(id), s.tmp)
+			}
+		}
 		return s.Full()
 	}
 	if len(dirty) == 0 {
@@ -350,57 +378,135 @@ func (s *Solver) Resolve(dirty []cfg.NodeID) *Result {
 		return &s.res
 	}
 
-	// Mark the affected region by BFS against the flow direction of
-	// dependence: backward problems depend on successors, so a dirty
-	// node invalidates its transitive predecessors; forward dually.
-	clear(s.affected)
-	frontier := s.frontier[:0]
-	touched := s.touched[:0]
-	for _, id := range dirty {
-		if !s.affected[id] {
-			s.affected[id] = true
-			touched = append(touched, id)
-			frontier = append(frontier, s.g.Node(id))
+	s.res.Stats = SolverStats{}
+	s.raise(dirty, update)
+	for _, id := range s.touched {
+		if s.enqueue(id) {
+			s.res.Stats.Seeded++
 		}
 	}
-	for len(frontier) > 0 {
-		node := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		_, deps := s.flow(node)
-		for _, d := range deps {
-			if !s.affected[d.ID] {
-				s.affected[d.ID] = true
-				touched = append(touched, d.ID)
-				frontier = append(frontier, d)
-			}
-		}
-	}
-	s.touched = touched
-
-	// Re-initialize and seed only the affected region.
-	s.wl.clear()
-	seeded := 0
-	for i, node := range s.order {
-		if !s.affected[node.ID] {
-			continue
-		}
-		s.res.In[node.ID].CopyFrom(s.top)
-		s.res.Out[node.ID].CopyFrom(s.top)
-		s.wl.push(i)
-		seeded++
-	}
-	s.applyBoundary()
-	s.res.Stats = SolverStats{Seeded: seeded, Pushes: seeded}
-	s.run()
-	// Values outside the affected region provably kept their old
-	// bits; a cancelled run guarantees nothing.
-	s.res.Touched = touched
+	s.res.Stats.Pushes = s.res.Stats.Seeded
+	s.run(true)
+	s.res.Touched = s.touched
 	if s.res.Stats.Cancelled {
+		// A cancelled run guarantees nothing.
 		s.solved = false
 		s.res.Touched = nil
 	}
 	s.flush(obs.SolveIncremental)
 	return &s.res
+}
+
+// raise ORs P (see Resolve) into the transfer side of the previous
+// solution and lists in s.touched the nodes the run must seed: the
+// dirty ones and every dependent of a raised one. A listed node's meet
+// side collects the raised bits that reach it until the run, which
+// seeds it and meets its sources before reading it. A node the run
+// never meets into (the boundary node) receives none, so its rise is
+// lifted from s.tmp at once, after every other dirty node holds its
+// mask.
+func (s *Solver) raise(dirty []cfg.NodeID, update Update) {
+	clear(s.mark)
+	s.touched = s.touched[:0]
+	masked := update != nil && s.gk != nil
+	rise := func(n *cfg.Node, dst *bitvec.Vector) {
+		if update != nil {
+			update(n, dst)
+		}
+		if !masked {
+			dst.SetAll()
+		}
+		s.res.Stats.VecOps++
+	}
+	for _, id := range dirty {
+		if n := s.g.Node(id); !s.mark[id] && s.hasMeet(n) {
+			s.list(id)
+			rise(n, s.meet[id])
+			s.enqueue(id)
+		}
+	}
+	for _, id := range dirty {
+		if n := s.g.Node(id); !s.mark[id] {
+			s.list(id)
+			rise(n, s.tmp)
+			s.lift(n, s.tmp, masked)
+		}
+	}
+	for scan := 0; s.wl.size > 0; {
+		pos := s.wl.pop(scan)
+		if pos < 0 {
+			pos = s.wl.pop(0)
+		}
+		scan = pos + 1
+		n := s.order[pos]
+		s.lift(n, s.meet[n.ID], masked)
+	}
+}
+
+// lift ORs p, the raised bits that reached node n, into n's transfer
+// side and carries the ones it lacked into its dependents' meet sides,
+// past the bits each one kills, queueing every dependent that grew. An
+// unmasked raise carries all of p, which is all ones, and kills none:
+// a transfer without gen/kill form can turn one raised bit into
+// another, so a bit n holds already must still flow on.
+func (s *Solver) lift(n *cfg.Node, p *bitvec.Vector, masked bool) {
+	st := &s.res.Stats
+	x := s.xfer[n.ID]
+	if masked {
+		s.tmp.AndNotInto(p, x)
+		p = s.tmp
+		st.VecOps++
+	}
+	st.VecOps++
+	if p.IsZero() {
+		return
+	}
+	x.Or(p)
+	st.VecOps++
+	_, deps := s.flow(n)
+	for _, d := range deps {
+		if !s.hasMeet(d) {
+			continue
+		}
+		m := s.meet[d.ID]
+		if !s.mark[d.ID] {
+			s.list(d.ID)
+			m.ClearAll()
+			st.VecOps++
+		}
+		var grew bool
+		if masked {
+			_, kill := s.gk.GenKill(d)
+			grew = m.OrAndNot(p, kill)
+		} else {
+			grew = m.Or(p)
+		}
+		st.VecOps++
+		if grew {
+			s.enqueue(d.ID)
+		}
+	}
+}
+
+// hasMeet reports whether run meets n's sources into its meet side:
+// n is in the solve order, has sources, and is not the boundary node,
+// whose meet side is fixed.
+func (s *Solver) hasMeet(n *cfg.Node) bool {
+	srcs, _ := s.flow(n)
+	return s.pos[n.ID] >= 0 && n != s.bnode && len(srcs) > 0
+}
+
+// list adds id to the nodes an incremental solve reports as touched.
+func (s *Solver) list(id cfg.NodeID) {
+	s.mark[id] = true
+	s.touched = append(s.touched, id)
+}
+
+// enqueue puts id on the worklist and reports whether it was not there
+// already. A node outside the solve order is never queued.
+func (s *Solver) enqueue(id cfg.NodeID) bool {
+	pp := s.pos[id]
+	return pp >= 0 && s.wl.push(int(pp))
 }
 
 func (s *Solver) applyBoundary() {
@@ -412,8 +518,8 @@ func (s *Solver) applyBoundary() {
 // position at or after itself, so nodes drain in reverse postorder
 // (forward) or postorder (backward) and every cursor wraparound is one
 // complete round-robin sweep — the Passes statistic counts exactly
-// those sweeps.
-func (s *Solver) run() {
+// those sweeps. track lists every re-queued node in s.touched.
+func (s *Solver) run(track bool) {
 	res := &s.res
 	p := s.p
 	meet, xfer := s.meet, s.xfer
@@ -436,10 +542,13 @@ func (s *Solver) run() {
 		}
 	}
 	pushDep := func(id cfg.NodeID) {
-		if pp := s.pos[id]; pp >= 0 && s.wl.push(int(pp)) {
+		if s.enqueue(id) {
 			pushes++
 			if s.wl.size > maxDepth {
 				maxDepth = s.wl.size
+			}
+			if track && !s.mark[id] {
+				s.list(id)
 			}
 		}
 	}

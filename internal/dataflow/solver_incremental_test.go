@@ -134,18 +134,205 @@ func requireTouchedCovers(t *testing.T, g *cfg.Graph, got *Result, beforeIn, bef
 	return movedElsewhere
 }
 
+// gkRise snapshots p's gen and kill rows at the given blocks and
+// returns an Update writing each block's rise mask against that
+// snapshot. Take it before editing the blocks.
+func gkRise(p *gkProblem, dirty []cfg.NodeID) Update {
+	oldGen := map[cfg.NodeID]*bitvec.Vector{}
+	oldKill := map[cfg.NodeID]*bitvec.Vector{}
+	for _, id := range dirty {
+		oldGen[id], oldKill[id] = p.gen[id].Copy(), p.kill[id].Copy()
+	}
+	return func(n *cfg.Node, rise *bitvec.Vector) {
+		rise.AndNotInto(oldKill[n.ID], p.kill[n.ID])
+		rise.OrAndNot(p.gen[n.ID], oldGen[n.ID])
+	}
+}
+
+// flip toggles bit b of v.
+func flip(v *bitvec.Vector, b int) {
+	if v.Get(b) {
+		v.Clear(b)
+	} else {
+		v.Set(b)
+	}
+}
+
+// checkResolve re-solves s after its dirty blocks changed and checks
+// the result against a Full solve of p, bit for bit, and against the
+// Touched contract. It returns the Touched set.
+func checkResolve(t *testing.T, g *cfg.Graph, s *Solver, p VectorProblem, dirty []cfg.NodeID, update Update, ctx string) []cfg.NodeID {
+	t.Helper()
+	beforeIn, beforeOut := snapshotSolution(g, s.Result())
+	got := s.Resolve(dirty, update)
+	requireSameSolution(t, g, got, Solve(g, p), ctx)
+	requireTouchedCovers(t, g, got, beforeIn, beforeOut, dirty, ctx)
+	return got.Touched
+}
+
+// spared counts the nodes a region restart would have re-solved — the
+// dirty nodes and everything whose value depends on them — that are
+// not dirty and that the raise left unvisited (outside touched).
+func spared(g *cfg.Graph, dir Direction, dirty, touched []cfg.NodeID) int {
+	in := make([]bool, g.NumNodes())
+	for _, id := range touched {
+		in[id] = true
+	}
+	region := make([]bool, g.NumNodes())
+	stack := append([]cfg.NodeID(nil), dirty...)
+	for _, id := range dirty {
+		region[id] = true
+		in[id] = true // a dirty node is not a spared one
+	}
+	n := 0
+	for len(stack) > 0 {
+		node := g.Node(stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+		deps := node.Succs()
+		if dir == Backward {
+			deps = node.Preds()
+		}
+		for _, d := range deps {
+			if !region[d.ID] {
+				region[d.ID] = true
+				stack = append(stack, d.ID)
+				if !in[d.ID] {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// resolveGKSteps edits a random gen/kill problem on g steps times, at
+// up to maxDirty random blocks per step (the first step also at the
+// start and end blocks). Each edited block flips a few random bits of
+// gen and of kill, raising and lowering both. Every Resolve is checked
+// by checkResolve. It returns the total count of spared nodes: the
+// reuse the raise adds over restarting the dirty blocks' region.
+func resolveGKSteps(t *testing.T, g *cfg.Graph, dir Direction, seed int64, steps, maxDirty int) int {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	p := randomGK(g, rng, dir, 96, 0.1, 0.2)
+	s := NewSolver(g, p)
+	s.Full()
+	nodes := g.Nodes()
+	total := 0
+	for step := 0; step < steps; step++ {
+		var dirty []cfg.NodeID
+		if step == 0 {
+			dirty = append(dirty, g.Start.ID, g.End.ID)
+		}
+		for k := 1 + rng.Intn(maxDirty); k > 0; k-- {
+			dirty = append(dirty, nodes[rng.Intn(len(nodes))].ID)
+		}
+		update := gkRise(p, dirty)
+		for _, id := range dirty {
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				flip(p.gen[id], rng.Intn(p.bits))
+				flip(p.kill[id], rng.Intn(p.bits))
+			}
+		}
+		ctx := fmt.Sprintf("%s step %d (dirty %v)", g.Name, step, dirty)
+		touched := checkResolve(t, g, s, p, dirty, update, ctx)
+		total += spared(g, dir, dirty, touched)
+	}
+	return total
+}
+
+// FuzzResolve checks Resolve against Full on problems and edit
+// sequences the input picks. Its first five bytes pick a small progen
+// graph (seed, size, shape), the direction, the width and the density
+// of the gen/kill rows. The rest is a sequence of steps: a header byte
+// (its low two bits are the step's edit count less one, its next bit
+// passes no update, so every bit is raised), then three bytes per edit
+// (block, bit, and whether to flip the gen or the kill bit). Every
+// Resolve must equal a Full solve bit for bit and keep the Touched
+// contract.
+func FuzzResolve(f *testing.F) {
+	f.Add([]byte{1, 40, 0, 1, 64, 0, 3, 0, 1, 5, 2, 7, 0})
+	f.Add([]byte{7, 90, 1, 0, 130, 3, 1, 4, 9, 1, 12, 3, 0, 4, 2, 7, 0, 3, 33, 1})
+	f.Add([]byte{3, 20, 1, 1, 1, 7, 0, 0, 0, 0, 0, 1, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		params := progen.Params{Seed: int64(data[0]), Stmts: 5 + int(data[1])%80, Irreducible: data[2]&1 == 1}
+		dir := Direction(data[3] & 1)
+		bits := 1 + int(data[4])%150
+		g := progen.Generate(params)
+		rng := rand.New(rand.NewSource(int64(data[4])))
+		density := float64(data[3]>>1&7) / 8
+		p := randomGK(g, rng, dir, bits, density, density)
+		s := NewSolver(g, p)
+		s.Full()
+		nodes := g.Nodes()
+		data = data[5:]
+		for step := 0; len(data) > 0 && step < 32; step++ {
+			head := data[0]
+			data = data[1:]
+			var dirty []cfg.NodeID
+			var edits [][3]byte
+			for k := int(head&3) + 1; k > 0 && len(data) >= 3; k-- {
+				edits = append(edits, [3]byte{data[0], data[1], data[2]})
+				dirty = append(dirty, nodes[int(data[0])%len(nodes)].ID)
+				data = data[3:]
+			}
+			update := gkRise(p, dirty)
+			if head&4 != 0 {
+				update = nil
+			}
+			for i, e := range edits {
+				row := p.gen[dirty[i]]
+				if e[2]&1 == 1 {
+					row = p.kill[dirty[i]]
+				}
+				flip(row, int(e[1])%bits)
+			}
+			checkResolve(t, g, s, p, dirty, update, fmt.Sprintf("%s %s step %d (dirty %v)", g.Name, dirName(dir), step, dirty))
+		}
+	})
+}
+
+func dirName(dir Direction) string {
+	if dir == Forward {
+		return "forward"
+	}
+	return "backward"
+}
+
+// gkShapes are the progen graph shapes the gen/kill re-solve tests run
+// on: structured (reducible) and with cross edges (irreducible).
+var gkShapes = []struct {
+	name        string
+	irreducible bool
+}{{"structured", false}, {"irreducible", true}}
+
 // TestResolveMatchesFullSolve mutates every node's transfer rules in
-// turn and checks that re-seeding only the dirty node's affected region
+// turn and checks that re-solving from the previous solution
 // reproduces the from-scratch greatest fixpoint exactly, in both
 // directions, and that Result.Touched covers every dirty node and
-// every node whose value moved.
+// every node whose value moved: first for a problem without gen/kill
+// form (every bit raised), then for gen/kill problems whose edits
+// raise and lower gen and kill at several blocks per step, on
+// reducible and irreducible graphs. There the raise must also leave
+// some node of the dirty blocks' region unvisited.
 func TestResolveMatchesFullSolve(t *testing.T) {
 	for _, dir := range []Direction{Backward, Forward} {
-		name := "backward"
-		if dir == Forward {
-			name = "forward"
+		for _, shape := range gkShapes {
+			t.Run("gen-kill/"+dirName(dir)+"/"+shape.name, func(t *testing.T) {
+				g := progen.Generate(progen.Params{Seed: 5, Stmts: 150, Irreducible: shape.irreducible})
+				n := resolveGKSteps(t, g, dir, 5, 12, 4)
+				t.Logf("%d nodes, %d spared over 12 re-solves", g.NumNodes(), n)
+				if n == 0 {
+					t.Error("every re-solve visited the whole region of its dirty blocks; the raise reused nothing")
+				}
+			})
 		}
-		t.Run(name, func(t *testing.T) {
+	}
+	for _, dir := range []Direction{Backward, Forward} {
+		t.Run(dirName(dir), func(t *testing.T) {
 			g := incrementalTestGraph(t)
 			prob := &mutProblem{
 				dir:  dir,
@@ -180,7 +367,7 @@ func TestResolveMatchesFullSolve(t *testing.T) {
 
 				ctx := fmt.Sprintf("after mutating %s", m.label)
 				beforeIn, beforeOut := snapshotSolution(g, inc.Result())
-				got := inc.Resolve(dirty)
+				got := inc.Resolve(dirty, nil)
 				want := Solve(g, prob)
 				requireSameSolution(t, g, got, want, ctx)
 				movedElsewhere += requireTouchedCovers(t, g, got, beforeIn, beforeOut, dirty, ctx)
@@ -201,7 +388,7 @@ func TestResolveEmptyDirtyIsCached(t *testing.T) {
 	full := s.Full()
 	visits := full.Stats.NodeVisits
 
-	again := s.Resolve(nil)
+	again := s.Resolve(nil, nil)
 	if again.Stats.NodeVisits != 0 || again.Stats.Seeded != 0 {
 		t.Errorf("empty resolve did work: %+v", again.Stats)
 	}
@@ -222,7 +409,7 @@ func TestResolveOnUnsolvedFallsBackToFull(t *testing.T) {
 	prob := &mutProblem{dir: Forward, bits: 2, set: map[string]uint{"b": 1}, clr: map[string]uint{"l2": 2}}
 	s := NewSolver(g, prob)
 	n, _ := g.NodeByLabel("h")
-	got := s.Resolve([]cfg.NodeID{n.ID})
+	got := s.Resolve([]cfg.NodeID{n.ID}, nil)
 	want := Solve(g, prob)
 	requireSameSolution(t, g, got, want, "first resolve")
 }
@@ -254,10 +441,19 @@ func TestResolveRepeatedMutationsConverge(t *testing.T) {
 		}
 		ctx := fmt.Sprintf("step %d", step)
 		beforeIn, beforeOut := snapshotSolution(g, s.Result())
-		got := s.Resolve(dirty)
+		got := s.Resolve(dirty, nil)
 		want := Solve(g, prob)
 		requireSameSolution(t, g, got, want, ctx)
 		requireTouchedCovers(t, g, got, beforeIn, beforeOut, dirty, ctx)
+	}
+
+	// The same access pattern on gen/kill problems, where each
+	// re-solve raises only the dirty blocks' rise masks.
+	for _, dir := range []Direction{Backward, Forward} {
+		for i, shape := range gkShapes {
+			g := progen.Generate(progen.Params{Seed: int64(20 + i), Stmts: 200, Irreducible: shape.irreducible})
+			resolveGKSteps(t, g, dir, int64(20+i), 60, 6)
+		}
 	}
 }
 
@@ -297,7 +493,7 @@ func TestCancellationDiscards(t *testing.T) {
 		t.Error("cancelled full solve claims a Touched guarantee")
 	}
 	armed = false
-	res = s.Resolve(nil)
+	res = s.Resolve(nil, nil)
 	if res.Stats.Cancelled || res.Touched != nil {
 		t.Fatalf("re-solve after a cancelled full solve reused it (cancelled=%v, touched=%v)", res.Stats.Cancelled, res.Touched)
 	}
@@ -309,7 +505,7 @@ func TestCancellationDiscards(t *testing.T) {
 	p.gen[start].Set(5)
 	p.gen[start].Set(77)
 	arm()
-	res = s.Resolve([]cfg.NodeID{start})
+	res = s.Resolve([]cfg.NodeID{start}, nil)
 	if !res.Stats.Cancelled {
 		t.Fatal("cancel hook ignored by an incremental solve")
 	}
@@ -319,7 +515,7 @@ func TestCancellationDiscards(t *testing.T) {
 	armed = false
 	end := g.End.ID
 	p.kill[end].Set(9)
-	res = s.Resolve([]cfg.NodeID{end})
+	res = s.Resolve([]cfg.NodeID{end}, nil)
 	if res.Stats.Cancelled || res.Touched != nil {
 		t.Fatalf("re-solve after a cancelled incremental solve reused it (cancelled=%v, touched=%v)", res.Stats.Cancelled, res.Touched)
 	}

@@ -45,8 +45,8 @@ const (
 	// SolveFull is a from-scratch solve: every node re-initialized
 	// to top and seeded.
 	SolveFull SolveKind = iota
-	// SolveIncremental is an affected-region re-solve seeded from a
-	// previous solution plus a dirty set.
+	// SolveIncremental is a re-solve seeded from a previous solution
+	// plus a dirty set.
 	SolveIncremental
 )
 
@@ -96,8 +96,8 @@ type SolveCost struct {
 //
 // Seeded/Seedable accumulate into the incremental-reuse hit rate: a
 // full solve seeds everything (no reuse), an incremental solve seeds
-// only the affected region (the rest of the previous solution was
-// reused verbatim).
+// only the dirty nodes, the raised ones and their dependents (the rest
+// of the previous solution was reused verbatim).
 func (m *SolverMetrics) RecordSolve(kind SolveKind, c SolveCost) {
 	if m == nil {
 		return
@@ -183,8 +183,8 @@ func (m *SolverMetrics) Snapshot() SolverSnapshot {
 // analysis's SolverMetrics.
 type SolverSnapshot struct {
 	// Solves is the total number of Solve calls, split into
-	// FullSolves (from scratch), IncrementalSolves (affected-region
-	// re-solves), and CacheHits (answered from the cached previous
+	// FullSolves (from scratch), IncrementalSolves (re-solves from
+	// the previous solution), and CacheHits (answered from the cached previous
 	// solution without touching the worklist). CancelledSolves counts
 	// solves the watchdog interrupted; their partial results were
 	// discarded.
