@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race bench bench-json fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-module ci
+.PHONY: all build fmt vet test race test-386 bench bench-json fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-module ci
 
 all: build
 
@@ -19,6 +19,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# 32-bit run of the packages whose obs.Count fields are bumped: an
+# atomic operation on a Count that is not 8-byte aligned panics on 386.
+test-386:
+	GOARCH=386 $(GO) test ./internal/obs ./internal/dataflow ./internal/analysis ./internal/core ./internal/server ./internal/batch .
 
 # One pass over the scaling benchmark, the bit-vector kernels, a warm
 # pdced hit through the handler and a warm Client.Optimize round trip:
@@ -158,8 +163,9 @@ bench-module:
 # under the race detector (includes the incremental-vs-reference
 # equivalence property tests, the batch pipeline and fault-injection
 # tests, the allocation budget guard, and the two goldens that pin the
-# paper's clock-free claims and the driver's work), a benchmark smoke
+# paper's clock-free claims and the driver's work), the 32-bit run of
+# the packages that bump obs.Count fields, a benchmark smoke
 # pass, the containment fuzz smoke, the telemetry, serving, tracing,
 # chaos, and store smokes, the docs drift guard, and the benchmark
 # module's vet and tests.
-ci: fmt vet build race bench fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-module
+ci: fmt vet build race test-386 bench fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-module

@@ -65,11 +65,10 @@ func BenchmarkFig13(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := fig.Graph()
-	pt := g.CollectPatterns()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.ComputeLocals(g, pt)
+		analysis.ComputeLocals(g)
 	}
 }
 
@@ -127,11 +126,10 @@ func BenchmarkTable2Delayability(b *testing.B) {
 	for _, n := range benchSizes {
 		g := scaledProgram(n)
 		cfg.SplitCriticalEdges(g)
-		pt := g.CollectPatterns()
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				analysis.Delayability(g, pt)
+				analysis.Delayability(g)
 			}
 		})
 	}

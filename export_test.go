@@ -10,3 +10,6 @@ var (
 func (p *Pool) AffinityKey(name, source string, o RequestOptions) string {
 	return p.affinityKey(name, source, o)
 }
+
+// Home is the base URL of the replica the ring makes key's home.
+func (p *Pool) Home(key string) string { return p.candidates(key)[0].base }

@@ -299,16 +299,18 @@ edge s 1
 edge 1 2
 edge 2 e
 `)
-	pt := g.CollectPatterns()
-	l := ComputeLocals(g, pt)
+	l := ComputeLocals(g)
+	pt := l.Patterns
 	n1 := mustNode(t, g, "1")
 
-	cands := l.SinkingCandidates(n1)
-	if len(cands) != 1 {
-		t.Fatalf("candidates = %v, want exactly the trailing a := d", cands)
-	}
-	if cands[0].Pattern.String() != "a := d" || cands[0].StmtIndex != 4 {
-		t.Errorf("candidate = %+v", cands[0])
+	for pi := 0; pi < pt.Len(); pi++ {
+		want := -1
+		if pt.Pattern(pi).String() == "a := d" {
+			want = 4
+		}
+		if got := l.Candidate(n1.ID, pi); got != want {
+			t.Errorf("candidate of %s at statement %d, want %d: the trailing a := d is the only one", pt.Pattern(pi), got, want)
+		}
 	}
 
 	// y := a+b has no candidate: the last occurrence is blocked by
@@ -341,31 +343,11 @@ edge s 1
 edge 1 2
 edge 2 e
 `)
-	pt := g.CollectPatterns()
-	l := ComputeLocals(g, pt)
+	l := ComputeLocals(g)
 	n1 := mustNode(t, g, "1")
-	yab, _ := pt.Index(ir.Pattern{LHS: "y", RHS: "(a+b)"})
+	yab, _ := l.Patterns.Index(ir.Pattern{LHS: "y", RHS: "(a+b)"})
 	if got := l.Candidate(n1.ID, yab); got != 3 {
 		t.Errorf("candidate index = %d, want 3 (the last occurrence)", got)
-	}
-}
-
-func TestFirstBlockerIdx(t *testing.T) {
-	g := parser.MustParseCFG(`
-node 1 {
-  z := 1
-  out(x)
-  z := 2
-}
-edge s 1
-edge 1 e
-`)
-	pt := ir.NewPatternTable(0)
-	xab := pt.Add(ir.Assign{LHS: "x", RHS: ir.Add(ir.V("a"), ir.V("b"))})
-	l := ComputeLocals(g, pt)
-	n := mustNode(t, g, "1")
-	if got := l.FirstBlockerIdx(n, xab); got != 1 {
-		t.Errorf("FirstBlockerIdx = %d, want 1 (the out(x))", got)
 	}
 }
 
@@ -387,8 +369,8 @@ edge 3 5
 edge 4 5
 edge 5 e
 `)
-	pt := g.CollectPatterns()
-	r := Delayability(g, pt)
+	r := Delayability(g)
+	pt := r.Locals.Patterns
 	alpha, ok := pt.Index(ir.Pattern{LHS: "y", RHS: "(a+b)"})
 	if !ok {
 		t.Fatal("pattern missing")
@@ -431,9 +413,8 @@ func TestDelayabilityNoExitInsertAtBranchNodes(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		g := progen.Generate(progen.Params{Seed: seed, Stmts: 50, LoopProb: 0.2, BranchProb: 0.3})
 		cfg.SplitCriticalEdges(g)
-		pt := g.CollectPatterns()
-		r := Delayability(g, pt)
-		ni, xi := bitvec.New(pt.Len()), bitvec.New(pt.Len())
+		r := Delayability(g)
+		ni, xi := bitvec.New(r.Locals.Patterns.Len()), bitvec.New(r.Locals.Patterns.Len())
 		for _, n := range g.Nodes() {
 			r.Inserts(n, ni, xi)
 			if len(n.Succs()) > 1 && !xi.IsZero() {
@@ -451,7 +432,7 @@ node 1 { x := a+b; out(x) }
 edge s 1
 edge 1 e
 `)
-	r := Delayability(g, g.CollectPatterns())
+	r := Delayability(g)
 	if !r.Stable(g) {
 		t.Error("blocked-in-place program reported unstable")
 	}

@@ -68,49 +68,14 @@ func (l *Locals) Freeze(id cfg.NodeID) {
 }
 
 // ComputeLocals computes the local predicates of every block of g over
-// the pattern universe pt. It builds a PatternIndex internally; callers
-// that recompute locals repeatedly over the same universe should build
-// the index once and use its Locals/UpdateBlock methods.
-func ComputeLocals(g *cfg.Graph, pt *ir.PatternTable) *Locals {
+// the pattern universe of its statement index (NewFootprints), which
+// numbers patterns as g.CollectPatterns does. It builds a PatternIndex
+// internally; callers that recompute locals repeatedly over the same
+// universe should build the index once and use its Locals/UpdateBlock
+// methods.
+func ComputeLocals(g *cfg.Graph) *Locals {
+	fp := NewFootprints(g)
 	n := g.NumNodes()
-	rows := bitvec.Rows(2*n, pt.Len())
-	return NewPatternIndex(footprintsOf(g, pt)).Locals(g, rows[:n:n], rows[n:])
-}
-
-// SinkingCandidates returns, for presentation and tests, the candidate
-// occurrences of block n as (statement index, pattern) pairs in
-// statement order.
-func (l *Locals) SinkingCandidates(n *cfg.Node) []Candidate {
-	var out []Candidate
-	for _, c := range l.Cands[n.ID] {
-		out = append(out, Candidate{StmtIndex: int(c.Stmt), Pattern: l.Patterns.Pattern(int(c.Pat)), PatternIdx: int(c.Pat)})
-	}
-	// Order by statement position for stable output.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].StmtIndex < out[j-1].StmtIndex; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// Candidate is a sinking candidate occurrence.
-type Candidate struct {
-	StmtIndex  int
-	Pattern    ir.Pattern
-	PatternIdx int
-}
-
-// FirstBlockerIdx returns the statement index of the first instruction
-// of n that blocks pattern pi, or len(n.Stmts) if none does. The
-// sinking transformation inserts arriving instances of a pattern at
-// block entry when a blocker exists (N-INSERT); this helper supports
-// diagnostics explaining *why*.
-func (l *Locals) FirstBlockerIdx(n *cfg.Node, pi int) int {
-	for si, s := range n.Stmts {
-		if l.Patterns.BlocksIdx(s, pi) {
-			return si
-		}
-	}
-	return len(n.Stmts)
+	rows := bitvec.Rows(2*n, fp.Patterns.Len())
+	return NewPatternIndex(fp).Locals(g, rows[:n:n], rows[n:])
 }

@@ -6,7 +6,6 @@ import (
 	"pdce/internal/bitvec"
 	"pdce/internal/cfg"
 	"pdce/internal/dataflow"
-	"pdce/internal/ir"
 	"pdce/internal/obs"
 )
 
@@ -76,13 +75,15 @@ func (p *delayProblem) GenKill(n *cfg.Node) (gen, kill *bitvec.Vector) {
 	return p.locals.LocDelayed[n.ID], p.locals.LocBlocked[n.ID]
 }
 
-// Delayability solves Table 2 for graph g over pattern universe pt.
-// The graph is expected to have its critical edges already split; the
-// equations remain well-defined otherwise, but insertion points on
-// critical edges would then be unrepresentable (Section 2.1).
-func Delayability(g *cfg.Graph, pt *ir.PatternTable) *DelayResult {
+// Delayability solves Table 2 for graph g over the pattern universe of
+// its statement index (NewFootprints), which numbers patterns as
+// g.CollectPatterns does; Locals.Patterns holds it. The graph is
+// expected to have its critical edges already split; the equations
+// remain well-defined otherwise, but insertion points on critical edges
+// would then be unrepresentable (Section 2.1).
+func Delayability(g *cfg.Graph) *DelayResult {
 	// The result outlives the call, so its rows are its own.
-	return newDelaySolver(g, footprintsOf(g, pt), new(bitvec.Slab)).Solve(nil)
+	return newDelaySolver(g, NewFootprints(g), new(bitvec.Slab)).Solve(nil)
 }
 
 // Inserts writes block n's insertion predicates N-INSERT and X-INSERT

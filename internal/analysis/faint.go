@@ -195,7 +195,13 @@ func FaintVarsObserve(g *cfg.Graph, vars *ir.VarTable, metrics *obs.SolverMetric
 			}
 		}
 	}
-	metrics.RecordSlotSolve(r.SlotUpdates, pushes)
+	if metrics != nil {
+		// A full solve whose unit of work is the slot update.
+		metrics.Solves.Add(1)
+		metrics.FullSolves.Add(1)
+		metrics.SlotUpdates.Add(int64(r.SlotUpdates))
+		metrics.WorklistPushes.Add(int64(pushes))
+	}
 	return r
 }
 

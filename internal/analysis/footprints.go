@@ -153,32 +153,10 @@ func moveUses(e stmtFootprint, src, dst []int32) (stmtFootprint, []int32) {
 	return e, dst
 }
 
-// footprintsOf indexes g over a caller-built pattern table, which may
-// name variables g lacks: the variable universe adds them. Each
-// pattern's footprint is resolved through the variable table here;
-// blocks are resolved on first use.
-func footprintsOf(g *cfg.Graph, pt *ir.PatternTable) *Footprints {
-	fp := &Footprints{Vars: g.CollectVars(), Patterns: pt}
-	for pi := 0; pi < pt.Len(); pi++ {
-		a := pt.MakeAssign(pi)
-		fp.Vars.AddStmt(a)
-		var e stmtFootprint
-		e, fp.patUses = fp.lookup(a, int32(pi), fp.patUses)
-		fp.pats = append(fp.pats, e)
-	}
-	return fp
-}
-
 // block returns the resolved footprints of node, rebuilding them if the
 // block was rewritten.
 func (fp *Footprints) block(node *cfg.Node) *blockFootprint {
-	id := int(node.ID)
-	if id >= len(fp.blocks) {
-		grown := make([]blockFootprint, id+1+len(fp.blocks)/2)
-		copy(grown, fp.blocks)
-		fp.blocks = grown
-	}
-	c := &fp.blocks[id]
+	c := &fp.blocks[node.ID]
 	stmts := node.Stmts
 	if c.holds(stmts) {
 		return c
@@ -201,15 +179,15 @@ func (fp *Footprints) resolve(s ir.Stmt, info []stmtFootprint, uses []int32) ([]
 		p := fp.pats[pi]
 		e, uses = moveUses(p, fp.patUses[p.us:p.ue], uses)
 	} else {
-		e, uses = fp.lookup(s, -1, uses)
+		e, uses = fp.lookup(s, uses)
 	}
 	return append(info, e), uses
 }
 
-// lookup resolves statement s, of pattern pat, through the variable
-// table, appending its used variables to uses.
-func (fp *Footprints) lookup(s ir.Stmt, pat int32, uses []int32) (stmtFootprint, []int32) {
-	e := stmtFootprint{def: -1, pat: pat, us: int32(len(uses))}
+// lookup resolves statement s, which is no pattern's instance, through
+// the variable table, appending its used variables to uses.
+func (fp *Footprints) lookup(s ir.Stmt, uses []int32) (stmtFootprint, []int32) {
+	e := stmtFootprint{def: -1, pat: -1, us: int32(len(uses))}
 	if d, ok := ir.Def(s); ok {
 		e.def = int32(fp.Vars.MustIndex(d))
 	}
@@ -242,12 +220,7 @@ func (c *blockFootprint) setHead(stmts []ir.Stmt) {
 // block earlier) is left to lazy re-resolution: the sync is purely an
 // optimization.
 func (fp *Footprints) SyncRewrite(n *cfg.Node, old []ir.Stmt, ops []int32) {
-	id := int(n.ID)
-	if id >= len(fp.blocks) {
-		fp.block(n) // grows the table and resolves directly
-		return
-	}
-	c := &fp.blocks[id]
+	c := &fp.blocks[n.ID]
 	if !c.holds(old) {
 		return
 	}

@@ -75,7 +75,7 @@ func lookupFootprint(vars *ir.VarTable, pt *ir.PatternTable, s ir.Stmt) (def, pa
 func checkFootprints(t *testing.T, step string, g *cfg.Graph, fp *Footprints, synced bool) {
 	t.Helper()
 	for _, n := range g.Nodes() {
-		if held := int(n.ID) < len(fp.blocks) && fp.blocks[n.ID].holds(n.Stmts); !held && synced {
+		if !fp.blocks[n.ID].holds(n.Stmts) && synced {
 			t.Fatalf("%s: block %s left stale", step, n.Label)
 		}
 		c := fp.block(n)
@@ -146,8 +146,7 @@ func footprintPrograms(t *testing.T) map[string]*cfg.Graph {
 // TestFootprintsWalkMatchesCollect: the one-walk index numbers
 // variables and patterns exactly as CollectVars and CollectPatterns
 // do, and every statement's and pattern's footprint equals the one
-// table lookups give. The caller-built table's path (footprintsOf,
-// which resolves blocks lazily) is held to the same oracle.
+// table lookups give.
 func TestFootprintsWalkMatchesCollect(t *testing.T) {
 	for name, g := range footprintPrograms(t) {
 		cfg.SplitCriticalEdges(g)
@@ -171,10 +170,6 @@ func TestFootprintsWalkMatchesCollect(t *testing.T) {
 		}
 		checkPatternFootprints(t, name, fp)
 		checkFootprints(t, name, g, fp, true)
-
-		byTable := footprintsOf(g, pt)
-		checkPatternFootprints(t, name+" (caller-built table)", byTable)
-		checkFootprints(t, name+" (caller-built table)", g, byTable, false)
 	}
 }
 

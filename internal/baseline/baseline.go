@@ -190,8 +190,8 @@ func (p *unionDelayProblem) Transfer(n *cfg.Node, in, out *bitvec.Vector) {
 func UnionSinkOnce(g *cfg.Graph) Result {
 	out := g.Clone()
 	cfg.SplitCriticalEdges(out)
-	pt := out.CollectPatterns()
-	locals := analysis.ComputeLocals(out, pt)
+	locals := analysis.ComputeLocals(out)
+	pt := locals.Patterns
 	prob := &unionDelayProblem{locals: locals, bits: pt.Len()}
 	sol := dataflow.Solve(out, prob)
 

@@ -169,30 +169,34 @@ type PhaseEvent struct {
 	Graph *cfg.Graph
 }
 
-// Stats describes a full driver run.
+// Stats describes a full driver run. It is pdce.Stats, so its JSON
+// form is the "stats" object of pdced's replies and of -metrics-json.
 type Stats struct {
 	// Rounds is the number of eliminate+sink rounds executed
 	// (including the final round that confirmed stability) — the
 	// paper's iteration count r.
-	Rounds int
+	Rounds int `json:"rounds"`
 
 	// Eliminated is the total number of assignments removed by
-	// elimination steps; RemovedBySinking counts candidates whose
-	// removal was not matched by any insertion (they sank off the
-	// end of the program); Inserted counts materialized instances.
-	Eliminated    int
-	Inserted      int
-	SinkRemoved   int
-	CriticalEdges int
+	// elimination steps; SinkRemoved counts the sinking
+	// transformation's candidate removals and Inserted its
+	// materialized instances.
+	Eliminated  int `json:"eliminated"`
+	SinkRemoved int `json:"sink_removed"`
+	Inserted    int `json:"inserted"`
+	// CriticalEdges is the number of edges split up front.
+	CriticalEdges int `json:"critical_edges"`
 
 	// OriginalStmts, FinalStmts and PeakStmts track code size; the
 	// paper's growth factor w is PeakStmts/OriginalStmts
 	// (Section 6.2).
-	OriginalStmts, FinalStmts, PeakStmts int
+	OriginalStmts int `json:"original_stmts"`
+	FinalStmts    int `json:"final_stmts"`
+	PeakStmts     int `json:"peak_stmts"`
 
 	// Telemetry is the frozen observability snapshot of the run,
 	// non-nil exactly when Options.Collector was set.
-	Telemetry *obs.Telemetry
+	Telemetry *obs.Telemetry `json:"telemetry,omitempty"`
 }
 
 // GrowthFactor returns the paper's w: the maximal factor by which the
@@ -388,11 +392,11 @@ func runReference(out *cfg.Graph, opt Options, hot HotPredicate, st *Stats) (*cf
 			fr := analysis.FaintVarsObserve(out, out.CollectVars(), col.FaintMetrics())
 			return eliminateSolved(out, fr, hot, nil, tr), true
 		}
-		dr := analysis.DeadVars(out)
 		// The reference driver's solvers live for one phase, so every
 		// solve is a full one.
-		col.DeadMetrics().RecordSolve(obs.SolveFull, dr.Stats.Cost(out.NumNodes()))
-		return eliminateSolved(out, dr, hot, nil, tr), true
+		dead := analysis.NewElimSolver(out, analysis.NewFootprints(out), false)
+		dead.SetMetrics(col.DeadMetrics())
+		return eliminateSolved(out, dead.Solve(nil), hot, nil, tr), true
 	}
 	sink := func() (SinkStats, bool) {
 		return sinkObserved(out, hot, tr, col.DelayMetrics()), true

@@ -106,7 +106,7 @@ func applySink(g *cfg.Graph, fp *analysis.Footprints, delay *analysis.DelayResul
 	pt := fp.Patterns
 	locals := delay.Locals
 	var st SinkStats
-	rank := occurrenceRanks(g, fp)
+	var rank []int // occurrence ranks, walked at the round's first rewrite
 	var sc sinkScratch
 	nIns, xIns := bitvec.New(pt.Len()), bitvec.New(pt.Len())
 	// A stable block keeps every candidate in place: each one fuses.
@@ -169,6 +169,11 @@ func applySink(g *cfg.Graph, fp *analysis.Footprints, delay *analysis.DelayResul
 				sc.exitPatterns = append(sc.exitPatterns, pi)
 			}
 		})
+		if rank == nil {
+			// Every block before this one was skipped, empty or
+			// stable, so g is still the pre-sink program.
+			rank = occurrenceRanks(g, fp)
+		}
 		sortByRank(sc.entryPatterns, rank)
 		sortByRank(sc.exitPatterns, rank)
 
@@ -238,8 +243,9 @@ func applySink(g *cfg.Graph, fp *analysis.Footprints, delay *analysis.DelayResul
 // occurrence in g (node order, then statement order); patterns with no
 // occurrence get a rank past every real one. Insertions are sourced
 // from sinking candidates, so every inserted pattern has a real rank.
-// Lookups go through the statement index — this runs once per sinking
-// round over every statement of the program.
+// Lookups go through the statement index — this runs over every
+// statement of the program, once in each sinking round that rewrites a
+// block.
 func occurrenceRanks(g *cfg.Graph, fp *analysis.Footprints) []int {
 	rank := make([]int, fp.Patterns.Len())
 	for i := range rank {
@@ -277,6 +283,5 @@ func containsInt(xs []int, x int) bool {
 // SinkStable reports whether an assignment-sinking step would leave g
 // invariant — the paper's termination condition for ask.
 func SinkStable(g *cfg.Graph) bool {
-	pt := g.CollectPatterns()
-	return analysis.Delayability(g, pt).Stable(g)
+	return analysis.Delayability(g).Stable(g)
 }

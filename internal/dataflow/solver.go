@@ -162,23 +162,6 @@ type SolverStats struct {
 	Cancelled bool
 }
 
-// Cost converts the stats of one completed solve into the record
-// obs.SolverMetrics.RecordSolve accounts. seedable is the number of
-// nodes the solve could have seeded — the graph's node count — against
-// which Seeded measures incremental reuse.
-func (st SolverStats) Cost(seedable int) obs.SolveCost {
-	return obs.SolveCost{
-		Visits:           st.NodeVisits,
-		Pushes:           st.Pushes,
-		Passes:           st.Passes,
-		MaxWorklistDepth: st.MaxWorklistDepth,
-		Seeded:           st.Seeded,
-		Seedable:         seedable,
-		VecOps:           st.VecOps,
-		Cancelled:        st.Cancelled,
-	}
-}
-
 // Solve computes the fixpoint of p on g with a worklist algorithm.
 // Nodes drain in reverse postorder for forward problems and postorder
 // for backward problems, which makes single-pass convergence typical
@@ -235,13 +218,35 @@ type Solver struct {
 func (s *Solver) SetCancel(cancel func() bool) { s.cancel = cancel }
 
 // SetMetrics installs a telemetry sink that every subsequent solve
-// reports into (visits, pushes, passes, seeding, vector ops).
-// A nil sink — the default — keeps the solver silent.
+// adds its SolverStats to. A nil sink — the default — keeps the solver
+// silent.
 func (s *Solver) SetMetrics(m *obs.SolverMetrics) { s.metrics = m }
 
-// flush reports a completed solve to the metrics sink, if any.
-func (s *Solver) flush(kind obs.SolveKind) {
-	s.metrics.RecordSolve(kind, s.res.Stats.Cost(s.g.NumNodes()))
+// flush adds the solve that just ran to the metrics sink, if any, as a
+// full or an incremental one. Its seedable nodes, against which Seeded
+// measures reuse, are the graph's nodes.
+func (s *Solver) flush(incremental bool) {
+	m := s.metrics
+	if m == nil {
+		return
+	}
+	m.Solves.Add(1)
+	if incremental {
+		m.IncrementalSolves.Add(1)
+	} else {
+		m.FullSolves.Add(1)
+	}
+	st := &s.res.Stats
+	if st.Cancelled {
+		m.CancelledSolves.Add(1)
+	}
+	m.NodeVisits.Add(int64(st.NodeVisits))
+	m.WorklistPushes.Add(int64(st.Pushes))
+	m.Passes.Add(int64(st.Passes))
+	m.MaxWorklistDepth.Max(int64(st.MaxWorklistDepth))
+	m.SeededNodes.Add(int64(st.Seeded))
+	m.SeedableNodes.Add(int64(s.g.NumNodes()))
+	m.VectorOps.Add(int64(st.VecOps))
 }
 
 // cancelCheckStride is how many node visits pass between cancellation
@@ -318,7 +323,7 @@ func (s *Solver) Full() *Result {
 	s.res.Stats = SolverStats{Seeded: len(s.order), Pushes: len(s.order)}
 	s.run(false)
 	s.solved = !s.res.Stats.Cancelled
-	s.flush(obs.SolveFull)
+	s.flush(false)
 	return &s.res
 }
 
@@ -372,8 +377,11 @@ func (s *Solver) Resolve(dirty []cfg.NodeID, update Update) *Result {
 	if len(dirty) == 0 {
 		s.res.Stats = SolverStats{}
 		s.res.Touched = []cfg.NodeID{} // non-nil and empty: nothing moved
-		if s.metrics != nil {
-			s.metrics.RecordCacheHit()
+		if m := s.metrics; m != nil {
+			// Answered from the previous solution: no work, and no
+			// seedable node to count against reuse.
+			m.Solves.Add(1)
+			m.CacheHits.Add(1)
 		}
 		return &s.res
 	}
@@ -393,7 +401,7 @@ func (s *Solver) Resolve(dirty []cfg.NodeID, update Update) *Result {
 		s.solved = false
 		s.res.Touched = nil
 	}
-	s.flush(obs.SolveIncremental)
+	s.flush(true)
 	return &s.res
 }
 

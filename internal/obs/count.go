@@ -5,11 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// Count is one lifetime counter of a serving tier. A tier declares its
-// counters once, as the Count fields of the struct its /metrics section
-// encodes; the live holder keeps that struct, bumps its fields with
-// Add, and reads them out with Freeze. Count is an int64, so
-// encoding/json and WriteProm render it as they render any int64.
+// Count is one lifetime counter of a serving tier or a solver. A tier
+// declares its counters once, as the Count fields of the struct its
+// report (a /metrics section, a Telemetry entry) encodes; the live
+// holder keeps that struct, bumps its fields with Add (or raises a
+// high-water mark with Max), and reads them out with Freeze. Count is
+// an int64, so encoding/json and WriteProm render it as they render
+// any int64.
 //
 // As for any int64 used with sync/atomic, a Count must be 8-byte
 // aligned on 32-bit platforms, where the compiler aligns int64 to only
@@ -27,6 +29,12 @@ func (c *Count) Load() int64 { return atomic.LoadInt64((*int64)(c)) }
 
 // Store sets c to n atomically.
 func (c *Count) Store(n int64) { atomic.StoreInt64((*int64)(c), n) }
+
+// Max raises c to n atomically where n is larger.
+func (c *Count) Max(n int64) {
+	for cur := c.Load(); n > cur && !atomic.CompareAndSwapInt64((*int64)(c), cur, n); cur = c.Load() {
+	}
+}
 
 var countType = reflect.TypeFor[Count]()
 

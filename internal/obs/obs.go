@@ -3,29 +3,29 @@
 // core.Stats carries back to callers.
 //
 // The design constraint is that telemetry must cost nothing when it is
-// off. Every collection point in the pipeline goes through a nil-safe
-// method on a pointer type from this package — a nil *Collector, nil
-// *SolverMetrics, or nil *Trace turns the call into a single branch on
-// the receiver — so the hot path of an uninstrumented run is identical
-// to the pre-telemetry code. When a collector is installed, counters
-// are atomic (the batch pipeline shares option structs across worker
-// goroutines) and trace appends take a mutex (events from one run are
-// sequential anyway; the lock is for OptimizeAll callers that share a
-// collector, which is legal but attributes events to one stream).
+// off. A nil *Collector hands out nil sinks, every method of a nil
+// *Trace does nothing, and a solver holding a nil *SolverMetrics skips
+// its one add per solve, so the hot path of an uninstrumented run
+// differs from the pre-telemetry code by a branch per collection
+// point. When a collector is installed, counters are atomic (the batch
+// pipeline shares option structs across worker goroutines) and trace
+// appends take a mutex (events from one run are sequential anyway; the
+// lock is for OptimizeAll callers that share a collector, which is
+// legal but attributes events to one stream).
 //
-// Only those solve-path collectors (Collector, SolverMetrics, Trace)
-// and the request-trace layer (Span, TraceStore) are nil-safe. The
-// serving tiers' counters (ServerStats, StoreStats, ClientStats, and
-// the queue's and L1 cache's sections) are not: their owners always
-// build them. Each such counter is declared once, as a Count field of
-// the struct its /metrics section encodes, and read with Freeze.
+// Only the solve-path Collector and Trace and the request-trace layer
+// (Span, TraceStore) are nil-safe. Every counter, the solvers' and the
+// serving tiers' (ServerStats, StoreStats, ClientStats, and the
+// queue's and L1 cache's sections) alike, is declared once, as a Count
+// field of the struct its report encodes, and read with Freeze.
 //
 // Three layers:
 //
 //   - SolverMetrics — per-analysis counters (node visits, worklist
 //     pushes, solves by kind, incremental-reuse seeding, bit-vector
-//     ops, slot updates) fed by internal/dataflow and
-//     internal/analysis.
+//     ops, slot updates): the Count fields of SolverSnapshot, which
+//     internal/dataflow's Solver and the slotwise faint reference in
+//     internal/analysis add each finished solve to.
 //   - Trace — the provenance event stream: every eliminated
 //     assignment, every sinking-candidate removal, every materialized
 //     instance, recorded with round, phase, pattern, and block, fed by
@@ -35,144 +35,17 @@
 //     pdce.Report.
 package obs
 
-import "sync/atomic"
-
-// SolveKind classifies one fixpoint solve for the reuse accounting.
-type SolveKind int
-
-// Solve kinds.
-const (
-	// SolveFull is a from-scratch solve: every node re-initialized
-	// to top and seeded.
-	SolveFull SolveKind = iota
-	// SolveIncremental is a re-solve seeded from a previous solution
-	// plus a dirty set.
-	SolveIncremental
-)
-
 // SolverMetrics accumulates the cost counters of one analysis (delay,
-// dead, or faint) across a whole driver run. All methods are safe on a
-// nil receiver (they do nothing) and safe for concurrent use.
+// dead, or faint) across a whole driver run: the Count fields of its
+// embedded SolverSnapshot, added to in place (m.NodeVisits.Add(n)) as
+// each solve finishes. It is safe for concurrent use.
 type SolverMetrics struct {
-	solves            atomic.Int64
-	fullSolves        atomic.Int64
-	incrementalSolves atomic.Int64
-	cacheHits         atomic.Int64
-	cancelled         atomic.Int64
-
-	nodeVisits atomic.Int64
-	pushes     atomic.Int64
-	passes     atomic.Int64
-	maxDepth   atomic.Int64
-	seeded     atomic.Int64
-	seedable   atomic.Int64
-	vecOps     atomic.Int64
-
-	slotUpdates atomic.Int64
+	SolverSnapshot
 }
 
-// SolveCost carries the work counters of one completed fixpoint solve
-// into RecordSolve.
-type SolveCost struct {
-	// Visits counts block transfer evaluations; Pushes worklist
-	// insertions.
-	Visits, Pushes int
-	// Passes is the number of priority-order sweeps the worklist
-	// needed to converge (1 on acyclic and most structured graphs);
-	// MaxWorklistDepth the deepest the worklist ever got.
-	Passes, MaxWorklistDepth int
-	// Seeded/Seedable feed the incremental-reuse accounting: the
-	// nodes placed on the initial worklist against the nodes the
-	// solve could have seeded.
-	Seeded, Seedable int
-	// VecOps counts bulk bit-vector operations.
-	VecOps int
-	// Cancelled marks a watchdog-interrupted solve whose partial
-	// result was discarded.
-	Cancelled bool
-}
-
-// RecordSolve accounts one block-level fixpoint solve.
-//
-// Seeded/Seedable accumulate into the incremental-reuse hit rate: a
-// full solve seeds everything (no reuse), an incremental solve seeds
-// only the dirty nodes, the raised ones and their dependents (the rest
-// of the previous solution was reused verbatim).
-func (m *SolverMetrics) RecordSolve(kind SolveKind, c SolveCost) {
-	if m == nil {
-		return
-	}
-	m.solves.Add(1)
-	if kind == SolveIncremental {
-		m.incrementalSolves.Add(1)
-	} else {
-		m.fullSolves.Add(1)
-	}
-	if c.Cancelled {
-		m.cancelled.Add(1)
-	}
-	m.nodeVisits.Add(int64(c.Visits))
-	m.pushes.Add(int64(c.Pushes))
-	m.passes.Add(int64(c.Passes))
-	maxUpdate(&m.maxDepth, int64(c.MaxWorklistDepth))
-	m.seeded.Add(int64(c.Seeded))
-	m.seedable.Add(int64(c.Seedable))
-	m.vecOps.Add(int64(c.VecOps))
-}
-
-// maxUpdate raises an atomic counter to v if v is larger.
-func maxUpdate(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// RecordCacheHit accounts a solve that was answered entirely from the
-// cached previous solution (an empty dirty set): maximal reuse, zero
-// work.
-func (m *SolverMetrics) RecordCacheHit() {
-	if m == nil {
-		return
-	}
-	m.solves.Add(1)
-	m.cacheHits.Add(1)
-}
-
-// RecordSlotSolve accounts one slotwise faint-variable solve, whose
-// unit of work is the slot update rather than the block visit.
-func (m *SolverMetrics) RecordSlotSolve(slotUpdates, pushes int) {
-	if m == nil {
-		return
-	}
-	m.solves.Add(1)
-	m.fullSolves.Add(1)
-	m.slotUpdates.Add(int64(slotUpdates))
-	m.pushes.Add(int64(pushes))
-}
-
-// Snapshot freezes the counters into a plain serializable struct.
+// Snapshot freezes the counters and computes the reuse rate.
 func (m *SolverMetrics) Snapshot() SolverSnapshot {
-	if m == nil {
-		return SolverSnapshot{}
-	}
-	s := SolverSnapshot{
-		Solves:            m.solves.Load(),
-		FullSolves:        m.fullSolves.Load(),
-		IncrementalSolves: m.incrementalSolves.Load(),
-		CacheHits:         m.cacheHits.Load(),
-		CancelledSolves:   m.cancelled.Load(),
-		NodeVisits:        m.nodeVisits.Load(),
-		WorklistPushes:    m.pushes.Load(),
-		Passes:            m.passes.Load(),
-		MaxWorklistDepth:  m.maxDepth.Load(),
-		SeededNodes:       m.seeded.Load(),
-		SeedableNodes:     m.seedable.Load(),
-		VectorOps:         m.vecOps.Load(),
-		SlotUpdates:       m.slotUpdates.Load(),
-	}
+	s := Freeze(&m.SolverSnapshot)
 	if s.SeedableNodes > 0 {
 		s.ReuseRate = 1 - float64(s.SeededNodes)/float64(s.SeedableNodes)
 	}
@@ -180,7 +53,7 @@ func (m *SolverMetrics) Snapshot() SolverSnapshot {
 }
 
 // SolverSnapshot is the frozen, JSON-serializable form of one
-// analysis's SolverMetrics.
+// analysis's SolverMetrics, and the declaration of its counters.
 type SolverSnapshot struct {
 	// Solves is the total number of Solve calls, split into
 	// FullSolves (from scratch), IncrementalSolves (re-solves from
@@ -188,11 +61,11 @@ type SolverSnapshot struct {
 	// solution without touching the worklist). CancelledSolves counts
 	// solves the watchdog interrupted; their partial results were
 	// discarded.
-	Solves            int64 `json:"solves"`
-	FullSolves        int64 `json:"full_solves"`
-	IncrementalSolves int64 `json:"incremental_solves"`
-	CacheHits         int64 `json:"cache_hits"`
-	CancelledSolves   int64 `json:"cancelled_solves"`
+	Solves            Count `json:"solves"`
+	FullSolves        Count `json:"full_solves"`
+	IncrementalSolves Count `json:"incremental_solves"`
+	CacheHits         Count `json:"cache_hits"`
+	CancelledSolves   Count `json:"cancelled_solves"`
 
 	// NodeVisits counts block transfer evaluations, WorklistPushes
 	// worklist insertions (seeds plus requeues). Passes accumulates
@@ -202,25 +75,26 @@ type SolverSnapshot struct {
 	// the deepest any solve's worklist got — together they attribute
 	// RPO-vs-FIFO ordering gains. SeededNodes / SeedableNodes
 	// accumulate each solve's initial worklist against the graph
-	// size; ReuseRate = 1 - seeded/seedable is the fraction of node
-	// solutions carried over unrecomputed — 0 for a run of full
-	// solves, approaching 1 when incremental re-seeding pays.
-	NodeVisits       int64   `json:"node_visits"`
-	WorklistPushes   int64   `json:"worklist_pushes"`
-	Passes           int64   `json:"passes"`
-	MaxWorklistDepth int64   `json:"max_worklist_depth"`
-	SeededNodes      int64   `json:"seeded_nodes"`
-	SeedableNodes    int64   `json:"seedable_nodes"`
+	// size (a cache hit adds to neither); ReuseRate = 1 -
+	// seeded/seedable is the fraction of node solutions carried over
+	// unrecomputed — 0 for a run of full solves, approaching 1 when
+	// incremental re-seeding pays.
+	NodeVisits       Count   `json:"node_visits"`
+	WorklistPushes   Count   `json:"worklist_pushes"`
+	Passes           Count   `json:"passes"`
+	MaxWorklistDepth Count   `json:"max_worklist_depth"`
+	SeededNodes      Count   `json:"seeded_nodes"`
+	SeedableNodes    Count   `json:"seedable_nodes"`
 	ReuseRate        float64 `json:"reuse_rate"`
 
 	// VectorOps counts bulk bit-vector operations (meets, transfer
 	// copies, change tests) performed by the block-level solver.
-	VectorOps int64 `json:"vector_ops"`
+	VectorOps Count `json:"vector_ops"`
 
 	// SlotUpdates counts slot processings of the slotwise faint
 	// solver — the quantity Section 6.1.2 bounds by O(i·v). Only the
 	// from-scratch reference driver runs that solver.
-	SlotUpdates int64 `json:"slot_updates"`
+	SlotUpdates Count `json:"slot_updates"`
 }
 
 // Telemetry is the serializable observability section of a run,

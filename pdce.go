@@ -234,50 +234,10 @@ const (
 	EventFuse        = obs.KindFuse
 )
 
-// Stats reports what an optimization run did.
-type Stats struct {
-	// Rounds is the number of eliminate+sink rounds (the paper's r).
-	Rounds int `json:"rounds"`
-	// Eliminated counts assignments removed by elimination steps;
-	// SinkRemoved/Inserted count the sinking transformation's
-	// removals and materializations.
-	Eliminated  int `json:"eliminated"`
-	SinkRemoved int `json:"sink_removed"`
-	Inserted    int `json:"inserted"`
-	// CriticalEdges is the number of edges split up front.
-	CriticalEdges int `json:"critical_edges"`
-	// OriginalStmts/FinalStmts/PeakStmts track code size; the
-	// paper's growth factor w is PeakStmts/OriginalStmts.
-	OriginalStmts int `json:"original_stmts"`
-	FinalStmts    int `json:"final_stmts"`
-	PeakStmts     int `json:"peak_stmts"`
-
-	// Telemetry is present exactly when Options.Telemetry (or Trace)
-	// was set.
-	Telemetry *Telemetry `json:"telemetry,omitempty"`
-}
-
-// GrowthFactor returns the paper's w.
-func (s Stats) GrowthFactor() float64 {
-	if s.OriginalStmts == 0 {
-		return 1
-	}
-	return float64(s.PeakStmts) / float64(s.OriginalStmts)
-}
-
-func fromCoreStats(st core.Stats) Stats {
-	return Stats{
-		Rounds:        st.Rounds,
-		Eliminated:    st.Eliminated,
-		SinkRemoved:   st.SinkRemoved,
-		Inserted:      st.Inserted,
-		CriticalEdges: st.CriticalEdges,
-		OriginalStmts: st.OriginalStmts,
-		FinalStmts:    st.FinalStmts,
-		PeakStmts:     st.PeakStmts,
-		Telemetry:     st.Telemetry,
-	}
-}
+// Stats reports what an optimization run did: rounds, the statements
+// eliminated, sunk and inserted, code size, and (with Options.Telemetry
+// or Trace) the run's Telemetry. GrowthFactor is the paper's w.
+type Stats = core.Stats
 
 // coreOptions lowers the public options to the driver's.
 func (o Options) coreOptions() core.Options {
@@ -325,11 +285,11 @@ func (p *Program) Optimize(o Options) (*Program, Stats, error) {
 		if g != nil {
 			// Watchdog or rollback: the graph is the best correct
 			// partial result, surfaced alongside the error.
-			return &Program{g: g}, fromCoreStats(st), err
+			return &Program{g: g}, st, err
 		}
 		return nil, Stats{}, err
 	}
-	return &Program{g: g}, fromCoreStats(st), nil
+	return &Program{g: g}, st, nil
 }
 
 // BatchResult is the outcome of one program of an OptimizeAll batch.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -188,23 +189,57 @@ func TestPoolEjectedReplicaReadmitted(t *testing.T) {
 	}
 }
 
-// Killing a replica outright (closed listener) must stay invisible to
-// callers: every request completes via failover.
+// dropListener hands its connections to the HTTP server until killed
+// and from then on closes each one as it accepts it, so a killed
+// replica keeps its port and nothing else can answer on it.
+type dropListener struct {
+	net.Listener
+	killed atomic.Bool
+}
+
+func (l *dropListener) Accept() (net.Conn, error) {
+	for {
+		c, err := l.Listener.Accept()
+		if err != nil || !l.killed.Load() {
+			return c, err
+		}
+		c.Close()
+	}
+}
+
+// Killing a replica outright must stay invisible to callers: every
+// request completes via failover, and the killed replica is ejected.
+// Requests are sent until one has the killed replica as its home,
+// whatever ring the replicas' ports give, and the hedge waits out the
+// failed first try, so that try always counts against the replica.
 func TestPoolSurvivesReplicaKill(t *testing.T) {
 	_, aliveTS := newTestReplica(t)
-	_, deadTS := newTestReplica(t)
-	p, err := pdce.NewPool([]string{deadTS.URL, aliveTS.URL}, pdce.PoolOptions{ProbeInterval: -1, Seed: 3})
+	s, err := server.New(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadTS := httptest.NewUnstartedServer(s.Handler())
+	drop := &dropListener{Listener: deadTS.Listener}
+	deadTS.Listener = drop
+	deadTS.Start()
+	t.Cleanup(deadTS.Close)
+	p, err := pdce.NewPool([]string{deadTS.URL, aliveTS.URL}, pdce.PoolOptions{ProbeInterval: -1, Seed: 3, HedgeDelay: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	deadTS.Close()
+	drop.killed.Store(true)
 
-	for i := 0; i < 12; i++ {
-		src := fmt.Sprintf("x := a + b%d\nout(x)\n", i)
-		if _, _, err := p.Optimize(context.Background(), fmt.Sprintf("p%d", i), src, pdce.RequestOptions{}); err != nil {
+	homed := false
+	for i := 0; i < 64 && !homed; i++ {
+		name, src := fmt.Sprintf("p%d", i), fmt.Sprintf("x := a + b%d\nout(x)\n", i)
+		homed = p.Home(p.AffinityKey(name, src, pdce.RequestOptions{})) == deadTS.URL
+		if _, _, err := p.Optimize(context.Background(), name, src, pdce.RequestOptions{}); err != nil {
 			t.Fatalf("request %d saw the kill: %v", i, err)
 		}
+	}
+	if !homed {
+		t.Fatal("no request of 64 had the killed replica as its home")
 	}
 	if m := p.Members(); m[0].Healthy {
 		t.Fatal("killed replica still marked healthy")
