@@ -25,12 +25,13 @@ race:
 test-386:
 	GOARCH=386 $(GO) test ./internal/obs ./internal/dataflow ./internal/analysis ./internal/core ./internal/server ./internal/batch .
 
-# One pass over the scaling benchmark, the bit-vector kernels, a warm
-# pdced hit through the handler and a warm Client.Optimize round trip:
-# catches bit-rot in the benchmark harness and prints current numbers
-# without a full measurement run.
+# One pass over the scaling benchmark, the flow-graph parser, the
+# bit-vector kernels, a warm pdced hit through the handler and a warm
+# Client.Optimize round trip: catches bit-rot in the benchmark harness
+# and prints current numbers without a full measurement run.
 bench:
 	$(GO) test -run '^$$' -bench PDEScaling -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench ParseCFG -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench Kernels -benchtime 1x ./internal/bitvec
 	$(GO) test -run '^$$' -bench WarmHit -benchmem -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench ClientOptimizeWarm -benchmem -benchtime 1x .

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pdce/internal/core"
+	"pdce/internal/parser"
 	"pdce/internal/progen"
 )
 
@@ -40,5 +41,33 @@ func TestTransformAllocBudget(t *testing.T) {
 		if avg > budget {
 			t.Errorf("core.Transform (%v) allocated %.0f objects on the 1024-stmt program, budget %d", mode, avg, budget)
 		}
+	}
+}
+
+// TestParseAllocBudget guards the parser's allocation discipline:
+// ParseCFG of the 4096-statement generated program must stay within a
+// fixed allocation budget.
+//
+// The budget is ~1.2x the measured 14.4k allocations, since the parse
+// boxes each distinct variable once, carves block bodies and adjacency
+// from slabs, and keeps its token cursor on the stack (31.2k before
+// that). What remains is one object per ir.Binary, per boxed statement
+// and per block, which the budget counts; it trips on a return to one
+// ir.VarRef per occurrence, per-block statement appends or per-edge
+// adjacency growth.
+func TestParseAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement is slow")
+	}
+	src := progen.Generate(progen.Params{Seed: 42, Stmts: 4096}).Format()
+	const budget = 17_300
+
+	avg := testing.AllocsPerRun(3, func() {
+		if _, err := parser.ParseCFG(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > budget {
+		t.Errorf("parser.ParseCFG allocated %.0f objects on the 4096-stmt program, budget %d", avg, budget)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"pdce/internal/hoist"
 	"pdce/internal/interp"
 	"pdce/internal/lcm"
+	"pdce/internal/parser"
 	"pdce/internal/progen"
 	"pdce/internal/ssa"
 	"pdce/internal/verify"
@@ -130,6 +131,25 @@ func BenchmarkTable2Delayability(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				analysis.Delayability(g)
+			}
+		})
+	}
+}
+
+// --- Front end -----------------------------------------------------------
+
+// BenchmarkParseCFG parses the Format text of a generated program, the
+// step every library solve and every cold pdced request starts with.
+func BenchmarkParseCFG(b *testing.B) {
+	for _, n := range []int{1024, 4096} {
+		src := scaledProgram(n).Format()
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				if _, err := parser.ParseCFG(src); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

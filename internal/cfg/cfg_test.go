@@ -73,6 +73,95 @@ func TestAdjacency(t *testing.T) {
 	}
 }
 
+// adjacency renders every node's successor and predecessor labels.
+func adjacency(g *Graph) string {
+	var b strings.Builder
+	for _, n := range g.Nodes() {
+		b.WriteString(n.Label + " ->")
+		for _, s := range n.Succs() {
+			b.WriteString(" " + s.Label)
+		}
+		b.WriteString(" <-")
+		for _, p := range n.Preds() {
+			b.WriteString(" " + p.Label)
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// TestAddEdges: the bulk call gives the successor and predecessor
+// lists AddEdge gives one edge at a time, in the same order (a
+// branch's taken target stays first), also on top of existing edges;
+// it reports the first edge that duplicates an earlier or existing one
+// and then adds none; and every list it carves is capped at its own
+// length.
+func TestAddEdges(t *testing.T) {
+	build := func() (*Graph, []*Node) {
+		g := New("bulk")
+		a, b, c, d := g.AddNode("a"), g.AddNode("b"), g.AddNode("c"), g.AddNode("d")
+		a.Stmts = []ir.Stmt{ir.Branch{Cond: ir.V("x")}}
+		return g, []*Node{g.Start, a, b, c, d, g.End}
+	}
+	pairs := [][2]int{{0, 1}, {1, 3}, {1, 2}, {2, 4}, {3, 4}, {3, 3}, {4, 5}}
+	one, n1 := build()
+	for _, p := range pairs {
+		one.AddEdge(n1[p[0]], n1[p[1]])
+	}
+	for split := 0; split <= len(pairs); split++ {
+		bulk, n2 := build()
+		var edges []Edge
+		for i, p := range pairs {
+			if i < split {
+				bulk.AddEdge(n2[p[0]], n2[p[1]])
+			} else {
+				edges = append(edges, Edge{From: n2[p[0]], To: n2[p[1]]})
+			}
+		}
+		if dup := bulk.AddEdges(edges); dup != -1 {
+			t.Fatalf("split %d: AddEdges reported duplicate %d", split, dup)
+		}
+		if got, want := adjacency(bulk), adjacency(one); got != want {
+			t.Fatalf("split %d: AddEdges gave\n%s\nwant\n%s", split, got, want)
+		}
+		if a := n2[1]; a.Succs()[0] != n2[3] {
+			t.Fatalf("split %d: branch-taken target %s, want c", split, a.Succs()[0].Label)
+		}
+		if errs := Validate(bulk); len(errs) > 0 {
+			t.Fatalf("split %d: %v", split, errs)
+		}
+		for _, n := range bulk.Nodes() {
+			if cap(n.succs) != len(n.succs) || cap(n.preds) != len(n.preds) {
+				t.Fatalf("split %d: node %s: lists not capped at their length", split, n.Label)
+			}
+		}
+	}
+
+	g, n := build()
+	g.AddEdge(n[0], n[1])
+	before := adjacency(g)
+	for _, tc := range []struct {
+		name  string
+		edges [][2]int
+		want  int
+	}{
+		{"repeat within the call", [][2]int{{1, 2}, {2, 4}, {1, 2}, {4, 5}, {2, 4}}, 2},
+		{"repeat of an existing edge", [][2]int{{1, 2}, {0, 1}, {1, 2}}, 1},
+		{"repeated self-loop", [][2]int{{3, 3}, {3, 4}, {3, 3}}, 2},
+	} {
+		var edges []Edge
+		for _, p := range tc.edges {
+			edges = append(edges, Edge{From: n[p[0]], To: n[p[1]]})
+		}
+		if got := g.AddEdges(edges); got != tc.want {
+			t.Errorf("%s: AddEdges = %d, want %d", tc.name, got, tc.want)
+		}
+		if got := adjacency(g); got != before {
+			t.Errorf("%s: a refused call changed the graph:\n%s\nwant\n%s", tc.name, got, before)
+		}
+	}
+}
+
 func TestValidateAcceptsDiamond(t *testing.T) {
 	g, _, _, _, _ := diamond(t)
 	if errs := Validate(g); len(errs) > 0 {

@@ -118,6 +118,63 @@ func (g *Graph) AddEdge(a, b *Node) {
 	b.preds = append(b.preds, a)
 }
 
+// AddEdges appends the edges in order, as AddEdge would one at a time,
+// and carves every node's successor and predecessor list from one slab,
+// as Clone does: each list is capacity-capped at its own length, so a
+// later append reallocates it instead of writing into its neighbour's.
+// If an edge duplicates an existing or an earlier one, AddEdges adds
+// none and returns the index of the first such edge; otherwise it
+// returns -1. Every endpoint must be a node of g.
+func (g *Graph) AddEdges(edges []Edge) int {
+	// List k is node k/2's successors (k even) or predecessors (k
+	// odd): start[k] is where it begins in the slab, fill[k] where its
+	// next entry goes.
+	n := 2 * len(g.nodes)
+	start := make([]int, 2*n+1)
+	fill := start[n+1:]
+	for _, e := range edges {
+		start[2*e.From.ID]++
+		start[2*e.To.ID+1]++
+	}
+	total := 0
+	for k := 0; k < n; k++ {
+		m := g.nodes[k/2]
+		old := m.succs
+		if k%2 == 1 {
+			old = m.preds
+		}
+		size := start[k] + len(old)
+		start[k] = total
+		fill[k] = total + len(old)
+		total += size
+	}
+	start[n] = total
+	adj := make([]*Node, total)
+	for k := 0; k < n; k += 2 {
+		m := g.nodes[k/2]
+		copy(adj[start[k]:], m.succs)
+		copy(adj[start[k+1]:], m.preds)
+	}
+	for i, e := range edges {
+		from, to := 2*int(e.From.ID), 2*int(e.To.ID)+1
+		for _, s := range adj[start[from]:fill[from]] {
+			if s == e.To {
+				return i
+			}
+		}
+		adj[fill[from]] = e.To
+		fill[from]++
+		adj[fill[to]] = e.From
+		fill[to]++
+	}
+	for k := 0; k < n; k += 2 {
+		m := g.nodes[k/2]
+		m.succs = adj[start[k]:start[k+1]:start[k+1]]
+		m.preds = adj[start[k+1]:start[k+2]:start[k+2]]
+	}
+	return -1
+}
+
 // HasEdge reports whether an edge a->b exists.
 func (g *Graph) HasEdge(a, b *Node) bool {
 	for _, s := range a.succs {

@@ -6,62 +6,43 @@ import (
 	"pdce/internal/ir"
 )
 
-// tokens is the cursor both parsers read: the lexer and one token of
-// lookahead. The stream stops at end of input or at a lexical error.
-// No grammar rule accepts an error token, so the first error in the
-// source, lexical or syntactic, is the one reported.
-type tokens struct {
-	lx  lexer
-	tok Token // the next token
-}
-
-func newTokens(src string) *tokens {
-	t := &tokens{lx: lexer{src: src, line: 1, col: 1}}
-	t.tok = t.lx.scan()
-	return t
-}
-
-func (t *tokens) peek() Token { return t.tok }
-
-func (t *tokens) next() Token {
-	tok := t.tok
-	if tok.Kind != TokEOF && tok.Kind != TokError {
-		t.tok = t.lx.scan()
-	}
-	return tok
-}
-
 // errf returns a syntax error at tok, or tok's own error if it is an
 // error token.
 func (t *tokens) errf(tok Token, format string, args ...any) error {
 	if tok.Kind == TokError {
-		return &Error{Line: tok.Line, Col: tok.Col, Msg: tok.Text}
+		return errorAt(t.src, tok.Pos, tok.Text)
 	}
-	return &Error{Line: tok.Line, Col: tok.Col, Msg: fmt.Sprintf(format, args...)}
+	return errorAt(t.src, tok.Pos, fmt.Sprintf(format, args...))
 }
 
-func (t *tokens) expect(k TokKind) (Token, error) {
-	tok := t.next()
-	if tok.Kind != k {
-		return tok, t.errf(tok, "expected %s, found %s %q", k, tok.Kind, tok.Text)
+// expect consumes the next token, which must have kind k.
+func (t *tokens) expect(k TokKind) error {
+	if t.tok.Kind != k {
+		return t.errf(t.tok, "expected %s, found %s %q", k, t.tok.Kind, t.tok.Text)
 	}
-	return tok, nil
+	t.next()
+	return nil
 }
 
 // skipSemis consumes any separator tokens.
 func (t *tokens) skipSemis() {
-	for t.peek().Kind == TokSemi {
+	for t.tok.Kind == TokSemi {
 		t.next()
 	}
 }
 
 // accept consumes the next token if it has kind k.
 func (t *tokens) accept(k TokKind) bool {
-	if t.peek().Kind == k {
+	if t.tok.Kind == k {
 		t.next()
 		return true
 	}
 	return false
+}
+
+// isKeyword reports whether the next token is the identifier kw.
+func (t *tokens) isKeyword(kw string) bool {
+	return t.tok.Kind == TokIdent && t.tok.Text == kw
 }
 
 // Expression grammar (lowest to highest precedence):
@@ -79,13 +60,14 @@ func (t *tokens) parseExpr() (ir.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tok := t.peek(); tok.Kind == TokOp && isRelOp(tok.Text) {
+	if t.tok.Kind == TokOp && isRelOp(t.tok.Text) {
+		op := ir.Op(t.tok.Text)
 		t.next()
 		right, err := t.parseAdditive()
 		if err != nil {
 			return nil, err
 		}
-		return ir.Bin(ir.Op(tok.Text), left, right), nil
+		return ir.Bin(op, left, right), nil
 	}
 	return left, nil
 }
@@ -103,18 +85,16 @@ func (t *tokens) parseAdditive() (ir.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		tok := t.peek()
-		if tok.Kind != TokOp || (tok.Text != "+" && tok.Text != "-") {
-			return left, nil
-		}
+	for t.tok.Kind == TokOp && (t.tok.Text == "+" || t.tok.Text == "-") {
+		op := ir.Op(t.tok.Text)
 		t.next()
 		right, err := t.parseMultiplicative()
 		if err != nil {
 			return nil, err
 		}
-		left = ir.Bin(ir.Op(tok.Text), left, right)
+		left = ir.Bin(op, left, right)
 	}
+	return left, nil
 }
 
 func (t *tokens) parseMultiplicative() (ir.Expr, error) {
@@ -123,13 +103,12 @@ func (t *tokens) parseMultiplicative() (ir.Expr, error) {
 		return nil, err
 	}
 	for {
-		tok := t.peek()
 		var op ir.Op
 		switch {
-		case tok.Kind == TokStar:
+		case t.tok.Kind == TokStar:
 			op = ir.OpMul
-		case tok.Kind == TokOp && (tok.Text == "/" || tok.Text == "%"):
-			op = ir.Op(tok.Text)
+		case t.tok.Kind == TokOp && (t.tok.Text == "/" || t.tok.Text == "%"):
+			op = ir.Op(t.tok.Text)
 		default:
 			return left, nil
 		}
@@ -143,7 +122,7 @@ func (t *tokens) parseMultiplicative() (ir.Expr, error) {
 }
 
 func (t *tokens) parseUnary() (ir.Expr, error) {
-	if tok := t.peek(); tok.Kind == TokOp && tok.Text == "-" {
+	if t.tok.Kind == TokOp && t.tok.Text == "-" {
 		t.next()
 		x, err := t.parseUnary()
 		if err != nil {
@@ -159,23 +138,40 @@ func (t *tokens) parseUnary() (ir.Expr, error) {
 }
 
 func (t *tokens) parsePrimary() (ir.Expr, error) {
-	tok := t.next()
-	switch tok.Kind {
+	switch t.tok.Kind {
 	case TokInt:
-		return ir.C(tok.Int), nil
+		e := ir.C(t.tok.Int)
+		t.next()
+		return e, nil
 	case TokIdent:
-		return ir.V(ir.Var(tok.Text)), nil
+		e := t.varRef(t.tok.Text)
+		t.next()
+		return e, nil
 	case TokLParen:
+		t.next()
 		e, err := t.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := t.expect(TokRParen); err != nil {
+		if err := t.expect(TokRParen); err != nil {
 			return nil, err
 		}
 		return e, nil
 	}
-	return nil, t.errf(tok, "expected expression, found %s %q", tok.Kind, tok.Text)
+	return nil, t.errf(t.tok, "expected expression, found %s %q", t.tok.Kind, t.tok.Text)
+}
+
+// varRef returns the parse's one boxed reference to variable name.
+func (t *tokens) varRef(name string) ir.Expr {
+	e, ok := t.vars[name]
+	if !ok {
+		if t.vars == nil {
+			t.vars = make(map[string]ir.Expr)
+		}
+		e = ir.V(ir.Var(name))
+		t.vars[name] = e
+	}
+	return e
 }
 
 // ParseExpr parses a standalone expression (used by tests and tools).
@@ -187,8 +183,8 @@ func ParseExpr(src string) (ir.Expr, error) {
 		return nil, err
 	}
 	t.skipSemis()
-	if tok := t.peek(); tok.Kind != TokEOF {
-		return nil, t.errf(tok, "unexpected trailing %s %q", tok.Kind, tok.Text)
+	if t.tok.Kind != TokEOF {
+		return nil, t.errf(t.tok, "unexpected trailing %s %q", t.tok.Kind, t.tok.Text)
 	}
 	return e, nil
 }
@@ -200,36 +196,37 @@ func ParseExpr(src string) (ir.Expr, error) {
 //	branch(expr)
 //	skip
 func (t *tokens) parseSimpleStmt() (ir.Stmt, error) {
-	tok := t.next()
-	if tok.Kind != TokIdent {
-		return nil, t.errf(tok, "expected statement, found %s %q", tok.Kind, tok.Text)
+	if t.tok.Kind != TokIdent {
+		return nil, t.errf(t.tok, "expected statement, found %s %q", t.tok.Kind, t.tok.Text)
 	}
-	switch tok.Text {
+	name := t.tok.Text
+	t.next()
+	switch name {
 	case "skip":
 		return ir.Skip{}, nil
 	case "out", "branch":
-		if _, err := t.expect(TokLParen); err != nil {
+		if err := t.expect(TokLParen); err != nil {
 			return nil, err
 		}
 		e, err := t.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := t.expect(TokRParen); err != nil {
+		if err := t.expect(TokRParen); err != nil {
 			return nil, err
 		}
-		if tok.Text == "out" {
+		if name == "out" {
 			return ir.Out{Arg: e}, nil
 		}
 		return ir.Branch{Cond: e}, nil
 	default:
-		if _, err := t.expect(TokAssign); err != nil {
+		if err := t.expect(TokAssign); err != nil {
 			return nil, err
 		}
 		e, err := t.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		return ir.Assign{LHS: ir.Var(tok.Text), RHS: e}, nil
+		return ir.Assign{LHS: ir.Var(name), RHS: e}, nil
 	}
 }

@@ -1,6 +1,8 @@
 package parser_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"pdce/internal/cfg"
@@ -8,9 +10,25 @@ import (
 	"pdce/internal/parser"
 )
 
-// FuzzParseSource: the WHILE-language parser must never panic; on
-// success the lowered graph must be valid and its Format output must
-// re-parse.
+// checkErrorPosition fails unless a rejected input's *parser.Error
+// points inside the source: 1 ≤ line ≤ the number of '\n'-separated
+// lines, and 1 ≤ col ≤ that line's byte length + 1. An error about the
+// whole graph carries no position and is not checked.
+func checkErrorPosition(t *testing.T, src string, err error) {
+	t.Helper()
+	var pe *parser.Error
+	if !errors.As(err, &pe) {
+		return
+	}
+	lines := strings.Split(src, "\n")
+	if pe.Line < 1 || pe.Line > len(lines) || pe.Col < 1 || pe.Col > len(lines[pe.Line-1])+1 {
+		t.Fatalf("error %q points outside the %d-line source %q", err, len(lines), src)
+	}
+}
+
+// FuzzParseSource: the WHILE-language parser must never panic; a
+// rejected input's error must point inside it; on success the lowered
+// graph must be valid and its Format output must re-parse.
 func FuzzParseSource(f *testing.F) {
 	seeds := []string{
 		"x := a + b\nout(x)",
@@ -25,6 +43,10 @@ func FuzzParseSource(f *testing.F) {
 		"if { }",
 		"do { } until *",
 		"out(((((1)))))",
+		// CRLF line endings and comments before the error.
+		"x := 1\r\n// comment\r\ny := $\r\nout(y)",
+		"# comment\r\nif * {\r\n  out(\"a\r\n}",
+		"x := a // trailing\r\n\r\nout(x +\r\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -32,6 +54,7 @@ func FuzzParseSource(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		g, err := parser.ParseSource("fuzz", src)
 		if err != nil {
+			checkErrorPosition(t, src, err)
 			return // rejected inputs are fine; panics are not
 		}
 		if errs := cfg.Validate(g); len(errs) > 0 {
@@ -47,9 +70,10 @@ func FuzzParseSource(f *testing.F) {
 	})
 }
 
-// FuzzParseCFG: the low-level parser must never panic, accepted graphs
-// must survive Format/ParseCFG unchanged, name included, and both
-// pipelines, pde and pfe, without breaking invariants.
+// FuzzParseCFG: the low-level parser must never panic, a rejected
+// input's error must point inside it, and accepted graphs must survive
+// Format/ParseCFG unchanged, name included, and both pipelines, pde
+// and pfe, without breaking invariants.
 func FuzzParseCFG(f *testing.F) {
 	seeds := []string{
 		"graph \"g\"\nnode 1 { x := a+b }\nnode 2 { out(x) }\nedge s 1\nedge 1 2\nedge 2 e",
@@ -66,6 +90,10 @@ func FuzzParseCFG(f *testing.F) {
 		"node \"1.5\" {}\nnode \".\" {}\nedge s \"1.5\"\nedge \"1.5\" \".\"\nedge \".\" e",
 		"node \"99999999999999999999\" {}\nedge s \"99999999999999999999\"\nedge \"99999999999999999999\" e",
 		"graph \"\x11\"\nnode \"\t\xff\" {}\nedge s \"\t\xff\"\nedge \"\t\xff\" e",
+		// CRLF line endings and comments before the error.
+		"node 1 {\r\n  x := a+b\r\n}\r\n// comment\r\nedge s 1\r\nedge 1 $\r\n",
+		"# comment\r\nnode 1 { x := a }\r\nedge s 1\r\nedge s 1\r\nedge 1 e\r\n",
+		"// comment\r\nnode 1 {\r\n  out(\"\\q\")\r\n}",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -73,6 +101,7 @@ func FuzzParseCFG(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		g, err := parser.ParseCFG(src)
 		if err != nil {
+			checkErrorPosition(t, src, err)
 			return
 		}
 		// Accepted graphs are valid by construction...
@@ -95,17 +124,21 @@ func FuzzParseCFG(f *testing.F) {
 	})
 }
 
-// FuzzParseExpr: expression parsing never panics; accepted expressions
-// round-trip through String.
+// FuzzParseExpr: expression parsing never panics; a rejected input's
+// error points inside it; accepted expressions round-trip through
+// String.
 func FuzzParseExpr(f *testing.F) {
 	for _, s := range []string{
 		"a+b*c", "(a+b)*c", "-x", "1/0", "a%b==c", "a<b", "((a))", "-",
+		// CRLF line endings and comments before the error.
+		"\r\n// comment\r\na + $", "# comment\r\n\r\n(a\r\n", "a // comment\r\n b",
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := parser.ParseExpr(src)
 		if err != nil {
+			checkErrorPosition(t, src, err)
 			return
 		}
 		back, err := parser.ParseExpr(e.String())

@@ -14,7 +14,10 @@ package parser
 
 import (
 	"fmt"
-	"strconv"
+	"math"
+	"strings"
+
+	"pdce/internal/ir"
 )
 
 // TokKind classifies tokens.
@@ -70,15 +73,16 @@ func (k TokKind) String() string {
 	return "unknown token"
 }
 
-// Token is a lexed token with its source position. Text is a slice of
-// the source, except for a string literal, whose Text is its decoded
-// value, and an error token, whose Text is the error message.
+// Token is a lexed token. Text is a slice of the source, except for a
+// string literal, whose Text is its decoded value, and an error token,
+// whose Text is the error message. Pos is the byte offset of the
+// token's first byte, or for an error token the offset where scanning
+// stopped; line and column are counted only when an Error is built.
 type Token struct {
 	Kind TokKind
 	Text string
 	Int  int64 // valid when Kind == TokInt
-	Line int
-	Col  int
+	Pos  int
 }
 
 // Error is a parse error with position information.
@@ -91,155 +95,248 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-// lexer reads src one token per scan. Newlines and semicolons become
-// TokSemi, one token per run. Comments run from '//' or '#' to end of
-// line.
-type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
+// errorAt returns msg as an Error at byte offset pos of src. Lines
+// are counted by '\n' and columns in bytes, both from 1.
+func errorAt(src string, pos int, msg string) *Error {
+	line, col := position(src, pos)
+	return &Error{Line: line, Col: col, Msg: msg}
 }
 
-// errorf returns an error token at the current position.
-func (l *lexer) errorf(format string, args ...any) Token {
-	return Token{Kind: TokError, Text: fmt.Sprintf(format, args...), Line: l.line, Col: l.col}
+// position returns the line and column of byte offset pos of src.
+func position(src string, pos int) (line, col int) {
+	before := src[:pos]
+	return 1 + strings.Count(before, "\n"), pos - strings.LastIndexByte(before, '\n')
 }
 
-func (l *lexer) advance() byte {
-	c := l.src[l.pos]
-	l.pos++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
+// Byte classes: the class of token a byte can start. scan dispatches
+// on it, identifiers first, as they are the commonest token.
+const (
+	clsBad    uint8 = iota // no token starts with this byte
+	clsIdent               // a letter or '_'
+	clsDigit               // an integer literal
+	clsSep                 // '\n' or ';'
+	clsPunct               // a token of its own: { } ( ) , * + - %
+	clsBlank               // ' ', '\t' or '\r'
+	clsSlash               // '/': an operator, or with a second '/' a comment
+	clsHash                // '#': a comment
+	clsColon               // ':' of ':='
+	clsEqBang              // '=' of '==' or '!' of '!='
+	clsAngle               // '<' or '>', either followed by an optional '='
+	clsQuote               // '"': a string literal
+)
+
+var (
+	byteClass [256]uint8
+	identByte [256]bool // a byte an identifier continues with
+	punct     = [256]TokKind{
+		'{': TokLBrace, '}': TokRBrace, '(': TokLParen, ')': TokRParen,
+		',': TokComma, '*': TokStar, '+': TokOp, '-': TokOp, '%': TokOp,
 	}
-	return c
-}
+)
 
-// acceptByte consumes the next byte if it is c.
-func (l *lexer) acceptByte(c byte) bool {
-	if l.pos < len(l.src) && l.src[l.pos] == c {
-		l.advance()
-		return true
-	}
-	return false
-}
-
-// skipSpace skips horizontal whitespace and comments.
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) {
-		switch c := l.src[l.pos]; {
+func init() {
+	for i := range byteClass {
+		c := byte(i)
+		switch {
+		case c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z':
+			byteClass[c] = clsIdent
+		case c >= '0' && c <= '9':
+			byteClass[c] = clsDigit
+		case c == '\n' || c == ';':
+			byteClass[c] = clsSep
+		case punct[c] != TokEOF:
+			byteClass[c] = clsPunct
 		case c == ' ' || c == '\t' || c == '\r':
-			l.advance()
-		case c == '#' || c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.advance()
+			byteClass[c] = clsBlank
+		case c == '/':
+			byteClass[c] = clsSlash
+		case c == '#':
+			byteClass[c] = clsHash
+		case c == ':':
+			byteClass[c] = clsColon
+		case c == '=' || c == '!':
+			byteClass[c] = clsEqBang
+		case c == '<' || c == '>':
+			byteClass[c] = clsAngle
+		case c == '"':
+			byteClass[c] = clsQuote
+		}
+		identByte[c] = byteClass[c] == clsIdent || byteClass[c] == clsDigit || c == '.'
+	}
+}
+
+// tokens is the cursor both parsers read: the source, the offset where
+// the next scan starts, and one token of lookahead, which scan
+// overwrites in place. The parsers hold it by value, so it lives on
+// their stack. Newlines and semicolons become TokSemi, one token per
+// run. Comments run from '//' or '#' to end of line. The stream stops
+// at end of input or at a lexical error. No grammar rule accepts an
+// error token, so the first error in the source, lexical or syntactic,
+// is the one reported.
+type tokens struct {
+	src string
+	pos int
+	tok Token // the next token
+
+	// vars boxes each distinct identifier once per parse: expressions
+	// are immutable, so every occurrence shares one ir.VarRef.
+	vars map[string]ir.Expr
+}
+
+func newTokens(src string) tokens {
+	t := tokens{src: src}
+	t.scan()
+	return t
+}
+
+// next consumes the lookahead token. The stream stays at end of input
+// or at a lexical error.
+func (t *tokens) next() {
+	if t.tok.Kind != TokEOF && t.tok.Kind != TokError {
+		t.scan()
+	}
+}
+
+// errorf makes the lookahead a lexical error at offset pos.
+func (t *tokens) errorf(pos int, format string, args ...any) {
+	t.tok = Token{Kind: TokError, Text: fmt.Sprintf(format, args...), Pos: pos}
+}
+
+// skipBlank returns the offset of the first byte at or after pos that
+// is not horizontal whitespace or part of a comment.
+func skipBlank(src string, pos int) int {
+	for pos < len(src) {
+		switch byteClass[src[pos]] {
+		case clsBlank:
+			pos++
+			continue
+		case clsSlash:
+			if pos+1 == len(src) || src[pos+1] != '/' {
+				return pos
 			}
+		case clsHash:
 		default:
+			return pos
+		}
+		if i := strings.IndexByte(src[pos:], '\n'); i >= 0 {
+			pos += i
+		} else {
+			pos = len(src)
+		}
+	}
+	return pos
+}
+
+// scan reads the token at t.pos into t.tok.
+func (t *tokens) scan() {
+	src := t.src
+	pos := skipBlank(src, t.pos)
+	if pos == len(src) {
+		t.tok, t.pos = Token{Kind: TokEOF, Pos: pos}, pos
+		return
+	}
+	c := src[pos]
+	end := pos + 1
+	kind := TokOp // unless a case below says otherwise
+	switch byteClass[c] {
+	case clsIdent:
+		for end < len(src) && identByte[src[end]] {
+			end++
+		}
+		kind = TokIdent
+	case clsDigit:
+		v := int64(c - '0')
+		over := false
+		for ; end < len(src) && byteClass[src[end]] == clsDigit; end++ {
+			d := int64(src[end] - '0')
+			over = over || v > (math.MaxInt64-d)/10
+			v = v*10 + d
+		}
+		if over {
+			t.errorf(end, "integer literal %q out of range", src[pos:end])
 			return
 		}
-	}
-}
-
-// scan returns the next token. A lexical error is a TokError token at
-// the position where scanning stopped.
-func (l *lexer) scan() Token {
-	l.skipSpace()
-	if l.pos == len(l.src) {
-		return Token{Kind: TokEOF, Line: l.line, Col: l.col}
-	}
-	tok := Token{Line: l.line, Col: l.col}
-	start := l.pos
-	switch c := l.advance(); {
-	case c == '\n' || c == ';':
-		tok.Kind, tok.Text = TokSemi, l.src[start:l.pos]
-		for l.skipSpace(); l.pos < len(l.src) && (l.src[l.pos] == '\n' || l.src[l.pos] == ';'); l.skipSpace() {
-			l.advance() // merge separator runs
+		t.tok, t.pos = Token{Kind: TokInt, Text: src[pos:end], Int: v, Pos: pos}, end
+		return
+	case clsSep:
+		// One token per run of separators and the blanks and comments
+		// between them; its text is the first separator.
+		next := skipBlank(src, end)
+		for next < len(src) && byteClass[src[next]] == clsSep {
+			next = skipBlank(src, next+1)
 		}
-		return tok
-	case c == '{':
-		tok.Kind = TokLBrace
-	case c == '}':
-		tok.Kind = TokRBrace
-	case c == '(':
-		tok.Kind = TokLParen
-	case c == ')':
-		tok.Kind = TokRParen
-	case c == ',':
-		tok.Kind = TokComma
-	case c == ':':
-		if !l.acceptByte('=') {
-			return l.errorf("unexpected ':' (expected ':=')")
+		t.tok, t.pos = Token{Kind: TokSemi, Text: src[pos:end], Pos: pos}, next
+		return
+	case clsPunct:
+		kind = punct[c]
+	case clsSlash:
+		// Division: skipBlank has taken a '//' comment.
+	case clsColon:
+		if end == len(src) || src[end] != '=' {
+			t.errorf(end, "unexpected ':' (expected ':=')")
+			return
 		}
-		tok.Kind = TokAssign
-	case c == '*':
-		tok.Kind = TokStar
-	case c == '+' || c == '-' || c == '/' || c == '%':
-		tok.Kind = TokOp
-	case c == '=' || c == '!':
-		if !l.acceptByte('=') {
-			return l.errorf("unexpected %q (expected %q)", string(c), string(c)+"=")
+		kind, end = TokAssign, end+1
+	case clsEqBang:
+		if end == len(src) || src[end] != '=' {
+			t.errorf(end, "unexpected %q (expected %q)", string(c), string(c)+"=")
+			return
 		}
-		tok.Kind = TokOp
-	case c == '<' || c == '>':
-		l.acceptByte('=')
-		tok.Kind = TokOp
-	case c == '"':
-		return l.scanString(tok)
-	case isDigit(c):
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.advance()
+		end++
+	case clsAngle:
+		if end < len(src) && src[end] == '=' {
+			end++
 		}
-		v, err := strconv.ParseInt(l.src[start:l.pos], 10, 64)
-		if err != nil {
-			return l.errorf("integer literal %q out of range", l.src[start:l.pos])
-		}
-		tok.Kind, tok.Int = TokInt, v
-	case isIdentStart(c):
-		for l.pos < len(l.src) && isIdentCont(l.src[l.pos]) {
-			l.advance()
-		}
-		tok.Kind = TokIdent
+	case clsQuote:
+		t.scanString(pos)
+		return
 	default:
-		return l.errorf("unexpected character %q", string(c))
+		t.errorf(end, "unexpected character %q", string(c))
+		return
 	}
-	tok.Text = l.src[start:l.pos]
-	return tok
+	t.tok, t.pos = Token{Kind: kind, Text: src[pos:end], Pos: pos}, end
 }
 
-// scanString reads a string literal whose opening quote scan has
-// consumed. The value is a slice of the source unless the literal
+// scanString reads the string literal whose opening quote is at
+// offset quote. The value is a slice of the source unless the literal
 // holds an escape.
-func (l *lexer) scanString(tok Token) Token {
-	start := l.pos
+func (t *tokens) scanString(quote int) {
+	src := t.src
+	start := quote + 1
 	var val []byte // the decoded value, from the first escape on
-	for {
-		if l.pos == len(l.src) || l.src[l.pos] == '\n' {
-			return l.errorf("unterminated string literal")
+	for pos := start; ; {
+		if pos == len(src) || src[pos] == '\n' {
+			t.errorf(pos, "unterminated string literal")
+			return
 		}
-		switch c := l.advance(); c {
+		c := src[pos]
+		pos++
+		switch c {
 		case '"':
-			tok.Kind, tok.Text = TokString, l.src[start:l.pos-1]
+			text := src[start : pos-1]
 			if val != nil {
-				tok.Text = string(val)
+				text = string(val)
 			}
-			return tok
+			t.tok, t.pos = Token{Kind: TokString, Text: text, Pos: quote}, pos
+			return
 		case '\\':
-			if l.pos == len(l.src) {
-				return l.errorf("unterminated escape in string literal")
+			if pos == len(src) {
+				t.errorf(pos, "unterminated escape in string literal")
+				return
 			}
 			if val == nil {
-				val = []byte(l.src[start : l.pos-1])
+				val = []byte(src[start : pos-1])
 			}
-			switch esc := l.advance(); esc {
+			esc := src[pos]
+			pos++
+			switch esc {
 			case '"', '\\':
 				val = append(val, esc)
 			case 'n':
 				val = append(val, '\n')
 			default:
-				return l.errorf("unknown escape \\%c", esc)
+				t.errorf(pos, "unknown escape \\%c", esc)
+				return
 			}
 		default:
 			if val != nil {
@@ -248,11 +345,3 @@ func (l *lexer) scanString(tok Token) Token {
 		}
 	}
 }
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-func isIdentStart(c byte) bool {
-	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
-}
-
-func isIdentCont(c byte) bool { return isIdentStart(c) || isDigit(c) || c == '.' }

@@ -15,7 +15,7 @@ func lex(src string) ([]Token, error) {
 	t := newTokens(src)
 	var toks []Token
 	for {
-		tok := t.next()
+		tok := t.tok
 		switch tok.Kind {
 		case TokError:
 			return nil, t.errf(tok, "")
@@ -23,6 +23,7 @@ func lex(src string) ([]Token, error) {
 			return append(toks, tok), nil
 		}
 		toks = append(toks, tok)
+		t.next()
 	}
 }
 
@@ -84,19 +85,23 @@ func TestLexErrors(t *testing.T) {
 }
 
 func TestLexPositions(t *testing.T) {
-	toks, err := lex("a := 1\n  b := 2")
+	const src = "a := 1\n  b := 2"
+	toks, err := lex(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Token "b" is on line 2, column 3.
+	// Token "b" is at offset 9: line 2, column 3.
 	var bTok *Token
 	for i := range toks {
 		if toks[i].Text == "b" {
 			bTok = &toks[i]
 		}
 	}
-	if bTok == nil || bTok.Line != 2 || bTok.Col != 3 {
-		t.Errorf("position of b = %+v", bTok)
+	if bTok == nil || bTok.Pos != 9 {
+		t.Fatalf("token b = %+v, want offset 9", bTok)
+	}
+	if line, col := position(src, bTok.Pos); line != 2 || col != 3 {
+		t.Errorf("position of b = %d:%d, want 2:3", line, col)
 	}
 }
 
@@ -313,24 +318,44 @@ edge 2 e
 	}
 }
 
+// TestParseCFGErrors pins every flow-graph-level error by its full
+// text. The edges are wired after the whole text is read, and their
+// errors are those of adding them one at a time in source order: a
+// duplicate edge before an undeclared endpoint is reported, and an
+// undeclared endpoint before a duplicate.
 func TestParseCFGErrors(t *testing.T) {
-	cases := []struct{ name, src, frag string }{
-		{"undeclared edge", "node 1 {}\nedge s 2\nedge 1 e\nedge s 1", "undeclared"},
-		{"duplicate node", "node 1 {}\nnode 1 {}\nedge s 1\nedge 1 e", "duplicate node"},
-		{"duplicate edge", "node 1 {}\nedge s 1\nedge s 1\nedge 1 e", "duplicate edge"},
-		{"stmts in start", "node s { skip }\nnode 1 {}\nedge s 1\nedge 1 e", "must be empty"},
-		{"unterminated body", "node 1 { x := 1", "unterminated"},
-		{"invalid structure", "node 1 {}\nedge s 1", "invalid graph"},
-		{"garbage", "blah blah", "expected 'node' or 'edge'"},
+	cases := []struct{ name, src, want string }{
+		{"undeclared source", "node 1 {}\nedge x 1\nedge s 1\nedge 1 e",
+			`2:6: edge references undeclared node "x"`},
+		{"undeclared target", "node 1 {}\nedge s 2\nedge 1 e\nedge s 1",
+			`2:6: edge references undeclared node "2"`},
+		{"duplicate node", "node 1 {}\nnode 1 {}\nedge s 1\nedge 1 e",
+			`2:6: duplicate node "1"`},
+		{"duplicate edge", "node 1 {}\nedge s 1\nedge s 1\nedge 1 e",
+			`3:6: duplicate edge s -> 1`},
+		{"duplicate edge, nodes declared late", "edge s 1\nnode 1 {}\nedge 1 e\nedge 1 e",
+			`4:6: duplicate edge 1 -> e`},
+		{"duplicate edge before an undeclared endpoint", "node 1 {}\nedge s 1\nedge s 1\nedge 1 x\nedge 1 e",
+			`3:6: duplicate edge s -> 1`},
+		{"undeclared endpoint before a duplicate edge", "node 1 {}\nedge s x\nedge s 1\nedge s 1\nedge 1 e",
+			`2:6: edge references undeclared node "x"`},
+		{"stmts in start", "node s { skip }\nnode 1 {}\nedge s 1\nedge 1 e",
+			`1:6: node "s" must be empty (paper start/end nodes carry skip)`},
+		{"stmts in end", "node 1 {}\nnode e {\n  out(1)\n}\nedge s 1\nedge 1 e",
+			`2:6: node "e" must be empty (paper start/end nodes carry skip)`},
+		{"unterminated body", "node 1 { x := 1",
+			`1:16: unterminated node body for "1"`},
+		{"invalid structure", "node 1 {}\nedge s 1",
+			`invalid graph "G": node s cannot reach end`},
+		{"unreachable node", "graph \"g\"\nnode 1 {}\nnode 2 {}\nedge s 1\nedge 1 e",
+			`invalid graph "g": node 2 is unreachable from start`},
+		{"garbage", "blah blah",
+			`1:1: expected 'node' or 'edge', found "blah"`},
 	}
 	for _, c := range cases {
 		_, err := ParseCFG(c.src)
-		if err == nil {
-			t.Errorf("%s: parse succeeded", c.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.frag) {
-			t.Errorf("%s: error %q does not mention %q", c.name, err, c.frag)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %s", c.name, err, c.want)
 		}
 	}
 }
@@ -421,6 +446,117 @@ func TestFormatRoundTripsAwkwardNames(t *testing.T) {
 		}
 		if back.Name != g.Name || !cfg.Equal(g, back) {
 			t.Errorf("graph %q, label %q: round trip changed the graph:\n%s\nvs\n%s", tc.name, tc.label, g.Format(), back.Format())
+		}
+	}
+}
+
+// TestParsedGraphSlabsIsolated: ParseCFG carves every block's
+// statements from one slab and its successors and predecessors from
+// another, each list capped at its own length. An edit to a parsed
+// graph (a statement appended to one block, an edge added, critical
+// edges split, empty synthetic blocks removed) must change only the
+// lists it edits: every other block's statement, successor and
+// predecessor list stays as it was, and the graph stays valid.
+func TestParsedGraphSlabsIsolated(t *testing.T) {
+	const src = `node 1 {
+  x := a+b
+  y := x*2
+}
+node 2 { y := x }
+node "S2,4" synthetic {}
+node 3 { out(x); y := 1 }
+node 4 { out(y) }
+edge s 1
+edge 1 2
+edge 1 3
+edge 2 "S2,4"
+edge "S2,4" 4
+edge 3 4
+edge 3 e
+edge 4 e
+`
+	// lists renders each block's three lists under "label stmts",
+	// "label succs" and "label preds".
+	lists := func(g *cfg.Graph) map[string]string {
+		m := make(map[string]string)
+		for _, n := range g.Nodes() {
+			var stmts, succs, preds []string
+			for _, s := range n.Stmts {
+				stmts = append(stmts, s.String())
+			}
+			for _, s := range n.Succs() {
+				succs = append(succs, s.Label)
+			}
+			for _, p := range n.Preds() {
+				preds = append(preds, p.Label)
+			}
+			m[n.Label+" stmts"] = strings.Join(stmts, "; ")
+			m[n.Label+" succs"] = strings.Join(succs, " ")
+			m[n.Label+" preds"] = strings.Join(preds, " ")
+		}
+		return m
+	}
+	node := func(g *cfg.Graph, label string) *cfg.Node {
+		n, ok := g.NodeByLabel(label)
+		if !ok {
+			t.Fatalf("no node %q", label)
+		}
+		return n
+	}
+	type edit struct {
+		name string
+		// do edits g and returns the lists it may change.
+		do func(g *cfg.Graph) []string
+	}
+	edits := []edit{
+		{"add edge 2 -> 3", func(g *cfg.Graph) []string {
+			g.AddEdge(node(g, "2"), node(g, "3"))
+			return []string{"2 succs", "3 preds"}
+		}},
+		{"split critical edges", func(g *cfg.Graph) []string {
+			var changed []string
+			for _, e := range g.Edges() {
+				if cfg.IsCriticalEdge(e.From, e.To) {
+					changed = append(changed, e.From.Label+" succs", e.To.Label+" preds")
+				}
+			}
+			if len(cfg.SplitCriticalEdges(g)) == 0 {
+				t.Fatal("the program has no critical edge")
+			}
+			return changed
+		}},
+		{"remove empty synthetic blocks", func(g *cfg.Graph) []string {
+			if cfg.RemoveEmptySynthetic(g) != 1 {
+				t.Fatal("S2,4 was not removed")
+			}
+			return []string{"2 succs", "4 preds"}
+		}},
+	}
+	for _, label := range []string{"1", "2", "S2,4", "3", "4"} {
+		edits = append(edits, edit{"append to " + label, func(g *cfg.Graph) []string {
+			n := node(g, label)
+			n.Stmts = append(n.Stmts, ir.Assign{LHS: "z", RHS: ir.C(7)})
+			return []string{label + " stmts"}
+		}})
+	}
+	for _, e := range edits {
+		g, err := ParseCFG(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := lists(g)
+		changed := e.do(g)
+		after := lists(g)
+		for _, k := range changed {
+			delete(before, k)
+		}
+		for k, want := range before {
+			if got, ok := after[k]; ok && got != want {
+				t.Errorf("%s: %s changed from %q to %q", e.name, k, want, got)
+			}
+		}
+		if errs := cfg.Validate(g); len(errs) > 0 {
+			t.Errorf("%s: %v", e.name, errs)
 		}
 	}
 }

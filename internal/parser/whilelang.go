@@ -77,7 +77,8 @@ func MustParseSource(name, src string) *cfg.Graph {
 
 // ParseSourceAST parses a WHILE-language program to its AST.
 func ParseSourceAST(src string) ([]SrcStmt, error) {
-	return parseStmtList(newTokens(src), TokEOF)
+	t := newTokens(src)
+	return parseStmtList(&t, TokEOF)
 }
 
 // parseStmtList parses statements until the given closing token kind,
@@ -86,13 +87,12 @@ func parseStmtList(t *tokens, until TokKind) ([]SrcStmt, error) {
 	var out []SrcStmt
 	for {
 		t.skipSemis()
-		tok := t.peek()
-		if tok.Kind == until {
+		if t.tok.Kind == until {
 			t.next()
 			return out, nil
 		}
-		if tok.Kind == TokEOF {
-			return nil, t.errf(tok, "unexpected end of input (missing %s?)", until)
+		if t.tok.Kind == TokEOF {
+			return nil, t.errf(t.tok, "unexpected end of input (missing %s?)", until)
 		}
 		s, err := parseSrcStmt(t)
 		if err != nil {
@@ -103,9 +103,8 @@ func parseStmtList(t *tokens, until TokKind) ([]SrcStmt, error) {
 }
 
 func parseSrcStmt(t *tokens) (SrcStmt, error) {
-	tok := t.peek()
-	if tok.Kind == TokIdent {
-		switch tok.Text {
+	if t.tok.Kind == TokIdent {
+		switch t.tok.Text {
 		case "if":
 			t.next()
 			return parseIf(t)
@@ -116,7 +115,7 @@ func parseSrcStmt(t *tokens) (SrcStmt, error) {
 			t.next()
 			return parseDoWhile(t)
 		case "branch":
-			return nil, t.errf(tok, "branch(...) is not a source statement; use if/while")
+			return nil, t.errf(t.tok, "branch(...) is not a source statement; use if/while")
 		}
 	}
 	s, err := t.parseSimpleStmt()
@@ -129,8 +128,7 @@ func parseSrcStmt(t *tokens) (SrcStmt, error) {
 // parseCond parses a condition: `*` for nondeterministic (returns nil)
 // or an expression.
 func parseCond(t *tokens) (ir.Expr, error) {
-	if t.peek().Kind == TokStar {
-		t.next()
+	if t.accept(TokStar) {
 		return nil, nil
 	}
 	return t.parseExpr()
@@ -141,7 +139,7 @@ func parseIf(t *tokens) (SrcStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := t.expect(TokLBrace); err != nil {
+	if err := t.expect(TokLBrace); err != nil {
 		return nil, err
 	}
 	thenStmts, err := parseStmtList(t, TokRBrace)
@@ -150,9 +148,9 @@ func parseIf(t *tokens) (SrcStmt, error) {
 	}
 	var elseStmts []SrcStmt
 	t.skipSemis()
-	if tok := t.peek(); tok.Kind == TokIdent && tok.Text == "else" {
+	if t.isKeyword("else") {
 		t.next()
-		if _, err := t.expect(TokLBrace); err != nil {
+		if err := t.expect(TokLBrace); err != nil {
 			return nil, err
 		}
 		elseStmts, err = parseStmtList(t, TokRBrace)
@@ -168,7 +166,7 @@ func parseWhile(t *tokens) (SrcStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := t.expect(TokLBrace); err != nil {
+	if err := t.expect(TokLBrace); err != nil {
 		return nil, err
 	}
 	body, err := parseStmtList(t, TokRBrace)
@@ -179,7 +177,7 @@ func parseWhile(t *tokens) (SrcStmt, error) {
 }
 
 func parseDoWhile(t *tokens) (SrcStmt, error) {
-	if _, err := t.expect(TokLBrace); err != nil {
+	if err := t.expect(TokLBrace); err != nil {
 		return nil, err
 	}
 	body, err := parseStmtList(t, TokRBrace)
@@ -187,10 +185,10 @@ func parseDoWhile(t *tokens) (SrcStmt, error) {
 		return nil, err
 	}
 	t.skipSemis()
-	kw := t.next()
-	if kw.Kind != TokIdent || kw.Text != "while" {
-		return nil, t.errf(kw, "expected 'while' after do-body, found %q", kw.Text)
+	if !t.isKeyword("while") {
+		return nil, t.errf(t.tok, "expected 'while' after do-body, found %q", t.tok.Text)
 	}
+	t.next()
 	cond, err := parseCond(t)
 	if err != nil {
 		return nil, err
